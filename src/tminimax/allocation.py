@@ -16,6 +16,15 @@ assume:
 relaxations; ``recycling`` is solved numerically.  ``integer_solve`` turns
 any relaxation into an exact integer optimum via rounding plus single-unit
 transfer descent, certified against ``brute_force_opt`` at small sizes.
+
+Each descent step screens all (T+1)^2 transfers in one vectorised pass:
+from the group sizes, one matrix holds the approximate objective change
+of every (src, dst) pair.  Only the pairs whose screened change lies
+within a proven bound on the rounding error of the best one are then
+evaluated exactly, with the same terms and ``fsum`` as ``objective``.
+Since the band contains every pair a full scan could pick, and the full
+scan's comparison rules then run on exact values, the result is
+bit-identical to scanning every transfer with ``objective``.
 """
 
 from __future__ import annotations
@@ -468,62 +477,133 @@ def integer_solve(N: int, T: int, mode: ObjectiveMode) -> Allocation:
     then applies steepest single-unit transfers until no move improves.
     Among equal-objective optima reachable this way the lexicographically
     smallest count vector is returned.
+
+    Each step screens every (src, dst) transfer at once, from the group
+    sizes, and evaluates exactly, with the same terms and ``fsum`` as
+    ``objective``, only those whose screened change lies within a proven
+    error band of the target: the smallest screened change while
+    descending, zero while sliding between ties (see ``_near_transfers``).
+    Every transfer a full scan could pick is therefore evaluated, and the
+    full scan's rules apply unchanged to the evaluated ones: a strictly
+    lower value wins, ties go to the first (src, dst) in scan order, and
+    the slide takes the lexicographically smallest equal-value neighbor.
+    The result is bit-identical to scanning all transfers with
+    ``objective``.
     """
     _check_integer_args(N, T)
     excl = _excluded_arm(mode)
     mins = [1] * (T + 1)
+    movable = np.ones(T + 1, dtype=bool)
     if excl is not None:
         mins[excl] = 0
+        movable[excl] = False
     relaxed = _relaxed_for_mode(float(N), T, mode)
-    counts = _round_preserving_sum(np.array(relaxed.counts), N, mins, excl)
-    movable = [i for i in range(T + 1) if i != excl]
+    counts = np.array(_round_preserving_sum(np.array(relaxed.counts), N, mins, excl))
 
     current = _objective_counts(counts, T, mode)
     while True:
-        best_val, best_move = current, None
-        for src in movable:
-            if counts[src] <= mins[src]:
-                continue
-            counts[src] -= 1
-            for dst in movable:
-                if dst == src:
-                    continue
-                counts[dst] += 1
-                val = _objective_counts(counts, T, mode)
-                if val < best_val:
-                    best_val, best_move = val, (src, dst)
-                counts[dst] -= 1
-            counts[src] += 1
-        if best_move is None:
+        src, dst, values = _near_transfers(counts, movable, T, mode, current, None)
+        if not values or min(values) >= current:
             break
-        counts[best_move[0]] -= 1
-        counts[best_move[1]] += 1
-        current = best_val
+        best = values.index(min(values))
+        counts[src[best]] -= 1
+        counts[dst[best]] += 1
+        current = values[best]
 
     # among equal-objective neighbors, slide toward the lexicographically
-    # smallest count vector (deterministic tie-break)
+    # smallest count vector (deterministic tie-break).  A transfer lowers
+    # the counts lexicographically exactly when src < dst; among those, the
+    # smallest src, then the largest dst, gives the smallest result.
     while True:
-        best_tuple, best_move = tuple(counts), None
-        for src in movable:
-            if counts[src] <= mins[src]:
-                continue
-            counts[src] -= 1
-            for dst in movable:
-                if dst == src:
-                    continue
-                counts[dst] += 1
-                if _objective_counts(counts, T, mode) == current:
-                    cand = tuple(counts)
-                    if cand < best_tuple:
-                        best_tuple, best_move = cand, (src, dst)
-                counts[dst] -= 1
-            counts[src] += 1
-        if best_move is None:
+        src, dst, values = _near_transfers(counts, movable, T, mode, current, 0.0)
+        downhill = [(s, d) for s, d, v in zip(src, dst, values) if v == current and s < d]
+        if not downhill:
             break
-        counts[best_move[0]] -= 1
-        counts[best_move[1]] += 1
+        s, d = min(downhill, key=lambda move: (move[0], -move[1]))
+        counts[s] -= 1
+        counts[d] += 1
 
+    counts = counts.tolist()
     return Allocation(counts[0], counts[1], tuple(counts[2:]))
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_CONFIRM_BLOCK = 64
+
+
+def _near_transfers(counts, movable, T: int, mode: ObjectiveMode,
+                    current: float, target: float | None):
+    """Single-unit transfers that may attain ``target``: their source and
+    destination arms, in (src, dst) scan order, and the exact objective
+    value after each one.
+
+    Screen: with group sizes y, a group that loses a unit raises its term
+    by ``w/(y-1) - w/y = w/(y(y-1))`` and a group that gains one lowers it
+    by ``w/(y(y+1))``; a group holding both arms is unchanged.  One matrix
+    thus holds the change of every (src, dst) pair,
+    ``delta = loss_arm[src] - gain_arm[dst] - both[src, dst]``, where each
+    ``_arm`` sum runs over the groups holding that arm and ``both`` sums
+    ``loss - gain`` over the groups holding the two.  All summands are
+    nonnegative and ``both[src, dst] <= loss_arm[src]``, so they add up to
+    at most ``2 (loss_arm[src] + gain_arm[dst])``, and in any summation
+    order delta is off by less than ``J + 4`` unit roundoffs of that, for J
+    terms; ``err`` allows twice as much.
+
+    Confirm: keep the pairs whose delta is within ``band`` of ``target``
+    (the smallest delta when None) and evaluate them exactly.  An exact
+    value, like ``current``, is within two roundoffs of the real objective,
+    so a pair whose exact value is the smallest, or equals ``current``, has
+    a delta within ``2 err`` plus four roundoffs of
+    ``current + |target| + err`` of the target; ``band`` allows eight.
+    """
+    can_give = movable & (counts > 1)  # movable arms keep at least one unit
+    allowed = can_give[:, None] & movable[None, :]
+    np.fill_diagonal(allowed, False)
+    if not allowed.any():
+        return [], [], []
+    w, m = _term_matrix(T, mode)
+    y = m @ counts.astype(float)
+    # a group of one unit holds only arms that cannot give a unit
+    loss = w / (y * np.maximum(y - 1.0, 1.0))
+    gain = w / (y * (y + 1.0))
+    loss_arm, gain_arm = m.T @ loss, m.T @ gain
+    delta = loss_arm[:, None] - gain_arm[None, :] - (m.T * (loss - gain)) @ m
+    err = (4 * len(w) + 16) * _UNIT_ROUNDOFF * (loss_arm[can_give].max() + gain_arm.max())
+    if target is None:
+        target = float(delta[allowed].min())
+    band = 2.0 * err + 8.0 * _UNIT_ROUNDOFF * (current + abs(target) + err)
+    src, dst = np.nonzero(allowed & (delta <= target + band))
+    unit = np.eye(T + 1, dtype=counts.dtype)
+    values = []
+    # confirm in blocks, so the arrays stay small when many pairs tie
+    for lo in range(0, len(src), _CONFIRM_BLOCK):
+        block = slice(lo, lo + _CONFIRM_BLOCK)
+        rows = counts + unit[dst[block]] - unit[src[block]]
+        values += _fsum_rows(_row_terms(rows, T, mode))
+    return src.tolist(), dst.tolist(), values
+
+
+def _row_terms(rows: np.ndarray, T: int, mode: ObjectiveMode) -> np.ndarray:
+    """Objective terms ``w / group size`` of every row of counts.  Group
+    sizes are sums of integers, hence exact, so each row holds the very
+    floats that ``_objective_counts`` sums."""
+    w, m = _term_matrix(T, mode)
+    return w / (rows @ m.T)
+
+
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """``fsum`` of every row, sorting the rows in place.  ``fsum`` is
+    correctly rounded, so its result depends only on the multiset of
+    terms, and rows whose sorted terms agree share one sum."""
+    terms.sort(axis=1)
+    sums: dict[bytes, float] = {}
+    values = []
+    for row in terms:
+        key = row.tobytes()
+        if key not in sums:
+            sums[key] = fsum(row.tolist())
+        values.append(sums[key])
+    return values
 
 
 def _round_preserving_sum(x: np.ndarray, N: int, mins, excl) -> list[int]:
@@ -566,39 +646,6 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return arr
 
 
-def _vector_objective(arr: np.ndarray, T: int, mode: ObjectiveMode) -> np.ndarray:
-    a = arr.astype(float)
-    n0, n1, ne = a[:, 0], a[:, 1], a[:, 2:]
-    inv_ne_sum = (1.0 / ne).sum(axis=1)
-    if mode.kind == "basic":
-        return (T - 1) / n1 + (T - 1) / n0 + 2.0 * inv_ne_sum
-    # sum of pulse counts strictly after each time t, per row
-    suffix = np.cumsum(ne[:, ::-1], axis=1)[:, ::-1] - ne
-    if mode.kind == "augmented":
-        controls = n0[:, None] + suffix
-        return (T - 1) / n1 + 2.0 * inv_ne_sum + (1.0 / controls).sum(axis=1)
-    if mode.kind == "weighted":
-        rho = mode.rho
-        val = inv_ne_sum.copy()
-        if rho > 0.0:
-            val += rho * (T - 1) / n1
-        if rho < 1.0:
-            controls = n0[:, None] + suffix
-            val += (1.0 - rho) * (1.0 / controls).sum(axis=1)
-        return val
-    # recycling: controls at t also include pulses at times <= t - k
-    prefix = np.cumsum(ne, axis=1)
-    k = mode.k
-    recycled = np.zeros_like(ne)
-    for i in range(ne.shape[1]):
-        t = i + 2
-        hi = t - k  # latest recycled pulse time
-        if hi >= 2:
-            recycled[:, i] = prefix[:, hi - 2]
-    controls = n0[:, None] + suffix + recycled
-    return (T - 1) / n1 + 2.0 * inv_ne_sum + (1.0 / controls).sum(axis=1)
-
-
 def brute_force_opt(N: int, T: int, mode: ObjectiveMode) -> Allocation:
     """Exhaustive global optimum over every feasible integer allocation;
     ties broken toward the lexicographically smallest count vector.  Only
@@ -613,7 +660,7 @@ def brute_force_opt(N: int, T: int, mode: ObjectiveMode) -> Allocation:
         full = np.insert(comps, excl, 0, axis=1)
     else:
         full = comps
-    values = _vector_objective(full, T, mode)
+    values = _row_terms(full, T, mode).sum(axis=1)
     vmin = values.min()
     # re-evaluate near-minimal rows with the scalar objective, whose exact
     # rounding is what integer_solve reports

@@ -20,13 +20,10 @@ import numpy as np
 from . import __version__
 from .allocation import (
     ObjectiveMode,
+    _relaxed_for_mode,
     balanced,
     integer_solve,
     objective,
-    relaxed_basic,
-    relaxed_augmented,
-    relaxed_weighted,
-    relaxed_recycling,
 )
 from .core import arms_for_horizon, ObservedOutcomes
 from .estimators import (
@@ -102,14 +99,7 @@ def _mode_from_args(args) -> ObjectiveMode:
 def _cmd_design(args, argv: list[str]) -> int:
     mode = _mode_from_args(args)
     if args.relaxed:
-        if mode.kind == "basic":
-            alloc = relaxed_basic(float(args.n), args.t)
-        elif mode.kind == "augmented":
-            alloc = relaxed_augmented(float(args.n), args.t)
-        elif mode.kind == "weighted":
-            alloc = relaxed_weighted(float(args.n), args.t, mode.rho)
-        else:
-            alloc = relaxed_recycling(float(args.n), args.t, mode.k)
+        alloc = _relaxed_for_mode(float(args.n), args.t, mode)
     else:
         alloc = integer_solve(args.n, args.t, mode)
     labels = [a.label for a in arms_for_horizon(args.t)]

@@ -8,6 +8,10 @@ import pytest
 from tminimax.allocation import (
     ObjectiveMode,
     SolverConvergenceError,
+    _excluded_arm,
+    _objective_counts,
+    _relaxed_for_mode,
+    _round_preserving_sum,
     balanced,
     brute_force_opt,
     integer_solve,
@@ -31,6 +35,204 @@ ALL_MODES = [
     ObjectiveMode.weighted(1.0),
     ObjectiveMode.recycling(1),
     ObjectiveMode.recycling(2),
+]
+
+
+def _naive_integer_solve(N, T, mode):
+    """Reference for integer_solve: the same rounding start, then steepest
+    descent and the lexicographic tie-break slide, each scanning every
+    single-unit transfer with the scalar objective."""
+    excl = _excluded_arm(mode)
+    mins = [0 if i == excl else 1 for i in range(T + 1)]
+    relaxed = _relaxed_for_mode(float(N), T, mode)
+    counts = _round_preserving_sum(np.array(relaxed.counts), N, mins, excl)
+    movable = [i for i in range(T + 1) if i != excl]
+
+    def moves():
+        for src in movable:
+            if counts[src] <= mins[src]:
+                continue
+            for dst in movable:
+                if dst != src:
+                    moved = list(counts)
+                    moved[src] -= 1
+                    moved[dst] += 1
+                    yield moved, _objective_counts(moved, T, mode)
+
+    current = _objective_counts(counts, T, mode)
+    while True:
+        best_val, best = current, None
+        for moved, val in moves():
+            if val < best_val:
+                best_val, best = val, moved
+        if best is None:
+            break
+        counts, current = best, best_val
+    while True:
+        best = counts
+        for moved, val in moves():
+            if val == current and moved < best:
+                best = moved
+        if best is counts:
+            break
+        counts = best
+    return tuple(counts)
+
+
+# integer_solve counts for the instances of the benchmark's design workload,
+# recorded from the full single-transfer scan
+DESIGN_GOLDEN = [
+    (ObjectiveMode.basic(), 30, 5000, (
+        520, 520, 136, 136, 136, 136, 136, 136, 136, 136, 136, 136, 136, 136, 136, 137, 137,
+        137, 137, 137, 137, 137, 137, 137, 137, 137, 137, 137, 137, 137, 137
+    )),
+    (ObjectiveMode.basic(), 30, 20000, (
+        2081, 2081, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 546,
+        546, 546, 546, 546, 546, 546, 546, 546, 546, 546, 547, 547, 547, 547
+    )),
+    (ObjectiveMode.basic(), 30, 35000, (
+        3638, 3638, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956,
+        956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956, 956
+    )),
+    (ObjectiveMode.basic(), 30, 50000, (
+        5200, 5200, 1365, 1365, 1365, 1365, 1365, 1365, 1365, 1365, 1365, 1365, 1365, 1365,
+        1365, 1365, 1366, 1366, 1366, 1366, 1366, 1366, 1366, 1366, 1366, 1366, 1366, 1366,
+        1366, 1366, 1366
+    )),
+    (ObjectiveMode.basic(), 50, 5000, (
+        418, 418, 84, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85,
+        85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85,
+        85, 85, 85, 85, 85, 85, 85, 85
+    )),
+    (ObjectiveMode.basic(), 50, 20000, (
+        1680, 1680, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339, 339,
+        339, 339, 339, 339, 339, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340,
+        340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340, 340
+    )),
+    (ObjectiveMode.basic(), 50, 35000, (
+        2943, 2943, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594,
+        594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594, 594,
+        594, 594, 594, 594, 594, 594, 594, 594, 594, 595, 595, 595, 595, 595, 595, 595, 595
+    )),
+    (ObjectiveMode.basic(), 50, 50000, (
+        4200, 4200, 848, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849,
+        849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849,
+        849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849, 849
+    )),
+    (ObjectiveMode.augmented(), 30, 5000, (
+        122, 556, 146, 146, 146, 146, 146, 146, 146, 146, 146, 146, 147, 147, 147, 147, 147,
+        147, 147, 148, 148, 148, 148, 149, 150, 150, 151, 153, 155, 160, 173
+    )),
+    (ObjectiveMode.augmented(), 30, 20000, (
+        489, 2222, 584, 584, 584, 584, 584, 585, 585, 585, 585, 586, 586, 586, 587, 587, 588,
+        589, 589, 590, 591, 592, 594, 596, 598, 601, 605, 611, 621, 640, 692
+    )),
+    (ObjectiveMode.augmented(), 30, 35000, (
+        857, 3889, 1021, 1022, 1022, 1022, 1023, 1023, 1024, 1024, 1025, 1025, 1026, 1026, 1027,
+        1028, 1029, 1030, 1031, 1033, 1035, 1037, 1039, 1042, 1046, 1051, 1058, 1069, 1086,
+        1119, 1211
+    )),
+    (ObjectiveMode.augmented(), 30, 50000, (
+        1224, 5556, 1459, 1460, 1460, 1460, 1461, 1462, 1462, 1463, 1464, 1464, 1465, 1466,
+        1467, 1469, 1470, 1472, 1473, 1475, 1478, 1481, 1484, 1489, 1494, 1502, 1512, 1527,
+        1552, 1599, 1730
+    )),
+    (ObjectiveMode.augmented(), 50, 5000, (
+        76, 446, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90, 90,
+        90, 90, 90, 90, 90, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 92, 92, 92, 92,
+        93, 93, 94, 95, 96, 99, 107
+    )),
+    (ObjectiveMode.augmented(), 50, 20000, (
+        303, 1783, 360, 360, 360, 360, 360, 360, 360, 360, 360, 361, 361, 361, 361, 361, 361,
+        361, 361, 361, 361, 361, 361, 361, 362, 362, 362, 362, 362, 362, 362, 363, 363, 363,
+        363, 364, 364, 364, 365, 365, 366, 367, 368, 369, 370, 372, 374, 378, 384, 396, 429
+    )),
+    (ObjectiveMode.augmented(), 50, 35000, (
+        530, 3120, 630, 630, 630, 630, 631, 631, 631, 631, 631, 631, 631, 631, 631, 631, 631,
+        632, 632, 632, 632, 632, 632, 633, 633, 633, 633, 633, 634, 634, 634, 635, 635, 635,
+        636, 636, 637, 638, 638, 639, 640, 642, 643, 645, 648, 651, 655, 662, 672, 693, 750
+    )),
+    (ObjectiveMode.augmented(), 50, 50000, (
+        758, 4456, 900, 900, 900, 901, 901, 901, 901, 901, 901, 901, 901, 902, 902, 902, 902,
+        902, 902, 903, 903, 903, 903, 904, 904, 904, 904, 905, 905, 906, 906, 907, 907, 908,
+        908, 909, 910, 911, 912, 913, 915, 917, 919, 922, 925, 930, 936, 945, 961, 990, 1071
+    )),
+    (ObjectiveMode.weighted(0.3), 30, 5000, (
+        153, 436, 148, 148, 148, 148, 148, 148, 148, 149, 149, 149, 149, 149, 149, 149, 149,
+        150, 150, 150, 151, 151, 151, 152, 153, 154, 155, 157, 160, 166, 183
+    )),
+    (ObjectiveMode.weighted(0.3), 30, 20000, (
+        612, 1745, 592, 592, 592, 592, 593, 593, 593, 594, 594, 595, 595, 596, 596, 597, 598,
+        599, 600, 601, 602, 604, 606, 608, 611, 615, 620, 628, 641, 665, 731
+    )),
+    (ObjectiveMode.weighted(0.3), 30, 35000, (
+        1070, 3055, 1036, 1036, 1036, 1037, 1037, 1038, 1039, 1039, 1040, 1041, 1042, 1042,
+        1044, 1045, 1046, 1048, 1049, 1051, 1054, 1056, 1060, 1064, 1069, 1076, 1086, 1099,
+        1122, 1164, 1279
+    )),
+    (ObjectiveMode.weighted(0.3), 30, 50000, (
+        1529, 4364, 1479, 1480, 1481, 1481, 1482, 1483, 1484, 1485, 1486, 1487, 1488, 1489,
+        1491, 1492, 1494, 1497, 1499, 1502, 1505, 1509, 1514, 1520, 1527, 1537, 1551, 1571,
+        1603, 1663, 1827
+    )),
+    (ObjectiveMode.weighted(0.3), 50, 5000, (
+        95, 350, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 91, 92, 92, 92,
+        92, 92, 92, 92, 92, 92, 92, 92, 92, 92, 92, 92, 92, 92, 93, 93, 93, 93, 93, 93, 94, 94,
+        95, 95, 96, 97, 99, 103, 113
+    )),
+    (ObjectiveMode.weighted(0.3), 50, 20000, (
+        378, 1398, 365, 365, 365, 365, 365, 365, 365, 365, 365, 365, 365, 365, 365, 365, 366,
+        366, 366, 366, 366, 366, 366, 366, 366, 367, 367, 367, 367, 367, 368, 368, 368, 369,
+        369, 369, 370, 370, 371, 372, 373, 374, 375, 376, 378, 381, 384, 389, 397, 412, 452
+    )),
+    (ObjectiveMode.weighted(0.3), 50, 35000, (
+        662, 2446, 638, 638, 638, 638, 638, 639, 639, 639, 639, 639, 639, 639, 639, 640, 640,
+        640, 640, 640, 641, 641, 641, 641, 641, 642, 642, 642, 643, 643, 644, 644, 645, 645,
+        646, 647, 647, 648, 649, 651, 652, 654, 656, 658, 662, 666, 672, 681, 694, 720, 792
+    )),
+    (ObjectiveMode.weighted(0.3), 50, 50000, (
+        946, 3495, 911, 912, 912, 912, 912, 912, 912, 912, 913, 913, 913, 913, 913, 914, 914,
+        914, 914, 915, 915, 915, 916, 916, 916, 917, 917, 918, 918, 919, 919, 920, 921, 922,
+        923, 924, 925, 926, 928, 929, 932, 934, 937, 941, 945, 951, 960, 972, 992, 1029, 1131
+    )),
+    (ObjectiveMode.recycling(2), 30, 5000, (
+        1, 575, 153, 152, 153, 152, 153, 152, 153, 152, 153, 152, 153, 152, 153, 152, 153, 152,
+        153, 152, 153, 152, 153, 152, 153, 152, 153, 152, 153, 153, 153
+    )),
+    (ObjectiveMode.recycling(2), 30, 20000, (
+        1, 2304, 611, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610, 610,
+        610, 610, 610, 610, 610, 610, 611, 610, 611, 610, 611, 610, 611
+    )),
+    (ObjectiveMode.recycling(2), 30, 35000, (
+        1, 4028, 1068, 1067, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068,
+        1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068, 1068,
+        1068, 1068
+    )),
+    (ObjectiveMode.recycling(2), 30, 50000, (
+        1, 5756, 1526, 1525, 1526, 1525, 1526, 1525, 1526, 1525, 1526, 1525, 1526, 1525, 1526,
+        1525, 1526, 1525, 1526, 1525, 1526, 1525, 1526, 1525, 1526, 1526, 1526, 1526, 1526,
+        1526, 1526
+    )),
+    (ObjectiveMode.recycling(2), 50, 5000, (
+        1, 455, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92, 93, 92,
+        93, 92, 93, 92, 93, 92, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93, 93,
+        93, 93, 93, 93, 93, 93, 93
+    )),
+    (ObjectiveMode.recycling(2), 50, 20000, (
+        1, 1824, 371, 370, 371, 370, 371, 370, 371, 370, 371, 371, 371, 371, 371, 371, 371, 371,
+        371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371,
+        371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371, 371
+    )),
+    (ObjectiveMode.recycling(2), 50, 35000, (
+        1, 3198, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649,
+        649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649,
+        649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649, 649
+    )),
+    (ObjectiveMode.recycling(2), 50, 50000, (
+        1, 4567, 928, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927,
+        927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927, 927,
+        927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928
+    )),
 ]
 
 
@@ -233,23 +435,20 @@ class TestIntegerSolve:
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=str)
     def test_single_transfers_never_improve(self, mode):
-        N, T = 29, 4
-        alloc = integer_solve(N, T, mode)
-        base = objective(alloc, T, mode)
-        counts = list(alloc.counts)
-        for src in range(T + 1):
-            for dst in range(T + 1):
-                if src == dst or counts[src] <= (0 if counts[src] == 0 else 1):
-                    continue
-                counts[src] -= 1
-                counts[dst] += 1
-                moved = Allocation(counts[0], counts[1], tuple(counts[2:]))
-                try:
-                    assert objective(moved, T, mode) >= base
-                except ValueError:
-                    pass  # move emptied an arm the objective needs
-                counts[src] += 1
-                counts[dst] -= 1
+        for N, T in [(29, 4), (20000, 50)]:
+            alloc = integer_solve(N, T, mode)
+            base = objective(alloc, T, mode)
+            counts = list(alloc.counts)
+            for src in range(T + 1):
+                for dst in range(T + 1):
+                    if src == dst or counts[src] <= 1:
+                        continue
+                    counts[src] -= 1
+                    counts[dst] += 1
+                    moved = Allocation(counts[0], counts[1], tuple(counts[2:]))
+                    assert objective(moved, T, mode) >= base, (N, T, src, dst)
+                    counts[src] += 1
+                    counts[dst] -= 1
 
     def test_positive_counts_outside_boundary_modes(self):
         for mode in ALL_MODES:
@@ -263,6 +462,20 @@ class TestIntegerSolve:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             integer_solve(4, 4, ObjectiveMode.basic())
+
+    @pytest.mark.parametrize("mode,T,N,counts", DESIGN_GOLDEN,
+                             ids=[f"{m.kind}-{T}-{N}" for m, T, N, _ in DESIGN_GOLDEN])
+    def test_design_instances_match_golden_counts(self, mode, T, N, counts):
+        assert integer_solve(N, T, mode).counts == counts
+
+    def test_matches_naive_scan_on_a_seeded_sweep(self):
+        rng = np.random.default_rng(20191108)
+        for i in range(198):
+            mode = ALL_MODES[i % len(ALL_MODES)]
+            T = int(rng.integers(2, 13))
+            N = int(rng.integers(T + 1, 300 * T))
+            want = _naive_integer_solve(N, T, mode)
+            assert integer_solve(N, T, mode).counts == want, (N, T, mode)
 
 
 class TestBruteForce:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tminimax.allocation import ObjectiveMode, _relaxed_for_mode
 from tminimax.cli import main
 from tminimax.core import Allocation, draw_assignment, observe
 from tminimax.estimators import augmented_instantaneous_estimate, habituation_estimate
@@ -34,6 +35,19 @@ class TestDesign:
         counts = {r["arm"]: r["count"] for r in json.loads(out)}
         assert abs(counts["always1"] - 1040) < 0.5
         assert abs(counts["pulse_17"] - 273) < 0.5
+
+    @pytest.mark.parametrize("mode,extra", [
+        (ObjectiveMode.basic(), ()),
+        (ObjectiveMode.augmented(), ()),
+        (ObjectiveMode.weighted(0.3), ("--rho", "0.3")),
+        (ObjectiveMode.recycling(2), ("--k", "2")),
+    ], ids=["basic", "augmented", "weighted", "recycling"])
+    def test_relaxed_matches_library_relaxation(self, capsys, mode, extra):
+        code, out, _ = _run(capsys, "design", "--n", "977", "--t", "6",
+                            "--mode", mode.kind, *extra, "--relaxed")
+        assert code == 0
+        counts = tuple(r["count"] for r in json.loads(out)[:-1])
+        assert counts == _relaxed_for_mode(977.0, 6, mode).counts
 
     def test_weighted_needs_rho(self, capsys):
         code, _, err = _run(capsys, "design", "--n", "10", "--t", "2", "--mode", "weighted")
