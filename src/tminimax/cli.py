@@ -14,6 +14,7 @@ import hashlib
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -117,16 +118,16 @@ def _cmd_design(args, argv: list[str]) -> int:
 def _cmd_estimate(args, argv: list[str]) -> int:
     Z = read_assignment_csv(args.assignment)
     obs = ObservedOutcomes(read_matrix_csv(args.outcomes))
+    if args.estimator == "recycling" and args.k is None:
+        raise ValueError("--estimator recycling requires --k")
+    instantaneous = {
+        "plugin": instantaneous_estimate,
+        "augmented": augmented_instantaneous_estimate,
+        "recycling": partial(recycling_instantaneous_estimate, k=args.k),
+    }[args.estimator]
     rows = []
     for t in range(2, Z.T + 1):
-        if args.estimator == "plugin":
-            inst = instantaneous_estimate(Z, obs, t)
-        elif args.estimator == "augmented":
-            inst = augmented_instantaneous_estimate(Z, obs, t)
-        else:
-            if args.k is None:
-                raise ValueError("--estimator recycling requires --k")
-            inst = recycling_instantaneous_estimate(Z, obs, t, args.k)
+        inst = instantaneous(Z, obs, t)
         rows.append({
             "t": t,
             "habituation": habituation_estimate(Z, obs, t),

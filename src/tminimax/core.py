@@ -155,14 +155,6 @@ def _arm_code(arm: ArmId) -> int:
     return arm.t
 
 
-def _arm_for_code(code: int, family: Family) -> ArmId:
-    if code == 0:
-        return ALWAYS_CONTROL
-    if code == 1:
-        return ALWAYS_TREATED
-    return pulse_arm(code, family)
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Integer unit counts per arm: ``ne[i]`` is the count for the pulse at
@@ -200,7 +192,8 @@ class Allocation:
         code = _arm_code(arm)
         if code > self.T:
             raise ValueError(f"{arm!r} does not fit horizon T={self.T}")
-        return self.counts[_index_for_code(code)]
+        # counts are laid out (n0, n1, ne_2, ..., ne_T), so code t sits at t
+        return self.counts[code]
 
     def as_real(self) -> "RealAllocation":
         return RealAllocation(float(self.n0), float(self.n1), tuple(map(float, self.ne)))
@@ -239,15 +232,25 @@ class RealAllocation:
         return len(self.ne) + 1
 
 
-def _index_for_code(code: int) -> int:
-    # counts tuples are laid out (n0, n1, ne_2, ..., ne_T); pulse code t sits
-    # at position t because codes 2..T line up with the pulse times
-    return code
+def _arm_vectors(T: int, family: Family) -> np.ndarray:
+    """(T+1) x T read-only table whose row c is the assignment vector of
+    arm code c."""
+    table = np.stack([make_arm_vector(arm, T) for arm in arms_for_horizon(T, family)])
+    table.flags.writeable = False
+    return table
 
 
 class AssignmentMatrix:
-    """One realized randomization: per-unit arm labels plus the expanded
-    N x T 0/1 assignment matrix."""
+    """One realized randomization of N units to the T+1 arms of a horizon-T
+    design.
+
+    Stored: the read-only int64 arm ``codes`` (0 control, 1 treated, t for
+    the pulse at t), ``T`` and the ``family``.  The per-unit ``arm_labels``
+    and the N x T 0/1 ``matrix`` are built on first use from a (T+1)-row
+    table indexed by ``codes``, then cached; both are read-only.  With no
+    unit in a pulse arm the family is ``PULSE``, since nothing tells the
+    families apart.
+    """
 
     def __init__(self, arm_labels: Sequence[ArmId], T: int):
         _check_horizon(T)
@@ -257,27 +260,41 @@ class AssignmentMatrix:
         families = {a.family for a in labels if a.kind is ArmKind.PULSE}
         if len(families) > 1:
             raise ValueError("mixed pulse/wedge families in one assignment")
-        self._labels = labels
-        self._T = T
-        self._family = families.pop() if families else Family.PULSE
         codes = np.fromiter((_arm_code(a) for a in labels), dtype=np.int64, count=len(labels))
         if codes.max(initial=0) > T:
             bad = labels[int(np.argmax(codes))]
             raise ValueError(f"{bad!r} does not fit horizon T={T}")
+        self._store(codes, T, families.pop() if families else Family.PULSE)
+
+    @classmethod
+    def _from_codes(cls, codes: np.ndarray, T: int, family: Family) -> "AssignmentMatrix":
+        """Trusted constructor: ``codes`` is a fresh int64 array of codes in
+        0..T, which the new instance takes over and freezes."""
+        Z = cls.__new__(cls)
+        Z._store(codes, T, family)
+        return Z
+
+    def _store(self, codes: np.ndarray, T: int, family: Family) -> None:
         codes.flags.writeable = False
         self._codes = codes
-        matrix = np.zeros((len(labels), T), dtype=np.int8)
-        for i, arm in enumerate(labels):
-            matrix[i] = make_arm_vector(arm, T)
-        matrix.flags.writeable = False
-        self._matrix = matrix
+        self._T = T
+        self._family = family if (codes >= 2).any() else Family.PULSE
+        self._labels: tuple[ArmId, ...] | None = None
+        self._matrix: np.ndarray | None = None
 
     @property
     def arm_labels(self) -> tuple[ArmId, ...]:
+        if self._labels is None:
+            arms = arms_for_horizon(self._T, self._family)
+            self._labels = tuple(map(arms.__getitem__, self._codes.tolist()))
         return self._labels
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            matrix = _arm_vectors(self._T, self._family)[self._codes]
+            matrix.flags.writeable = False
+            self._matrix = matrix
         return self._matrix
 
     @property
@@ -287,7 +304,7 @@ class AssignmentMatrix:
 
     @property
     def N(self) -> int:
-        return len(self._labels)
+        return len(self._codes)
 
     @property
     def T(self) -> int:
@@ -307,7 +324,7 @@ class AssignmentMatrix:
             return NotImplemented
         # same arms in a different family mean different realized patterns
         return (self._T, self._family) == (other._T, other._family) and (
-            self._labels == other._labels
+            np.array_equal(self._codes, other._codes)
         )
 
     def __repr__(self) -> str:
@@ -318,15 +335,14 @@ def draw_assignment(alloc: Allocation, family: Family = Family.PULSE,
                     seed: int | np.random.SeedSequence = 0) -> AssignmentMatrix:
     """Draw one completely randomized assignment with the given arm counts.
 
-    Uniform over all arrangements of the arm-label multiset (the label
+    Uniform over all arrangements of the arm-code multiset (the code
     vector is Fisher-Yates shuffled with a seeded generator), and
     deterministic given the seed (a nonnegative integer or seed sequence).
     """
-    codes = np.repeat(np.arange(alloc.T + 1), alloc.counts)
+    codes = np.repeat(np.arange(alloc.T + 1, dtype=np.int64), alloc.counts)
     rng = np.random.default_rng(seed)
     rng.shuffle(codes)
-    labels = [_arm_for_code(int(c), family) for c in codes]
-    return AssignmentMatrix(labels, alloc.T)
+    return AssignmentMatrix._from_codes(codes, alloc.T, family)
 
 
 def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> frozenset[int]:
@@ -496,7 +512,7 @@ def permute_units(x, perm: Sequence[int]):
     """
     if isinstance(x, AssignmentMatrix):
         p = _check_permutation(perm, x.N)
-        return AssignmentMatrix([x.arm_labels[i] for i in p], x.T)
+        return AssignmentMatrix._from_codes(x.codes[p], x.T, x.family)
     if isinstance(x, PotentialOutcomeSchedule):
         p = _check_permutation(perm, x.N)
         return PotentialOutcomeSchedule(
@@ -531,7 +547,7 @@ def enumerate_assignments(alloc: Allocation,
     """Every distinct assignment with the given arm counts, each of which
     is equally likely under complete randomization."""
     for codes in _iter_code_arrangements(alloc.counts):
-        yield AssignmentMatrix([_arm_for_code(c, family) for c in codes], alloc.T)
+        yield AssignmentMatrix._from_codes(np.array(codes, dtype=np.int64), alloc.T, family)
 
 
 def assignment_count(alloc: Allocation) -> int:

@@ -21,6 +21,8 @@ from .core import (
     AssignmentMatrix,
     Family,
     PotentialOutcomeSchedule,
+    _arm_code,
+    _arm_vectors,
     arm_from_label,
     pulse_arm,
 )
@@ -118,8 +120,9 @@ def _parse_csv_lines(path: str, text: str) -> tuple[int, list[list[str]]]:
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a unit,t1..tT float matrix; errors point at the offending
-    line and column."""
+    """Read a unit,t1..tT float matrix of finite numbers; errors point at
+    the offending line and column.  A cell that is not a number at all is
+    reported before any nan or inf cell."""
     with open(path) as handle:
         text = handle.read()
     T, rows = _parse_csv_lines(path, text)
@@ -135,6 +138,12 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 raise ParseError(
                     f"{path}, line {ln}, column {c + 1}: not a number: {cell!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(out))  # row-major, so file order
+    if len(bad):
+        r, c = (int(v) for v in bad[0])
+        raise ParseError(
+            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {rows[r][c + 1]!r}"
+        )
     return out
 
 
@@ -146,7 +155,11 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def assignment_to_csv(Z: AssignmentMatrix) -> str:
-    return matrix_to_csv(Z.matrix, fmt=lambda v: str(int(v)))
+    # a unit's row depends only on its arm: format the T+1 rows once
+    rows = [",".join(map(str, bits.tolist())) for bits in _arm_vectors(Z.T, Z.family)]
+    lines = [",".join(_header(Z.T))]
+    lines.extend(f"{i},{rows[code]}" for i, code in enumerate(Z.codes.tolist(), start=1))
+    return "\n".join(lines) + "\n"
 
 
 def write_assignment_csv(path: str, Z: AssignmentMatrix) -> None:
@@ -179,25 +192,31 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
     with open(path) as handle:
         text = handle.read()
     T, rows = _parse_csv_lines(path, text)
-    decoded = []
+    # each distinct row text is decoded once, at its first occurrence, so an
+    # invalid row is reported at the first line that carries it
+    decoded: dict[tuple[str, ...], int] = {}
+    codes = []
     votes = set()
     for r, cells in enumerate(rows):
-        ln = r + 2
-        try:
-            bits = np.array([int(c) for c in cells[1:]])
-        except ValueError:
-            raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1") from None
-        if not np.isin(bits, (0, 1)).all():
-            raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1")
-        arm, vote = _decode_bits(bits, f"{path}, line {ln}")
-        decoded.append(arm)
-        if vote is not None:
-            votes.add(vote)
+        key = tuple(cells[1:])
+        code = decoded.get(key)
+        if code is None:
+            ln = r + 2
+            try:
+                bits = np.array([int(c) for c in key])
+            except ValueError:
+                raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1") from None
+            if not np.isin(bits, (0, 1)).all():
+                raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1")
+            arm, vote = _decode_bits(bits, f"{path}, line {ln}")
+            code = decoded[key] = _arm_code(arm)
+            if vote is not None:
+                votes.add(vote)
+        codes.append(code)
     if len(votes) > 1:
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
     chosen = votes.pop() if votes else family
-    labels = [a.with_family(chosen) if a.t is not None else a for a in decoded]
-    return AssignmentMatrix(labels, T)
+    return AssignmentMatrix._from_codes(np.array(codes, dtype=np.int64), T, chosen)
 
 
 def assignment_to_json(Z: AssignmentMatrix) -> str:

@@ -8,7 +8,12 @@ import pytest
 from tminimax.allocation import ObjectiveMode, _relaxed_for_mode
 from tminimax.cli import main
 from tminimax.core import Allocation, draw_assignment, observe
-from tminimax.estimators import augmented_instantaneous_estimate, habituation_estimate
+from tminimax.estimators import (
+    augmented_instantaneous_estimate,
+    habituation_estimate,
+    instantaneous_estimate,
+    recycling_instantaneous_estimate,
+)
 from tminimax.serialize import write_assignment_csv, write_matrix_csv
 from tminimax.simulate import ModelParams, standard_model
 
@@ -95,6 +100,39 @@ class TestEstimate:
         for r in rows:
             assert r["habituation"] == habituation_estimate(Z, obs, r["t"])
             assert r["instantaneous"] == augmented_instantaneous_estimate(Z, obs, r["t"])
+
+    @pytest.mark.parametrize("estimator,extra,instantaneous", [
+        ("plugin", (), instantaneous_estimate),
+        ("augmented", (), augmented_instantaneous_estimate),
+        ("recycling", ("--k", "2"),
+         lambda Z, obs, t: recycling_instantaneous_estimate(Z, obs, t, 2)),
+    ], ids=["plugin", "augmented", "recycling"])
+    def test_each_estimator_matches_the_library(self, capsys, tmp_path, estimator, extra,
+                                                instantaneous):
+        N, T = 30, 5
+        Z = draw_assignment(Allocation(6, 6, (5, 5, 4, 4)), seed=11)
+        obs = observe(Z, standard_model(ModelParams(noise_sd=1.0), N, T, 5))
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        write_assignment_csv(str(a_path), Z)
+        write_matrix_csv(str(o_path), obs.values)
+        code, out, _ = _run(capsys, "estimate", "--assignment", str(a_path),
+                            "--outcomes", str(o_path), "--estimator", estimator, *extra)
+        assert code == 0
+        expected = [{"t": t, "habituation": habituation_estimate(Z, obs, t),
+                     "instantaneous": instantaneous(Z, obs, t)} for t in range(2, T + 1)]
+        assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_non_finite_outcome_exits_1(self, capsys, tmp_path):
+        Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
+        values = observe(Z, standard_model(ModelParams(), 6, 2, 0)).values.copy()
+        values[4, 1] = np.inf
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        write_assignment_csv(str(a_path), Z)
+        write_matrix_csv(str(o_path), values)
+        code, out, err = _run(capsys, "estimate", "--assignment", str(a_path),
+                              "--outcomes", str(o_path))
+        assert code == 1 and out == ""
+        assert "line 6, column 3: not a finite number: 'inf'" in err
 
     def test_recycling_needs_k(self, capsys, tmp_path):
         Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)

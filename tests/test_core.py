@@ -122,6 +122,74 @@ class TestDrawAssignment:
         assert stat < 58.3
 
 
+def _per_unit(codes, T, family):
+    """Reference: the assignment built one ArmId per unit."""
+    arms = [ALWAYS_CONTROL if c == 0 else ALWAYS_TREATED if c == 1 else pulse_arm(int(c), family)
+            for c in codes]
+    return arms, AssignmentMatrix(arms, T)
+
+
+def _sweep_allocations(rng, count):
+    for _ in range(count):
+        T = int(rng.integers(2, 9))
+        counts = rng.integers(0, 5, size=T + 1)
+        counts[rng.integers(0, T + 1)] += 1  # N >= 1
+        yield Allocation(int(counts[0]), int(counts[1]), tuple(int(c) for c in counts[2:]))
+
+
+class TestCodesFirstAssignment:
+    def _assert_matches_per_unit(self, Z, family):
+        arms, ref = _per_unit(Z.codes, Z.T, family)
+        assert Z.arm_labels == ref.arm_labels == tuple(arms)
+        assert [repr(a) for a in Z.arm_labels] == [repr(a) for a in ref.arm_labels]
+        expected = np.array([make_arm_vector(a, Z.T) for a in arms], dtype=np.int8)
+        for m in (Z.matrix, ref.matrix):
+            assert m.dtype == np.int8 and not m.flags.writeable
+            assert np.array_equal(m, expected)
+        assert Z.codes.dtype == np.int64 and not Z.codes.flags.writeable
+        assert np.array_equal(Z.codes, ref.codes)
+        assert Z.family is ref.family
+        assert Z == ref and ref == Z
+        assert repr(Z) == repr(ref)
+
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    def test_drawn_match_per_unit_construction(self, family):
+        rng = np.random.default_rng(2024)
+        for alloc in _sweep_allocations(rng, 60):
+            for seed in range(3):
+                Z = draw_assignment(alloc, family, seed=seed)
+                self._assert_matches_per_unit(Z, family)
+                perm = rng.permutation(Z.N)
+                self._assert_matches_per_unit(permute_units(Z, perm), family)
+
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    def test_enumerated_match_per_unit_construction(self, family):
+        for alloc in (Allocation(1, 1, (1, 1)), Allocation(2, 0, (1, 0)),
+                      Allocation(1, 2, (0,))):
+            for Z in enumerate_assignments(alloc, family):
+                self._assert_matches_per_unit(Z, family)
+
+    def test_family_differs_means_unequal(self):
+        alloc = Allocation(1, 1, (1, 1))
+        assert draw_assignment(alloc, Family.PULSE, 3) != draw_assignment(alloc, Family.WEDGE, 3)
+        empty = Allocation(1, 1, (0, 0))
+        assert draw_assignment(empty, Family.PULSE, 3) == draw_assignment(empty, Family.WEDGE, 3)
+
+    def test_cached_views_cannot_be_written(self):
+        Z = draw_assignment(Allocation(2, 2, (1, 2)), Family.WEDGE, seed=1)
+        assert Z.matrix is Z.matrix and Z.arm_labels is Z.arm_labels
+        with pytest.raises(ValueError):
+            Z.matrix[0, 0] = 1
+        with pytest.raises(ValueError):
+            Z.codes[0] = 1
+        with pytest.raises(TypeError):
+            Z.arm_labels[0] = ALWAYS_CONTROL
+        with pytest.raises(AttributeError):
+            Z.matrix = np.zeros((6, 3), dtype=np.int8)
+        with pytest.raises(AttributeError):
+            Z.arm_labels = ()
+
+
 class TestAugmentedControls:
     def _z(self, labels, T):
         return AssignmentMatrix(labels, T)
