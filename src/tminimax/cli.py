@@ -33,7 +33,14 @@ from .estimators import (
     instantaneous_estimate,
     recycling_instantaneous_estimate,
 )
-from .risk import LossSpec, box_max_variance, max_risk, mc_risk, worst_case_schedule
+from .risk import (
+    LossSpec,
+    _check_vstar,
+    box_max_variance,
+    max_risk,
+    mc_risk,
+    worst_case_schedule,
+)
 from .serialize import (
     atomic_write_text,
     canonical_json,
@@ -152,6 +159,7 @@ _DESIGN_MODES = {
 def _cmd_risk(args, argv: list[str]) -> int:
     spec = LossSpec(args.estimator, args.rho, args.k, args.unnormalized)
     vstar = args.vstar if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
+    _check_vstar(vstar)
     sched = None
     if args.draws > 0:
         # a worst-case schedule over [0, u] chosen so its column variance

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -240,6 +240,15 @@ def _arm_vectors(T: int, family: Family) -> np.ndarray:
     return table
 
 
+def _check_codes(codes: np.ndarray, T: int, arm_at: Callable[[int], ArmId]) -> None:
+    """Rejects an empty code vector or a code past T; ``arm_at(i)`` is the
+    arm of unit i, named in the message."""
+    if not len(codes):
+        raise ValueError("assignment needs at least one unit")
+    if codes.max() > T:
+        raise ValueError(f"{arm_at(int(np.argmax(codes)))!r} does not fit horizon T={T}")
+
+
 class AssignmentMatrix:
     """One realized randomization of N units to the T+1 arms of a horizon-T
     design.
@@ -255,15 +264,11 @@ class AssignmentMatrix:
     def __init__(self, arm_labels: Sequence[ArmId], T: int):
         _check_horizon(T)
         labels = tuple(arm_labels)
-        if not labels:
-            raise ValueError("assignment needs at least one unit")
         families = {a.family for a in labels if a.kind is ArmKind.PULSE}
         if len(families) > 1:
             raise ValueError("mixed pulse/wedge families in one assignment")
         codes = np.fromiter((_arm_code(a) for a in labels), dtype=np.int64, count=len(labels))
-        if codes.max(initial=0) > T:
-            bad = labels[int(np.argmax(codes))]
-            raise ValueError(f"{bad!r} does not fit horizon T={T}")
+        _check_codes(codes, T, labels.__getitem__)
         self._store(codes, T, families.pop() if families else Family.PULSE)
 
     @classmethod

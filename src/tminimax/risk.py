@@ -285,6 +285,12 @@ def _derived_control_counts(alloc, t: int, estimator: str, k: int | None) -> flo
     return total
 
 
+def _check_vstar(vstar: float) -> None:
+    """A variance bound must be a finite number >= 0."""
+    if not (math.isfinite(vstar) and vstar >= 0.0):
+        raise ValueError(f"vstar must be finite and >= 0, got {vstar}")
+
+
 def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
              spec: LossSpec) -> float:
     """Closed-form maximum risk of the completely randomized design with
@@ -294,8 +300,7 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
     allocations optimal."""
     if alloc.T != T:
         raise ValueError(f"allocation horizon {alloc.T} does not match T={T}")
-    if vstar < 0.0:
-        raise ValueError(f"vstar must be >= 0, got {vstar}")
+    _check_vstar(vstar)
     rho = spec.rho
     terms = []
     for i, ne in enumerate(alloc.ne):

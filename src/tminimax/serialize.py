@@ -1,10 +1,16 @@
 """File formats: matrix/assignment CSV, schedule JSON, table writers.
 
 CSV matrices carry a ``unit,t1..tT`` header and 17-significant-digit
-decimal floats, which round-trip float64 exactly.  JSON documents are
-canonical (sorted keys, compact separators, shortest round-trip floats),
-so identical inputs always produce identical bytes.  All writes go
-through a temp file and rename, never a partial file.
+decimal floats, which round-trip float64 exactly; each row is written
+with one ``%d,%.17g,...`` template.  The matrix reader accepts a cell
+exactly when Python's ``float()`` accepts it and rejects nan and inf.  It
+reports the first error in file order among, in turn, the cell counts,
+then the unit numbers and non-numbers, then the non-finite values.  It
+checks and parses all cells in one pass and rescans row by row only to
+locate an error.  JSON documents are canonical (sorted keys, compact
+separators, shortest round-trip floats), so identical inputs always
+produce identical bytes.  All writes go through a temp file and rename,
+never a partial file.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -23,6 +29,8 @@ from .core import (
     PotentialOutcomeSchedule,
     _arm_code,
     _arm_vectors,
+    _check_codes,
+    _check_horizon,
     arm_from_label,
     pulse_arm,
 )
@@ -81,14 +89,21 @@ def _header(T: int) -> list[str]:
     return ["unit"] + [f"t{t}" for t in range(1, T + 1)]
 
 
-def matrix_to_csv(values: np.ndarray, fmt=format_float) -> str:
+def matrix_to_csv(values: np.ndarray) -> str:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {values.shape}")
     N, T = values.shape
+    # "%.17g" formats float() of a Python number, as format_float does, so
+    # one template per row writes the same bytes as formatting cell by cell;
+    # other cells (strings, complex) need the explicit float() first
+    if values.dtype.kind in "biuf":
+        rows = (cells.tolist() for cells in values)
+    else:
+        rows = ([float(v) for v in cells] for cells in values)
+    row = ",".join(["%d"] + ["%.17g"] * T)
     lines = [",".join(_header(T))]
-    for i in range(N):
-        lines.append(",".join([str(i + 1)] + [fmt(v) for v in values[i]]))
+    lines.extend(row % (i, *cells) for i, cells in enumerate(rows, start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -96,7 +111,9 @@ def write_matrix_csv(path: str, values: np.ndarray) -> None:
     atomic_write_text(path, matrix_to_csv(values))
 
 
-def _parse_csv_lines(path: str, text: str) -> tuple[int, list[list[str]]]:
+def _csv_body(path: str, text: str) -> tuple[int, list[str]]:
+    """Checks the header of a unit,t1..tT file; returns T and the non-blank
+    data lines."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
@@ -108,43 +125,86 @@ def _parse_csv_lines(path: str, text: str) -> tuple[int, list[list[str]]]:
             raise ParseError(f"{path}, line 1, column {j + 1}: expected t{j}, got {name!r}")
     if len(lines) == 1:
         raise ParseError(f"{path}: no data rows")
+    return len(header) - 1, lines[1:]
+
+
+def _split_rows(path: str, T: int, body: list[str]) -> list[list[str]]:
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(body, start=2):
         cells = line.split(",")
-        if len(cells) != len(header):
+        if len(cells) != T + 1:
             raise ParseError(
-                f"{path}, line {ln}: row has {len(cells)} cells, expected {len(header)}"
+                f"{path}, line {ln}: row has {len(cells)} cells, expected {T + 1}"
             )
         rows.append(cells)
-    return len(header) - 1, rows
+    return rows
+
+
+def _parse_csv_lines(path: str, text: str) -> tuple[int, list[list[str]]]:
+    T, body = _csv_body(path, text)
+    return T, _split_rows(path, T, body)
+
+
+def _unit_error(path: str, r: int, cell: str) -> ParseError:
+    return ParseError(f"{path}, line {r + 2}: expected unit {r + 1}, got {cell!r}")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a unit,t1..tT float matrix of finite numbers; errors point at
-    the offending line and column.  A cell that is not a number at all is
-    reported before any nan or inf cell."""
+    """Read a unit,t1..tT matrix of finite floats.
+
+    A cell is accepted exactly when Python's ``float()`` accepts it and the
+    value is finite.  Errors name their line and column.  A row with the
+    wrong cell count anywhere is reported first, then the first wrong unit
+    number or non-number in file order, then the first nan or inf."""
     with open(path) as handle:
         text = handle.read()
-    T, rows = _parse_csv_lines(path, text)
-    out = np.empty((len(rows), T))
-    for r, cells in enumerate(rows):
-        ln = r + 2
-        if cells[0] != str(r + 1):
-            raise ParseError(f"{path}, line {ln}: expected unit {r + 1}, got {cells[0]!r}")
-        for c, cell in enumerate(cells[1:], start=1):
-            try:
-                out[r, c - 1] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}, line {ln}, column {c + 1}: not a number: {cell!r}"
-                ) from None
-    bad = np.argwhere(~np.isfinite(out))  # row-major, so file order
+    T, body = _csv_body(path, text)
+    del text  # the cell strings are the peak; the raw text is no longer needed
+    parsed = _parse_cells(T, body)
+    if parsed is None:
+        _raise_first_row_error(path, T, body)
+    out, cells = parsed
+    bad = np.flatnonzero(~np.isfinite(out))  # row-major, so file order
     if len(bad):
-        r, c = (int(v) for v in bad[0])
+        r, c = divmod(int(bad[0]), T)
         raise ParseError(
-            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {rows[r][c + 1]!r}"
+            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {cells[bad[0]]!r}"
         )
     return out
+
+
+def _parse_cells(T: int, body: list[str]) -> tuple[np.ndarray, list[str]] | None:
+    """All data lines checked and parsed in one pass: the n x T values and
+    their cell texts, or None when a line has the wrong cell count or unit,
+    or a cell that ``float()`` rejects."""
+    n = len(body)
+    if any(line.count(",") != T for line in body):
+        return None
+    cells = ",".join(body).split(",")
+    if cells[::T + 1] != [str(i) for i in range(1, n + 1)]:
+        return None
+    del cells[::T + 1]
+    try:
+        values = np.fromiter(map(float, cells), float, count=n * T)
+    except ValueError:
+        return None
+    return values.reshape(n, T), cells
+
+
+def _raise_first_row_error(path: str, T: int, body: list[str]) -> NoReturn:
+    """Locates what made ``_parse_cells`` fail: scans row by row and raises
+    the first cell-count, unit or non-number error in file order."""
+    for r, cells in enumerate(_split_rows(path, T, body)):
+        if cells[0] != str(r + 1):
+            raise _unit_error(path, r, cells[0])
+        for c, cell in enumerate(cells[1:], start=2):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}, line {r + 2}, column {c}: not a number: {cell!r}"
+                ) from None
+    raise AssertionError(f"{path}: no malformed row found")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +258,8 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
     codes = []
     votes = set()
     for r, cells in enumerate(rows):
+        if cells[0] != str(r + 1):
+            raise _unit_error(path, r, cells[0])
         key = tuple(cells[1:])
         code = decoded.get(key)
         if code is None:
@@ -230,8 +292,14 @@ def assignment_to_json(Z: AssignmentMatrix) -> str:
 def assignment_from_json(text: str) -> AssignmentMatrix:
     doc = json.loads(text)
     family = Family(doc["family"])
-    labels = [arm_from_label(lbl, family) for lbl in doc["labels"]]
-    return AssignmentMatrix(labels, int(doc["t"]))
+    labels = list(doc["labels"])
+    # each distinct label is parsed once, in order of first occurrence
+    table = {lbl: _arm_code(arm_from_label(lbl, family)) for lbl in dict.fromkeys(labels)}
+    codes = np.fromiter(map(table.__getitem__, labels), dtype=np.int64, count=len(labels))
+    T = int(doc["t"])
+    _check_horizon(T)
+    _check_codes(codes, T, lambda i: arm_from_label(labels[i], family))
+    return AssignmentMatrix._from_codes(codes, T, family)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,16 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert "line 6, column 3: not a finite number: 'inf'" in err
 
+    def test_misnumbered_assignment_exits_1(self, capsys, tmp_path):
+        Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        write_matrix_csv(str(o_path), observe(Z, standard_model(ModelParams(), 6, 2, 0)).values)
+        a_path.write_text("unit,t1,t2\n7,0,1\n7,1,1\n")
+        code, out, err = _run(capsys, "estimate", "--assignment", str(a_path),
+                              "--outcomes", str(o_path))
+        assert code == 1 and out == ""
+        assert "line 2: expected unit 1, got '7'" in err
+
     def test_recycling_needs_k(self, capsys, tmp_path):
         Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
         sched = standard_model(ModelParams(), 6, 2, 0)
@@ -207,6 +217,14 @@ class TestRisk:
         assert json.loads(out2)[0]["max_risk"] == pytest.approx(
             2 * json.loads(out1)[0]["max_risk"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("vstar", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("draws", ["0", "2"])
+    def test_bad_vstar_exits_1(self, capsys, vstar, draws):
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3",
+                              f"--vstar={vstar}", "--draws", draws)
+        assert code == 1 and out == ""
+        assert f"vstar must be finite and >= 0, got {float(vstar)}" in err
 
     def test_unknown_design(self, capsys):
         code, _, err = _run(capsys, "risk", "--n", "30", "--t", "3",

@@ -195,6 +195,14 @@ class TestMaxRisk:
         with pytest.raises(ValueError):
             max_risk(Allocation(0, 2, (2,)), 2, 1.0, LossSpec("plugin", 0.5))
 
+    @pytest.mark.parametrize("vstar", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_vstar_must_be_finite_and_nonnegative(self, vstar):
+        with pytest.raises(ValueError, match="vstar must be finite and >= 0"):
+            max_risk(Allocation(2, 2, (2,)), 2, vstar, LossSpec("plugin", 0.5))
+
+    def test_zero_vstar_gives_zero_risk(self):
+        assert max_risk(Allocation(2, 2, (2,)), 2, 0.0, LossSpec("plugin", 0.5)) == 0.0
+
 
 class TestExactAndMcRisk:
     def test_constant_schedule(self):

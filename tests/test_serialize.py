@@ -12,7 +12,9 @@ from tminimax.core import (
     Allocation,
     AssignmentMatrix,
     Family,
+    arm_from_label,
     draw_assignment,
+    observe,
     pulse_arm,
 )
 from tminimax.serialize import (
@@ -33,6 +35,7 @@ from tminimax.serialize import (
     write_assignment_csv,
     write_schedule_csv,
 )
+from tminimax.simulate import ModelParams, habituation_model
 
 
 class TestMatrixCsv:
@@ -97,6 +100,216 @@ class TestMatrixCsv:
             read_matrix_csv(str(path))
 
 
+def _naive_read_matrix_csv(path):
+    """Test-only copy of the row-by-row reader that the bulk reader replaced:
+    split each line, check its cell count, then its unit, then float() each
+    cell; non-finite values are checked after the whole parse."""
+    with open(path) as handle:
+        text = handle.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
+    header = lines[0].split(",")
+    if header[0] != "unit" or len(header) < 3:
+        raise ParseError(f"{path}, line 1: expected header unit,t1..tT, got {lines[0]!r}")
+    for j, name in enumerate(header[1:], start=1):
+        if name != f"t{j}":
+            raise ParseError(f"{path}, line 1, column {j + 1}: expected t{j}, got {name!r}")
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no data rows")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(
+                f"{path}, line {ln}: row has {len(cells)} cells, expected {len(header)}"
+            )
+        rows.append(cells)
+    T = len(header) - 1
+    out = np.empty((len(rows), T))
+    for r, cells in enumerate(rows):
+        ln = r + 2
+        if cells[0] != str(r + 1):
+            raise ParseError(f"{path}, line {ln}: expected unit {r + 1}, got {cells[0]!r}")
+        for c, cell in enumerate(cells[1:], start=1):
+            try:
+                out[r, c - 1] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}, line {ln}, column {c + 1}: not a number: {cell!r}"
+                ) from None
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        r, c = (int(v) for v in bad[0])
+        raise ParseError(
+            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {rows[r][c + 1]!r}"
+        )
+    return out
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the result's dtype, shape and bytes,
+    or the ParseError text."""
+    try:
+        out = reader(str(path))
+    except ParseError as exc:
+        return "error", str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _assert_same_as_naive(path):
+    got = _outcome(read_matrix_csv, path)
+    assert got == _outcome(_naive_read_matrix_csv, path)
+    return got
+
+
+# (file text, first line of the expected error or None for a valid file);
+# every case is also checked against the row-by-row reader
+READER_CASES = {
+    "plain": ("unit,t1,t2\n1,1.5,-2\n2,0,3e-7\n", None),
+    "blank_lines": ("\n  \nunit,t1,t2\n\n1,1.5,2\n \t\n2,3,4\n\n", None),
+    "crlf": ("unit,t1,t2\r\n1,1.5,2\r\n2,3,4\r\n", None),
+    "no_final_newline": ("unit,t1,t2\n1,1.5,2", None),
+    "float_syntax": ("unit,t1,t2,t3,t4\n1, 1.5,+1.5,.5,1_0\n2,1E5,-0,5e-324,2\t\n"
+                     "3,1.7976931348623157e308,-0.0,0001.25,-.5e-3\n", None),
+    "one_data_row": ("unit,t1,t2\n1,0.25,0.5\n", None),
+    "overflow": ("unit,t1,t2\n1,1,2\n2,1e999,4\n", "line 3, column 2: not a finite number"),
+    "nan": ("unit,t1,t2\n1,nan,2\n", "line 2, column 2: not a finite number: 'nan'"),
+    "minus_inf": ("unit,t1,t2\n1,1,-inf\n", "line 2, column 3: not a finite number"),
+    "empty_cell": ("unit,t1,t2\n1,1,\n", "line 2, column 3: not a number: ''"),
+    "hex_cell": ("unit,t1,t2\n1,0x10,2\n", "line 2, column 2: not a number"),
+    "missing_cell": ("unit,t1,t2\n1,1,2\n2,3\n", "line 3: row has 2 cells, expected 3"),
+    "extra_cell": ("unit,t1,t2\n1,1,2,3\n", "line 2: row has 4 cells, expected 3"),
+    # the cells of the whole file would still line up with the unit column
+    "extra_then_missing": ("unit,t1,t2\n1,1,2,2\n3,4\n", "line 2: row has 4 cells"),
+    "unit_space": ("unit,t1,t2\n 1,1,2\n", "line 2: expected unit 1, got ' 1'"),
+    "unit_zero_padded": ("unit,t1,t2\n1,1,2\n02,1,2\n", "line 3: expected unit 2, got '02'"),
+    "unit_zero": ("unit,t1,t2\n0,1,2\n", "line 2: expected unit 1, got '0'"),
+    "unit_skipped": ("unit,t1,t2\n1,1,2\n3,1,2\n", "line 3: expected unit 2, got '3'"),
+    "header_t1": ("unit,t1\n1,1\n", "line 1: expected header unit,t1..tT"),
+    "header_wrong_t": ("unit,t1,t3\n1,1,2\n", "line 1, column 3: expected t2, got 't3'"),
+    "header_unit": ("Unit,t1,t2\n1,1,2\n", "line 1: expected header unit,t1..tT"),
+    "empty": ("\n \n", "empty input"),
+    "header_only": ("unit,t1,t2\n\n", "no data rows"),
+    # error order: cell counts first, then row by row (unit, then cells), and
+    # a cell that is not a number anywhere before any non-finite value
+    "bad_unit_after_non_number": ("unit,t1,t2\n1,1,2\n2,x,2\n9,1,2\n",
+                                  "line 3, column 2: not a number: 'x'"),
+    "non_number_after_bad_unit": ("unit,t1,t2\n1,1,2\n9,1,2\n3,x,2\n",
+                                  "line 3: expected unit 2, got '9'"),
+    "unit_before_cell_on_one_line": ("unit,t1,t2\n1,1,2\n9,x,2\n",
+                                     "line 3: expected unit 2, got '9'"),
+    "nan_before_non_number": ("unit,t1,t2\n1,nan,2\n2,1,2\n3,1,oops\n",
+                              "line 4, column 3: not a number: 'oops'"),
+    "ragged_after_bad_unit": ("unit,t1,t2\n5,1,2\n2,1\n", "line 3: row has 2 cells"),
+    "first_non_finite_in_file_order": ("unit,t1,t2\n1,1,inf\n2,nan,2\n",
+                                       "line 2, column 3: not a finite number: 'inf'"),
+}
+
+
+class TestMatrixCsvReaderEquivalence:
+    @pytest.mark.parametrize("name", list(READER_CASES))
+    def test_case_matches_row_by_row_reader(self, tmp_path, name):
+        text, error = READER_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        got = _assert_same_as_naive(path)
+        if error is None:
+            assert got[0] == np.float64
+        else:
+            assert got[0] == "error"
+            assert got[1].startswith(f"{path}, {error}") or got[1].startswith(f"{path}: {error}")
+
+    def test_seeded_fuzz_matches_row_by_row_reader(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        tokens = ["1.5", "-0", "2e-300", "1e999", "nan", "-inf", "x", "", " 3", ".5", "1_0"]
+        path = tmp_path / "m.csv"
+        errors = 0
+        for _ in range(400):
+            T = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            lines = ["unit," + ",".join(f"t{j}" for j in range(1, T + 1))]
+            for r in range(1, n + 1):
+                p = rng.random(T + 1)
+                unit = str(r) if p[0] > 0.05 else str(r + 1)
+                cells = [format_float(v) if q > 0.08 else tokens[int(rng.integers(len(tokens)))]
+                         for v, q in zip(rng.normal(size=T), p[1:])]
+                if rng.random() < 0.03:
+                    cells = cells[:-1]
+                lines.append(",".join([unit] + cells))
+                if rng.random() < 0.1:
+                    lines.append("")
+            path.write_text("\n".join(lines) + "\n")
+            errors += _assert_same_as_naive(path)[0] == "error"
+        assert 50 < errors < 350  # both outcomes are well covered
+
+    def test_large_file_matches_row_by_row_reader(self, tmp_path):
+        values = _golden_matrices()["observed_20000_20"]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(str(path), values)
+        got = _assert_same_as_naive(path)
+        assert got[2] == values.tobytes()
+
+
+# sha256 of matrix_to_csv(values) as written by the cell-by-cell
+# format_float implementation; the CSV bytes must not move.
+MATRIX_CSV_GOLDEN = {
+    "observed_20000_20": "96fbcf1bfb2df76122eaff113a670be836644572aed42c82349b03e113f2160b",
+    "edge_float64": "fba75b6fa4f9e4907c1125cb1b482eaad5920ae3fda4f3356360212c5a8703f9",
+    "int64": "d35c99cdb6e8b33da86844e3cc46281f3de35bd26acbed362f81626729ce41dc",
+    "bool": "09c839f9d9e7a562c70f1a306182aecaaa4ae0d7e0227927e409d187d940ddd9",
+    "float32": "756f8f7111e753054d0548d93fcdbe1dd6aea223231adc9ce65d6a9c3166895b",
+    "wide_500_7": "34b7b5483e403d1b29071e30db01068e64345b7c2de6ee6566e1c8d9f30dccee",
+    "one_column": "35448cbd2b864b84cbe2039f840254ce78cc645499c4801e7a2127c2345c8ced",
+    "no_columns": "4ac170472dc184caddea7b6658a474b71a5caa14b576c11c79d23166aa25d600",
+    "no_rows": "db0905ccbb249e41144be5e0a6b58d1e67ad7e77a6ad2e77ad65dee3a956ca28",
+}
+
+
+def _golden_matrices():
+    sched = habituation_model(ModelParams(), 20000, 20, seed=np.random.SeedSequence((5,)))
+    Z = draw_assignment(integer_solve(20000, 20, ObjectiveMode.augmented()), seed=0)
+    f = np.finfo(float)
+    edge = np.array([[0.0, -0.0, 5e-324, -5e-324, f.tiny, -f.tiny, f.tiny / 3],
+                     [f.max, -f.max, np.nan, np.inf, -np.inf, 0.1 + 0.2, 1.0 / 3.0],
+                     [1e16, 1e22, 1e-7, 123456789.0, -2.5, 1e300, 9007199254740993.0]])
+    rng3, rng4 = np.random.default_rng(3), np.random.default_rng(4)
+    return {
+        "observed_20000_20": observe(Z, sched).values,
+        "edge_float64": edge,
+        "int64": np.array([[0, -1, 2**60 + 1], [2**63 - 1, -2**63, 7]], dtype=np.int64),
+        "bool": np.array([[True, False], [False, True], [True, True]]),
+        "float32": (rng3.normal(size=(50, 6)) * 1e3).astype(np.float32),
+        "wide_500_7": rng4.normal(size=(500, 7)) * 10.0 ** rng4.integers(-300, 301, size=(500, 7)),
+        "one_column": np.array([[1.5], [-2.0]]),
+        "no_columns": np.empty((3, 0)),
+        "no_rows": np.empty((0, 4)),
+    }
+
+
+class TestMatrixCsvGolden:
+    def test_bytes_match_golden_digest(self):
+        for name, values in _golden_matrices().items():
+            digest = hashlib.sha256(matrix_to_csv(values).encode()).hexdigest()
+            assert digest == MATRIX_CSV_GOLDEN[name], name
+
+    def test_rows_match_format_float_per_cell(self):
+        extra = {
+            "str": np.array([["1.5", " 2", "1_0"], ["-0", "1e-300", "nan"]]),
+            "bytes": np.array([[b"1.5", b"-2"]]),
+            "object": np.array([["0.1", 3, 2**60 + 1, np.float32(0.1)]], dtype=object),
+            "longdouble": np.array([[1.0, 2.0]], dtype=np.longdouble) / 3,
+            "uint64": np.array([[2**64 - 1, 0]], dtype=np.uint64),
+            "float16": np.array([[0.1, -65504.0]], dtype=np.float16),
+        }
+        for name, values in {**_golden_matrices(), **extra}.items():
+            if name == "observed_20000_20":
+                values = values[:50]
+            lines = matrix_to_csv(values).splitlines()[1:]
+            assert lines == [",".join([str(i)] + [format_float(v) for v in row])
+                             for i, row in enumerate(values, start=1)], name
+
+
 class TestAssignmentCsv:
     @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
     def test_round_trip(self, tmp_path, family):
@@ -153,9 +366,76 @@ class TestAssignmentCsv:
         Z = read_assignment_csv(str(path), family=Family.WEDGE)
         assert Z.family is Family.PULSE and Z.codes.tolist() == [0, 1, 0]
 
+    def test_unit_column_is_checked(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("unit,t1,t2\n7,0,1\n7,1,1\n")
+        with pytest.raises(ParseError, match="line 2: expected unit 1, got '7'$"):
+            read_assignment_csv(str(path))
+
+    def test_unit_of_a_memoised_row_is_checked(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("unit,t1,t2\n1,0,1\n3,0,1\n")
+        with pytest.raises(ParseError, match="line 3: expected unit 2, got '3'$"):
+            read_assignment_csv(str(path))
+
+    @pytest.mark.parametrize("unit", [" 2", "02", "2.0", "", "1"])
+    def test_unit_is_checked_before_the_row_is_decoded(self, tmp_path, unit):
+        path = tmp_path / "z.csv"
+        path.write_text(f"unit,t1,t2\n1,0,0\n{unit},x,1\n")
+        with pytest.raises(ParseError, match=f"line 3: expected unit 2, got '{unit}'$"):
+            read_assignment_csv(str(path))
+
     def test_json_round_trip(self):
         Z = draw_assignment(Allocation(1, 2, (2,)), Family.WEDGE, seed=9)
         assert assignment_from_json(assignment_to_json(Z)) == Z
+
+
+class TestAssignmentJson:
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    def test_round_trip(self, family):
+        for alloc in (Allocation(3, 1, (2, 0, 4, 1)), Allocation(2, 3, (0, 0)),
+                      Allocation(5, 4, (3, 3, 2, 2, 1, 1))):
+            for seed in range(3):
+                Z = draw_assignment(alloc, family, seed)
+                back = assignment_from_json(assignment_to_json(Z))
+                assert back == Z and back.family is Z.family
+                assert back.arm_labels == Z.arm_labels
+                assert np.array_equal(back.matrix, Z.matrix)
+
+    @pytest.mark.parametrize("family", ["pulse", "wedge"])
+    def test_codes_match_the_per_unit_constructor(self, family):
+        labels = ["pulse_3", "always0", "pulse_02", "always1", "pulse_3", "pulse_4"]
+        text = f'{{"family":"{family}","labels":{labels!r},"t":4}}'.replace("'", '"')
+        fam = Family(family)
+        want = AssignmentMatrix([arm_from_label(lbl, fam) for lbl in labels], 4)
+        got = assignment_from_json(text)
+        assert got == want and got.codes.tolist() == [3, 0, 2, 1, 3, 4]
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"family":"pulse","labels":["always0","bogus"],"t":2}',
+         "unknown arm label 'bogus'"),
+        ('{"family":"pulse","labels":["pulse_x","bogus"],"t":2}',
+         "malformed arm label 'pulse_x'"),
+        ('{"family":"pulse","labels":["pulse_1"],"t":2}',
+         "pulse arm requires a time index >= 2, got 1"),
+        ('{"family":"pulse","labels":["always0","pulse_5","pulse_4"],"t":3}',
+         "ArmId(pulse_5) does not fit horizon T=3"),
+        ('{"family":"wedge","labels":["pulse_4","pulse_5","pulse_5"],"t":3}',
+         "ArmId(pulse_5, wedge) does not fit horizon T=3"),
+        ('{"family":"pulse","labels":{"always0":1,"pulse_5":2},"t":3}',
+         "ArmId(pulse_5) does not fit horizon T=3"),
+        ('{"family":"pulse","labels":[],"t":3}',
+         "assignment needs at least one unit"),
+        ('{"family":"pulse","labels":["pulse_5"],"t":1}',
+         "horizon T must be >= 2, got 1"),
+        ('{"family":"diagonal","labels":["bogus"],"t":3}',
+         "'diagonal' is not a valid Family"),
+    ], ids=["unknown", "malformed", "pulse_1", "past_T", "past_T_wedge", "past_T_object",
+            "no_units", "horizon", "family"])
+    def test_error_messages(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            assignment_from_json(doc)
+        assert str(info.value) == message
 
 
 # sha256 of assignment_to_csv(draw_assignment(alloc, family, seed)) as
