@@ -12,6 +12,8 @@ assume:
                     and ``1 - rho`` on the instantaneous term,
 * ``recycling``  -- additionally reuse pulses older than ``k`` periods.
 
+Their control-pool terms are the rows of ``core._pool_arms``.
+
 ``basic``, ``augmented`` and ``weighted`` have closed-form continuous
 relaxations; ``recycling`` is solved numerically.  ``integer_solve`` turns
 any relaxation into an exact integer optimum via rounding plus single-unit
@@ -37,7 +39,7 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .core import Allocation, RealAllocation
+from .core import Allocation, RealAllocation, _pool_arms
 
 __all__ = [
     "ObjectiveMode",
@@ -113,41 +115,6 @@ class ObjectiveMode:
 # ---------------------------------------------------------------------------
 
 
-def _controls_group(T: int, t: int, k: int | None) -> tuple[int, ...]:
-    """Arm indices whose units are usable as controls at time t."""
-    group = [0] + [tp for tp in range(t + 1, T + 1)]
-    if k is not None:
-        group += [tp for tp in range(2, min(t - k, T) + 1)]
-    return tuple(sorted(group))
-
-
-@lru_cache(maxsize=None)
-def _terms(T: int, mode: ObjectiveMode) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    if T < 2:
-        raise ValueError(f"horizon T must be >= 2, got {T}")
-    pulses = range(2, T + 1)
-    if mode.kind == "basic":
-        terms = [(float(T - 1), (1,)), (float(T - 1), (0,))]
-        terms += [(2.0, (t,)) for t in pulses]
-    elif mode.kind == "augmented":
-        terms = [(float(T - 1), (1,))]
-        terms += [(2.0, (t,)) for t in pulses]
-        terms += [(1.0, _controls_group(T, t, None)) for t in pulses]
-    elif mode.kind == "weighted":
-        rho = mode.rho
-        terms = []
-        if rho > 0.0:
-            terms.append((rho * (T - 1), (1,)))
-        terms += [(1.0, (t,)) for t in pulses]
-        if rho < 1.0:
-            terms += [(1.0 - rho, _controls_group(T, t, None)) for t in pulses]
-    else:  # recycling
-        terms = [(float(T - 1), (1,))]
-        terms += [(2.0, (t,)) for t in pulses]
-        terms += [(1.0, _controls_group(T, t, mode.k)) for t in pulses]
-    return tuple(terms)
-
-
 def _excluded_arm(mode: ObjectiveMode) -> int | None:
     """Arm index pinned to zero because the objective never uses it."""
     if mode.kind == "weighted":
@@ -160,13 +127,28 @@ def _excluded_arm(mode: ObjectiveMode) -> int | None:
 
 @lru_cache(maxsize=None)
 def _term_matrix(T: int, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, membership) with membership[j, i] = 1 iff arm i belongs to
-    term j's count group; lets one matmul evaluate all group sizes."""
-    terms = _terms(T, mode)
-    w = np.array([t[0] for t in terms])
-    m = np.zeros((len(terms), T + 1))
-    for j, (_, group) in enumerate(terms):
-        m[j, list(group)] = 1.0
+    """(weights, membership): the objective is ``sum_j w[j] / (m[j] @
+    counts)``, so membership[j, i] = 1 iff arm i belongs to term j's count
+    group, and one matmul evaluates all group sizes.  The treated and pulse
+    terms hold a single arm; the control-pool terms are ``_pool_arms`` rows
+    (basic keeps one ``(T-1)/n0`` term instead)."""
+    if T < 2:
+        raise ValueError(f"horizon T must be >= 2, got {T}")
+    arm = np.eye(T + 1)
+    treated, control, pulses = arm[1:2], arm[0:1], arm[2:]
+    pools = _pool_arms(T, "recycling" if mode.kind == "recycling" else "augmented", mode.k)
+    if mode.kind == "basic":
+        terms = [(float(T - 1), treated), (float(T - 1), control), (2.0, pulses)]
+    elif mode.kind == "weighted":
+        rho = mode.rho
+        terms = [(rho * (T - 1), treated)] if rho > 0.0 else []
+        terms.append((1.0, pulses))
+        if rho < 1.0:
+            terms.append((1.0 - rho, pools))
+    else:  # augmented, recycling
+        terms = [(float(T - 1), treated), (2.0, pulses), (1.0, pools)]
+    w = np.concatenate([np.full(len(rows), weight) for weight, rows in terms])
+    m = np.concatenate([rows for _, rows in terms], dtype=float)
     w.flags.writeable = False
     m.flags.writeable = False
     return w, m
@@ -178,7 +160,7 @@ def _objective_counts(counts, T: int, mode: ObjectiveMode) -> float:
     if y.min() <= 0.0:
         j = int(y.argmin())
         raise ValueError(
-            f"objective needs positive units in arm group {_terms(T, mode)[j][1]}"
+            f"objective needs positive units in arm group {tuple(np.flatnonzero(m[j]).tolist())}"
         )
     return fsum((w / y).tolist())
 
@@ -197,29 +179,24 @@ def _gradient_counts(counts, T: int, mode: ObjectiveMode) -> np.ndarray:
 
 
 def stationarity_residual(alloc: RealAllocation, T: int, mode: ObjectiveMode) -> float:
-    """Relative violation of the first-order conditions at an allocation.
+    """Violation of the first-order conditions at an allocation.
 
     At an optimum of 'minimize objective subject to fixed total and
     nonnegative counts', all partial derivatives over arms holding units
     are equal (to minus the multiplier of the sum constraint), and any arm
     at zero must have a derivative at least that large (adding units there
     cannot help).  Arms the mode drops from the objective are skipped.
-    Returns the largest violation of either condition, relative to the
-    common derivative value.
+    The check runs at the shares ``x = counts / N``: the largest violation
+    of either condition over ``max(|center|, max|g|)``, with ``center`` the
+    mean derivative over the free arms and ``g`` the gradient, plus the
+    deviation of ``sum(x)`` from 1.
     """
-    g = _gradient_counts(alloc.counts, T, mode)
-    counts = alloc.counts
+    x = np.asarray(alloc.counts, dtype=float) / alloc.N
+    pinned = x == 0.0
     excl = _excluded_arm(mode)
-    free = [i for i in range(T + 1) if i != excl and counts[i] > 0.0]
-    pinned = [i for i in range(T + 1) if i != excl and counts[i] == 0.0]
-    gi = g[free]
-    center = gi.mean()
-    if center == 0.0:
-        return float(np.abs(gi).max())
-    res = np.abs(gi - center).max()
-    for i in pinned:
-        res = max(res, center - g[i])  # needs g[i] >= center
-    return float(res / abs(center))
+    if excl is not None:
+        pinned[excl] = True  # its derivative is 0, never below the center
+    return _kkt_residual(_gradient_counts(x, T, mode), x, pinned)
 
 
 # ---------------------------------------------------------------------------

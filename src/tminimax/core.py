@@ -8,12 +8,27 @@ variant changes the assignment vector, never the arm's identity.
 
 Unit indices are 0-based throughout; time indices are 1-based (t = 1..T),
 matching the t1..tT column headers used by the CSV formats.
+
+Control pools.  The instantaneous effect at t compares the pulse-t arm
+with a pool of control units, and ``_pool_arms`` is the one place that
+says which arms the pool holds:
+
+* ``plugin``    -- the always-control arm;
+* ``augmented`` -- also every pulse after t (no outcome anticipates a
+                   future treatment);
+* ``recycling`` -- also every pulse at or before t - k (a pulse's effect
+                   wears off after k periods).
+
+The estimators' unit masks, ``augmented_controls``, the risk module's
+pool sizes and the allocation objectives' control-pool terms are all read
+from that table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -350,6 +365,25 @@ def draw_assignment(alloc: Allocation, family: Family = Family.PULSE,
     return AssignmentMatrix._from_codes(codes, alloc.T, family)
 
 
+@lru_cache(maxsize=None)
+def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
+    """(T-1) x (T+1) read-only bool table of the control pools (see the
+    module docstring): row t-2 marks the arm codes pooled as controls at t
+    under ``estimator``, and ``k`` is the carryover order of ``recycling``.
+    ``row[codes]`` masks the pooled units and ``row @ counts`` is the pool
+    size."""
+    code = np.arange(T + 1)
+    t = np.arange(2, T + 1)[:, None]
+    pool = np.zeros((T - 1, T + 1), dtype=bool)
+    pool[:, 0] = True
+    if estimator != "plugin":
+        pool |= code > t
+    if estimator == "recycling":
+        pool |= (code >= 2) & (code <= t - k)
+    pool.flags.writeable = False
+    return pool
+
+
 def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> frozenset[int]:
     """Units usable as controls at time t.
 
@@ -361,11 +395,8 @@ def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> fro
         raise ValueError(f"time index {t} outside 2..{Z.T}")
     if k is not None and k < 1:
         raise ValueError(f"carryover order k must be >= 1, got {k}")
-    codes = Z.codes
-    mask = (codes == 0) | (codes > t)
-    if k is not None:
-        mask |= (codes >= 2) & (codes <= t - k)
-    return frozenset(int(i) for i in np.nonzero(mask)[0])
+    row = _pool_arms(Z.T, "augmented" if k is None else "recycling", k)[t - 2]
+    return frozenset(np.flatnonzero(row[Z.codes]).tolist())
 
 
 class PotentialOutcomeSchedule:

@@ -12,7 +12,7 @@ outcomes).  The habituation effect always uses the plug-in difference in
 arm means.  The instantaneous effect has three variants that differ in the
 control pool: the always-control arm alone, the pool augmented with
 future-pulse units, or the pool additionally recycling pulses older than k
-periods.
+periods (the rule is stated once, at ``core._pool_arms``).
 
 All sums are exact (``math.fsum``), which makes every estimator invariant
 under unit relabeling, bit for bit.
@@ -33,6 +33,7 @@ from .core import (
     Family,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
+    _pool_arms,
     pulse_arm,
 )
 
@@ -113,11 +114,15 @@ def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeri
 # ---------------------------------------------------------------------------
 
 
-def _pool_mean(values: np.ndarray, mask: np.ndarray, col: int, what: str) -> float:
-    n = int(mask.sum())
+def _pool_mean(values: np.ndarray, mask: np.ndarray, col: int, what: str,
+               exact: bool = True) -> float:
+    """Mean of column ``col`` over the masked units: summed with fsum, or
+    with numpy's sum when not ``exact``."""
+    n = np.count_nonzero(mask)
     if n == 0:
         raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
-    return fsum(values[mask, col].tolist()) / n
+    picked = values[:, col][mask]
+    return (fsum(picked.tolist()) if exact else picked.sum()) / n
 
 
 def _habituation(codes: np.ndarray, values: np.ndarray, t: int) -> float:
@@ -127,25 +132,20 @@ def _habituation(codes: np.ndarray, values: np.ndarray, t: int) -> float:
     )
 
 
-def _control_mask(codes: np.ndarray, t: int, estimator: str, k: int | None) -> np.ndarray:
-    if estimator == "plugin":
-        return codes == 0
-    mask = (codes == 0) | (codes > t)
-    if estimator == "recycling":
-        mask |= (codes >= 2) & (codes <= t - k)
-    return mask
+def _pool_name(estimator: str, t: int) -> str:
+    return {
+        "plugin": "the always-control arm",
+        "augmented": f"the augmented control pool at t={t}",
+        "recycling": f"the recycled control pool at t={t}",
+    }[estimator]
 
 
 def _instantaneous(codes: np.ndarray, values: np.ndarray, t: int,
                    estimator: str, k: int | None = None) -> float:
     col = t - 1
-    names = {
-        "plugin": "the always-control arm",
-        "augmented": f"the augmented control pool at t={t}",
-        "recycling": f"the recycled control pool at t={t}",
-    }
+    pool = _pool_arms(values.shape[1], estimator, k)[t - 2][codes]
     return _pool_mean(values, codes == t, col, f"the pulse arm at t={t}") - _pool_mean(
-        values, _control_mask(codes, t, estimator, k), col, names[estimator]
+        values, pool, col, _pool_name(estimator, t)
     )
 
 

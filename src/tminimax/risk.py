@@ -9,7 +9,7 @@ whose arms are all identical with every column equal to the
 variance-maximizing vector.  At that schedule the risk has a closed form:
 the box's maximum sample variance times a sum of reciprocal arm (or
 control-pool) counts, which is exactly the quantity the allocation module
-minimizes.
+minimizes.  Control pools and their sizes come from ``core._pool_arms``.
 """
 
 from __future__ import annotations
@@ -33,15 +33,17 @@ from .core import (
     PotentialOutcomeSchedule,
     RealAllocation,
     _iter_code_arrangements,
+    _pool_arms,
     arms_for_horizon,
     observe,
     pulse_arm,
 )
 from .estimators import (
-    EstimatorUndefinedError,
-    _control_mask,
+    _check_inputs,
     _habituation,
     _instantaneous,
+    _pool_mean,
+    _pool_name,
     estimands,
 )
 
@@ -113,45 +115,29 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
                      inst: np.ndarray, spec: LossSpec, exact: bool) -> float:
     """Loss of one assignment given precomputed estimand arrays.
 
-    ``exact=True`` sums with fsum (bit-stable under unit relabeling);
-    ``exact=False`` is the plain-numpy fast path used by Monte-Carlo loops,
-    identical up to last-bit rounding.
+    ``exact=True`` sums each pool with fsum (bit-stable under unit
+    relabeling); ``exact=False`` sums it with numpy, the fast path used by
+    Monte-Carlo loops, identical up to last-bit rounding.
     """
     T = values.shape[1]
+    pools = _pool_arms(T, spec.estimator, spec.k)
+    treated = codes == 1
     hab_terms = []
     inst_terms = []
-    if exact:
-        for t in range(2, T + 1):
-            if spec.rho > 0.0:
-                err = _habituation(codes, values, t) - hab[t - 2]
-                hab_terms.append(err * err)
-            if spec.rho < 1.0:
-                err = _instantaneous(codes, values, t, spec.estimator, spec.k) - inst[t - 2]
-                inst_terms.append(err * err)
-        val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
-    else:
-        treated = codes == 1
-        n_treated = int(treated.sum())
-        for t in range(2, T + 1):
-            col = values[:, t - 1]
-            in_pulse = codes == t
-            n_pulse = int(in_pulse.sum())
-            if n_pulse == 0:
-                raise EstimatorUndefinedError(f"estimator undefined: no units in the pulse arm at t={t}")
-            pulse_mean = col[in_pulse].sum() / n_pulse
-            if spec.rho > 0.0:
-                if n_treated == 0:
-                    raise EstimatorUndefinedError("estimator undefined: no units in the always-treated arm")
-                err = (col[treated].sum() / n_treated - pulse_mean) - hab[t - 2]
-                hab_terms.append(err * err)
-            if spec.rho < 1.0:
-                pool = _control_mask(codes, t, spec.estimator, spec.k)
-                n_pool = int(pool.sum())
-                if n_pool == 0:
-                    raise EstimatorUndefinedError(f"estimator undefined: empty control pool at t={t}")
-                err = (pulse_mean - col[pool].sum() / n_pool) - inst[t - 2]
-                inst_terms.append(err * err)
-        val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
+    for t in range(2, T + 1):
+        col = t - 1
+        if spec.rho > 0.0:
+            treated_mean = _pool_mean(values, treated, col, "the always-treated arm", exact)
+        pulse_mean = _pool_mean(values, codes == t, col, f"the pulse arm at t={t}", exact)
+        if spec.rho > 0.0:
+            err = (treated_mean - pulse_mean) - hab[t - 2]
+            hab_terms.append(err * err)
+        if spec.rho < 1.0:
+            pool_mean = _pool_mean(values, pools[t - 2][codes], col,
+                                   _pool_name(spec.estimator, t), exact)
+            err = (pulse_mean - pool_mean) - inst[t - 2]
+            inst_terms.append(err * err)
+    val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
     if spec.unnormalized:
         val *= 2.0
     return val
@@ -275,16 +261,6 @@ def worst_case_schedule(N: int, T: int, lower: float, upper: float) -> Potential
     return PotentialOutcomeSchedule({arm: matrix for arm in arms_for_horizon(T)})
 
 
-def _derived_control_counts(alloc, t: int, estimator: str, k: int | None) -> float:
-    """Size of the control pool at time t under the given estimator."""
-    if estimator == "plugin":
-        return alloc.n0
-    total = alloc.n0 + sum(alloc.ne[t - 1:])  # pulses strictly after t
-    if estimator == "recycling" and t - k >= 2:
-        total += sum(alloc.ne[: t - k - 1])  # pulses at times <= t - k
-    return total
-
-
 def _check_vstar(vstar: float) -> None:
     """A variance bound must be a finite number >= 0."""
     if not (math.isfinite(vstar) and vstar >= 0.0):
@@ -312,8 +288,8 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
             raise ValueError("always-treated arm needs positive units")
         terms.append(rho * (T - 1) / alloc.n1)
     if rho < 1.0:
-        for t in range(2, T + 1):
-            pool = _derived_control_counts(alloc, t, spec.estimator, spec.k)
+        pools = _pool_arms(T, spec.estimator, spec.k) @ np.asarray(alloc.counts)
+        for t, pool in enumerate(pools.tolist(), start=2):
             if pool <= 0:
                 raise ValueError(f"empty control pool at t={t}")
             terms.append((1.0 - rho) / pool)
@@ -372,7 +348,7 @@ def true_variances(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSc
     if alloc.n1 <= 0 or ne <= 0:
         raise ValueError("variance needs positive treated and pulse counts")
     var_hab = vc.v1 / alloc.n1 + vc.ve / ne - vc.v1e / N
-    pool = _derived_control_counts(alloc, t, spec.estimator, spec.k)
+    pool = (_pool_arms(sched.T, spec.estimator, spec.k)[t - 2] @ np.asarray(alloc.counts)).item()
     if pool <= 0:
         raise ValueError(f"empty control pool at t={t}")
     var_inst = vc.v0 / pool + vc.ve / ne - vc.v0e / N
@@ -388,6 +364,7 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     realization) makes the interval conservative.  Both pools need at
     least two units.
     """
+    _check_inputs(Z, obs, t)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if target not in ("habituation", "instantaneous"):
@@ -401,7 +378,7 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
         if spec.estimator == "recycling" and Z.family is Family.WEDGE:
             raise ValueError("recycling estimator requires a pulse-family assignment")
         estimate = _instantaneous(codes, obs.values, t, spec.estimator, spec.k)
-        mask_a, mask_b = codes == t, _control_mask(codes, t, spec.estimator, spec.k)
+        mask_a, mask_b = codes == t, _pool_arms(Z.T, spec.estimator, spec.k)[t - 2][codes]
     variance = 0.0
     for mask in (mask_a, mask_b):
         n = int(mask.sum())

@@ -293,6 +293,9 @@ def assignment_from_json(text: str) -> AssignmentMatrix:
     doc = json.loads(text)
     family = Family(doc["family"])
     labels = list(doc["labels"])
+    bad = [lbl for lbl in labels if not isinstance(lbl, str)]
+    if bad:
+        raise ParseError(f"arm label must be a string, got {bad[0]!r}")
     # each distinct label is parsed once, in order of first occurrence
     table = {lbl: _arm_code(arm_from_label(lbl, family)) for lbl in dict.fromkeys(labels)}
     codes = np.fromiter(map(table.__getitem__, labels), dtype=np.int64, count=len(labels))

@@ -1,5 +1,6 @@
 """Tests for relaxed and integer allocation solvers."""
 
+import hashlib
 from math import sqrt
 
 import numpy as np
@@ -12,6 +13,7 @@ from tminimax.allocation import (
     _objective_counts,
     _relaxed_for_mode,
     _round_preserving_sum,
+    _term_matrix,
     balanced,
     brute_force_opt,
     integer_solve,
@@ -23,7 +25,7 @@ from tminimax.allocation import (
     relaxed_weighted,
     stationarity_residual,
 )
-from tminimax.core import Allocation
+from tminimax.core import Allocation, RealAllocation
 
 ALL_MODES = [
     ObjectiveMode.basic(),
@@ -234,6 +236,68 @@ DESIGN_GOLDEN = [
         927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928, 927, 928
     )),
 ]
+
+
+def _mode_id(mode):
+    rho = "" if mode.rho is None else f"({mode.rho})"
+    k = "" if mode.k is None else f"({mode.k})"
+    return mode.kind + rho + k
+
+
+# (number of terms, sha256 of w.tobytes() + m.tobytes()) of _term_matrix,
+# recorded from the per-term builder; integer_solve's tie-breaks read these
+# bits, so they must not move.
+TERM_MATRIX_GOLDEN = {
+    ("basic", 2): (3, "1d33fd9d8256db3c1d954e20f2a5bf3c5f76ac925806a999d2b458b30f288c52"),
+    ("basic", 3): (4, "52cb5101cbce9b4735bd1ccd699059116f8a327d7dc6a41641d34426aa792b9f"),
+    ("basic", 5): (6, "5c2c491738e81276f0eb5c60011b365317530ca689065213b680171f2dbcfe70"),
+    ("basic", 12): (13, "cefb449aed60a1b8029107679b434cad0330e09ad1531f89b6be752cc57c0820"),
+    ("basic", 50): (51, "9cd7d360cdcaa32c059342d20f513339d1927d313b290f163f4b2a51fc1859c8"),
+    ("augmented", 2): (3, "ff321a67df9f8cf4671f07e83d3baf7b44a61cedbb9043a9e15f7e3981631767"),
+    ("augmented", 3): (5, "fc85669f5dbe74ff8c6b11a73b8c924ed59186a912941731357bc5b02718f1ee"),
+    ("augmented", 5): (9, "61bc89c42d51e5185c686309943dbd382327ab5181b5738ec005bcc716dda242"),
+    ("augmented", 12): (23, "1b81a19952b078bed014d6b4245c11e844023ac21b41e2d5c14abfb7f1be12cc"),
+    ("augmented", 50): (99, "32c62ef4a7c1ae311fb86245da4ed1bac23652ad66d7f7d2db847138c7293256"),
+    ("weighted(0.0)", 2): (2, "d2eaae4ffb91c929ceb7742b4be4e594d3708b7b5412c6b5ccc489f11d0663d1"),
+    ("weighted(0.0)", 3): (4, "7d3041ab61bd0bb6bb471f47bdec5f2889b18872f21d1e9a73f5f616565a3848"),
+    ("weighted(0.0)", 5): (8, "a59f4426d98697af0a7315bd0bee210c4cb66d5583bf92e24b5009d959013558"),
+    ("weighted(0.0)", 12): (22, "bbf200508c07cd8cd91fa9c864f959465d26928a4a7d8c2492f17c8183075dea"),
+    ("weighted(0.0)", 50): (98, "4ebfe26ebee7c4e1632212bdac4f9abd9f4e0154172a5290e53ab1889fefe877"),
+    ("weighted(0.3)", 2): (3, "9d02793271a0608f3d92d25d16245f7ef6597ed5c2272c55b0636ef32be65d84"),
+    ("weighted(0.3)", 3): (5, "d6d52b7d99484a784cf1bb909af1df6061bef74cf155b2bd3a23f1116a995352"),
+    ("weighted(0.3)", 5): (9, "3ce6985eeda3729f7bb53ebbb7f0aa2c26ed8403a377730599634ebd6ed4b668"),
+    ("weighted(0.3)", 12): (23, "e2febdaf5813439b546257ee0b79654e9612a2668bba04bc6c845199a80fdee0"),
+    ("weighted(0.3)", 50): (99, "d4c72b02b681b79f3d0b66a71ff04098ea4f5a88b9fc9823ef4dd394b3b1187a"),
+    ("weighted(0.5)", 2): (3, "9bc0d0e233125eab405998c9b3019d1bc52f29c318ca0ec6d2ca82db6a1fb363"),
+    ("weighted(0.5)", 3): (5, "2851b9f974d4e177e27ca6925de79181fd69b45e1a9fac63c7cbe898e9c00cda"),
+    ("weighted(0.5)", 5): (9, "ee4be7bda8da226fa0b812997c048dcadb1d85198c31f7f23d41c9f23680e3b3"),
+    ("weighted(0.5)", 12): (23, "20eec5f309aa4546cc47b96cdd78426d948ce95392413889dc9b49aad316f7bb"),
+    ("weighted(0.5)", 50): (99, "7615fa435699e8a1253d2737fb93c628e1c900f62435791e3584520a7f525db8"),
+    ("weighted(0.8)", 2): (3, "a99ea80efbf4b0800941f7c44539d4ac183c5ab4a5121e91c7c594d228636244"),
+    ("weighted(0.8)", 3): (5, "e7b018adeae7fccef5c0f376b11ed24f09b7f8fe5059339d8fb426b8ab9fbe84"),
+    ("weighted(0.8)", 5): (9, "0501cd84f446e412d5fd8017c44253859451f44a6d17fbee91bf5b67f732b361"),
+    ("weighted(0.8)", 12): (23, "dc0bcb20e31ee6ba423288b26efaa79de1c33e5bb4644e71f5d84d43ce337a2e"),
+    ("weighted(0.8)", 50): (99, "e74e3398d7c802d6862ffac07da491e94e7398fdfee6651d66f79454741943ed"),
+    ("weighted(1.0)", 2): (2, "359885902edb818a28a19900f2f6818288578254fcf678e5bf9fa5c92b0092cb"),
+    ("weighted(1.0)", 3): (3, "506c4fc44b8fc4e071ce83196a614db1a6dbc034d09f04d52967bcfca08fe961"),
+    ("weighted(1.0)", 5): (5, "3f7945c188568762fdd24131adc99726168818aeea88f99723e81aa1b0742393"),
+    ("weighted(1.0)", 12): (12, "a79f83e7c477672769aba243a19af291b40a62f10236e94e60f9d1077554d880"),
+    ("weighted(1.0)", 50): (50, "0fc51b8e574f49806a49e96bf7017d488e096cdfe0c3b5d970d2311a3ac0f754"),
+    ("recycling(1)", 2): (3, "ff321a67df9f8cf4671f07e83d3baf7b44a61cedbb9043a9e15f7e3981631767"),
+    ("recycling(1)", 3): (5, "408d882b7e5f736a7f61bf97c8fd6257147aab05bac40c6fe54ee94f2bd8f61b"),
+    ("recycling(1)", 5): (9, "e3c15a8de3034434211916404b85b9140178f7afb4eb9d7e5720963985fdd588"),
+    ("recycling(1)", 12): (23, "1270eda0a914fa1f57a6fa5716b920d177bc33e4e2e4cff294fcb1bfbed8c08a"),
+    ("recycling(1)", 50): (99, "d7afc7e4e6a8a64479a650c4d1d0043d30c84e3e5086760312c434249dace79b"),
+    ("recycling(2)", 2): (3, "ff321a67df9f8cf4671f07e83d3baf7b44a61cedbb9043a9e15f7e3981631767"),
+    ("recycling(2)", 3): (5, "fc85669f5dbe74ff8c6b11a73b8c924ed59186a912941731357bc5b02718f1ee"),
+    ("recycling(2)", 5): (9, "507fe70aeae988baca889af7d6567fe7de92f489c90f4c7f6c46c6f15ab3370d"),
+    ("recycling(2)", 12): (23, "c6beb385c741eead7b9ad128d5c3403b4d9af25d74c35f4f9e577b795c5a037b"),
+    ("recycling(2)", 50): (99, "a42d0b9f69153cb6eb0b2f857d1fb230f23f1f118f9828c898faf693b1d056c2"),
+}
+
+# sha256 of the counts of relaxed_recycling(1000, T, k), T = 2..30, k = 1..3,
+# concatenated in that order
+RELAXED_RECYCLING_GOLDEN = "d526975f6d51ceabaa2471c03fccbf642d83727f10f1bf8217e71f18f8cf8d49"
 
 
 class TestRelaxedBasic:
@@ -529,3 +593,34 @@ class TestStationarity:
         for rho in (0.0, 0.3, 0.5, 0.8, 1.0):
             alloc = relaxed_weighted(N, T, rho)
             assert stationarity_residual(alloc, T, ObjectiveMode.weighted(rho)) < 1e-8
+
+    def test_off_optimum_is_not_stationary(self):
+        assert stationarity_residual(balanced(100, 5).as_real(), 5, ObjectiveMode.basic()) > 1e-2
+
+    def test_dropped_arm_is_skipped(self):
+        # rho = 1 never uses the control arm, whatever it holds
+        alloc = relaxed_weighted(613.0, 5, 1.0)
+        moved = RealAllocation(1.0, alloc.n1, alloc.ne)
+        assert stationarity_residual(moved, 5, ObjectiveMode.weighted(1.0)) < 1e-8
+
+
+class TestTermMatrix:
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=_mode_id)
+    @pytest.mark.parametrize("T", [2, 3, 5, 12, 50])
+    def test_matches_golden_bytes(self, mode, T):
+        w, m = _term_matrix(T, mode)
+        assert w.dtype == m.dtype == np.float64 and m.shape == (len(w), T + 1)
+        count, digest = TERM_MATRIX_GOLDEN[(_mode_id(mode), T)]
+        assert len(w) == count
+        assert hashlib.sha256(w.tobytes() + m.tobytes()).hexdigest() == digest
+
+    def test_read_only(self):
+        w, m = _term_matrix(4, ObjectiveMode.augmented())
+        assert not w.flags.writeable and not m.flags.writeable
+
+    def test_relaxed_recycling_matches_golden_bits(self):
+        h = hashlib.sha256()
+        for T in range(2, 31):
+            for k in (1, 2, 3):
+                h.update(np.array(relaxed_recycling(1000.0, T, k).counts).tobytes())
+        assert h.hexdigest() == RELAXED_RECYCLING_GOLDEN

@@ -1,5 +1,6 @@
 """Tests for loss, risk (Monte-Carlo, exact, worst-case), variances, CIs."""
 
+import hashlib
 import itertools
 from math import fsum, sqrt
 
@@ -12,6 +13,7 @@ from tminimax.core import (
     ALWAYS_CONTROL,
     ALWAYS_TREATED,
     Allocation,
+    ObservedOutcomes,
     PotentialOutcomeSchedule,
     draw_assignment,
     observe,
@@ -119,6 +121,29 @@ class TestLoss:
                                         spec, exact=False)
                 assert fast == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("codes,spec,message", [
+        ([0, 2, 3], LossSpec("plugin", 0.5), "no units in the always-treated arm"),
+        ([0, 1, 2], LossSpec("plugin", 0.5), "no units in the pulse arm at t=3"),
+        ([0, 3], LossSpec("plugin", 0.5), "no units in the always-treated arm"),
+        ([0, 3], LossSpec("plugin", 0.0), "no units in the pulse arm at t=2"),
+        ([1, 2, 3], LossSpec("plugin", 0.5), "no units in the always-control arm"),
+        ([1, 2, 3], LossSpec("augmented", 0.5),
+         "no units in the augmented control pool at t=3"),
+        ([1, 2, 3], LossSpec("recycling", 0.5, k=2),
+         "no units in the recycled control pool at t=3"),
+    ], ids=["treated", "pulse", "treated-before-pulse", "pulse-at-rho-0", "plugin-pool",
+            "augmented-pool", "recycled-pool"])
+    def test_both_paths_raise_the_same_message(self, codes, spec, message):
+        from tminimax.estimators import EstimatorUndefinedError
+        from tminimax.risk import _loss_from_codes
+
+        codes = np.array(codes)
+        values = np.zeros((len(codes), 3))
+        for exact in (True, False):
+            with pytest.raises(EstimatorUndefinedError) as info:
+                _loss_from_codes(codes, values, np.zeros(2), np.zeros(2), spec, exact)
+            assert str(info.value) == "estimator undefined: " + message
+
     def test_recycling_loss_rejects_wedge(self):
         from tminimax.core import AssignmentMatrix, Family
 
@@ -128,6 +153,78 @@ class TestLoss:
         )
         with pytest.raises(ValueError, match="pulse-family"):
             loss(Z, sched, LossSpec("recycling", 0.5, k=1))
+
+
+# float.hex of (mc_risk, mc_se) at workers 1 and 2, and of (exact_risk,
+# loss), for the seeded cases below; recorded before the loss was written
+# as one loop, and the bits must not move
+MC_RISK_GOLDEN = {
+    "plugin": ("0x1.00daf062ec57fp+1", "0x1.81b37b0750185p-3"),
+    "augmented": ("0x1.7919ef156f39ap-1", "0x1.2ecae333a01cbp-4"),
+    "recycling": ("0x1.818d71d3c1b19p+0", "0x1.3e59ae3ebf324p-3"),
+}
+EXACT_RISK_GOLDEN = {
+    "plugin": ("0x1.bb7535ac21c3bp+1", "0x1.14c2d254e0de0p-2"),
+    "augmented": ("0x1.e8adc4d2e549cp+0", "0x1.42a1bdb5bbaf9p-3"),
+    "recycling": ("0x1.631b543e39e8ep+0", "0x1.a496fc2828050p-3"),
+}
+
+# sha256 of the float.hex of _loss_from_codes on draws 0..19 of the seeded
+# N=400 case below, per path; the fast path's numpy pool sums must not move
+LOSS_PATH_GOLDEN = {
+    ("plugin", True): "04ab1a08482e2ae8489f409c9bf20886172c167dd078eac4396b11423df9cb07",
+    ("plugin", False): "a7b024786e96810439280f32ab346a6340b6c90e6cf014e0bb410c8c349f90f8",
+    ("augmented", True): "868308b660208a79227a7bb89678ec214a3b891a028e2b1b4e28f341126b6ad3",
+    ("augmented", False): "f0c50d62605a9224ca224f36d17c5f063db644016417b15aa48156f0e8d8cae7",
+    ("recycling", True): "3ffdec0e18edba6fb8d842c4254527650bf07282c07d3de608748de8cabe7688",
+    ("recycling", False): "b343ac5817197c987850bac0649d2b151fc3af9490888c851bb9a7c99348a023",
+}
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin", 0.5, unnormalized=True),
+        LossSpec("augmented", 0.3),
+        LossSpec("recycling", 0.5, k=2, unnormalized=True),
+    ], ids=lambda s: s.estimator)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_risk(self, spec, workers):
+        sched = random_schedule(np.random.default_rng(2024), 40, 5, k=2)
+        alloc = Allocation(6, 7, (7, 6, 7, 7))
+        report = mc_risk(alloc, sched, spec, draws=30, seed=11, workers=workers)
+        assert (report.mc_risk.hex(), report.mc_se.hex()) == MC_RISK_GOLDEN[spec.estimator]
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin", 0.5, unnormalized=True),
+        LossSpec("augmented", 0.3),
+        LossSpec("recycling", 0.5, k=1),
+    ], ids=lambda s: s.estimator)
+    def test_exact_risk_and_loss(self, spec):
+        sched = random_schedule(np.random.default_rng(77), 7, 3, k=1)
+        alloc = Allocation(2, 2, (1, 2))
+        Z = draw_assignment(alloc, seed=5)
+        got = (exact_risk(alloc, sched, spec).hex(), loss(Z, sched, spec).hex())
+        assert got == EXACT_RISK_GOLDEN[spec.estimator]
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin", 0.5, unnormalized=True),
+        LossSpec("augmented", 0.3),
+        LossSpec("recycling", 0.5, k=2, unnormalized=True),
+    ], ids=lambda s: s.estimator)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
+    def test_loss_paths(self, spec, exact):
+        from tminimax.risk import _loss_from_codes
+
+        sched = random_schedule(np.random.default_rng(2024), 400, 5, k=2)
+        hab, inst, _ = estimands(sched)
+        alloc = Allocation(60, 70, (70, 60, 70, 70))
+        digest = hashlib.sha256()
+        for seed in range(20):
+            Z = draw_assignment(alloc, seed=seed)
+            values = observe(Z, sched).values
+            val = _loss_from_codes(Z.codes, values, hab.values, inst.values, spec, exact)
+            digest.update(val.hex().encode())
+        assert digest.hexdigest() == LOSS_PATH_GOLDEN[(spec.estimator, exact)]
 
 
 class TestWorstCaseSchedule:
@@ -428,3 +525,20 @@ class TestConservativeCI:
         obs = observe(Z, constant_schedule(8, 3))
         with pytest.raises(ValueError):
             conservative_ci(Z, obs, 2, LossSpec("plugin"), 1.0)
+
+    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
+    @pytest.mark.parametrize("t", [0, 1, 5])
+    def test_time_outside_horizon_rejected(self, target, t):
+        rng = np.random.default_rng(8)
+        Z = draw_assignment(spread_allocation(40, 4), seed=0)
+        obs = observe(Z, random_schedule(rng, 40, 4))
+        with pytest.raises(ValueError, match=f"time index {t} outside 2..4"):
+            conservative_ci(Z, obs, t, LossSpec("plugin"), 0.95, target=target)
+
+    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
+    def test_outcome_rows_must_match_units(self, target):
+        rng = np.random.default_rng(9)
+        Z = draw_assignment(spread_allocation(40, 4), seed=0)
+        obs = ObservedOutcomes(observe(Z, random_schedule(rng, 40, 4)).values[:30])
+        with pytest.raises(ValueError, match="assignment is 40 x 4 but outcomes are 30 x 4"):
+            conservative_ci(Z, obs, 2, LossSpec("augmented"), 0.95, target=target)

@@ -437,6 +437,14 @@ class TestAssignmentJson:
             assignment_from_json(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("labels,shown", [
+        ("[5]", "5"), ("[null]", "None"), ("[[1]]", "[1]"), ('["always0",{"a":1}]', "{'a': 1}"),
+    ], ids=["int", "null", "list", "object"])
+    def test_non_string_label_is_a_parse_error(self, labels, shown):
+        with pytest.raises(ParseError) as info:
+            assignment_from_json(f'{{"family":"pulse","labels":{labels},"t":2}}')
+        assert str(info.value) == f"arm label must be a string, got {shown}"
+
 
 # sha256 of assignment_to_csv(draw_assignment(alloc, family, seed)) as
 # written by the per-unit ArmId implementation; the CSV bytes must not move.
