@@ -12,7 +12,10 @@ assume:
                     and ``1 - rho`` on the instantaneous term,
 * ``recycling``  -- additionally reuse pulses older than ``k`` periods.
 
-Their control-pool terms are the rows of ``core._pool_arms``.
+Each objective is the worst-case risk's term table, ``core._risk_terms``,
+at the mode's loss: the augmented loss at rho for weighted(rho), and rho
+= 1/2 doubled for augmented and recycling(k).  Only ``basic`` merges its
+pools (each the always-control arm) into one ``(T-1)/n0`` term.
 
 ``basic``, ``augmented`` and ``weighted`` have closed-form continuous
 relaxations; ``recycling`` is solved numerically.  ``integer_solve`` turns
@@ -39,7 +42,7 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .core import Allocation, RealAllocation, _pool_arms
+from .core import Allocation, RealAllocation, _check_carryover, _check_horizon, _risk_terms
 
 __all__ = [
     "ObjectiveMode",
@@ -116,39 +119,27 @@ class ObjectiveMode:
 
 
 def _excluded_arm(mode: ObjectiveMode) -> int | None:
-    """Arm index pinned to zero because the objective never uses it."""
-    if mode.kind == "weighted":
-        if mode.rho == 0.0:
-            return 1
-        if mode.rho == 1.0:
-            return 0
-    return None
+    """Arm index pinned to zero because no objective term holds it; it is
+    the same arm at every horizon, so the smallest one decides."""
+    unused = np.flatnonzero(~_term_matrix(2, mode)[1].any(axis=0))
+    return int(unused[0]) if len(unused) else None
 
 
 @lru_cache(maxsize=None)
 def _term_matrix(T: int, mode: ObjectiveMode) -> tuple[np.ndarray, np.ndarray]:
     """(weights, membership): the objective is ``sum_j w[j] / (m[j] @
     counts)``, so membership[j, i] = 1 iff arm i belongs to term j's count
-    group, and one matmul evaluates all group sizes.  The treated and pulse
-    terms hold a single arm; the control-pool terms are ``_pool_arms`` rows
-    (basic keeps one ``(T-1)/n0`` term instead)."""
-    if T < 2:
-        raise ValueError(f"horizon T must be >= 2, got {T}")
-    arm = np.eye(T + 1)
-    treated, control, pulses = arm[1:2], arm[0:1], arm[2:]
-    pools = _pool_arms(T, "recycling" if mode.kind == "recycling" else "augmented", mode.k)
+    group, and one matmul evaluates all group sizes (rows: see the module
+    docstring)."""
+    _check_horizon(T)
+    if mode.kind == "weighted":
+        return _risk_terms(T, "augmented", mode.rho)
     if mode.kind == "basic":
-        terms = [(float(T - 1), treated), (float(T - 1), control), (2.0, pulses)]
-    elif mode.kind == "weighted":
-        rho = mode.rho
-        terms = [(rho * (T - 1), treated)] if rho > 0.0 else []
-        terms.append((1.0, pulses))
-        if rho < 1.0:
-            terms.append((1.0 - rho, pools))
-    else:  # augmented, recycling
-        terms = [(float(T - 1), treated), (2.0, pulses), (1.0, pools)]
-    w = np.concatenate([np.full(len(rows), weight) for weight, rows in terms])
-    m = np.concatenate([rows for _, rows in terms], dtype=float)
+        w = np.array([T - 1.0, T - 1.0] + [2.0] * (T - 1))
+        m = np.eye(T + 1)[[1, 0, *range(2, T + 1)]]
+    else:
+        w, m = _risk_terms(T, mode.kind, 0.5, mode.k)
+        w = 2.0 * w
     w.flags.writeable = False
     m.flags.writeable = False
     return w, m
@@ -262,8 +253,7 @@ class PulseCoefficients:
 def pulse_coefficients(T: int, scale: float) -> PulseCoefficients:
     """Compute the coefficient sequence for horizon T and pulse-to-control
     scaling factor ``scale`` (sqrt(2) in the augmented design)."""
-    if T < 2:
-        raise ValueError(f"horizon T must be >= 2, got {T}")
+    _check_horizon(T)
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     c = np.empty(T - 1)
@@ -341,8 +331,7 @@ def relaxed_recycling(N: float, T: int, k: int,
     control pool, so dedicated controls are dominated.
     """
     _check_relax_args(N, T)
-    if k < 1:
-        raise ValueError(f"carryover order k must be >= 1, got {k}")
+    _check_carryover(k)
     mode = ObjectiveMode.recycling(k)
     w, m = _term_matrix(T, mode)
     n = T + 1
@@ -416,8 +405,7 @@ def _scaled_allocation(x: np.ndarray, N: float) -> RealAllocation:
 def _check_relax_args(N: float, T: int) -> None:
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    if T < 2:
-        raise ValueError(f"horizon T must be >= 2, got {T}")
+    _check_horizon(T)
 
 
 def _relaxed_for_mode(N: float, T: int, mode: ObjectiveMode) -> RealAllocation:
@@ -652,7 +640,6 @@ def brute_force_opt(N: int, T: int, mode: ObjectiveMode) -> Allocation:
 
 
 def _check_integer_args(N: int, T: int) -> None:
-    if T < 2:
-        raise ValueError(f"horizon T must be >= 2, got {T}")
+    _check_horizon(T)
     if N < T + 1:
         raise ValueError(f"need at least one unit per arm: N={N} < T+1={T + 1}")

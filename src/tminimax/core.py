@@ -19,9 +19,9 @@ says which arms the pool holds:
 * ``recycling`` -- also every pulse at or before t - k (a pulse's effect
                    wears off after k periods).
 
-The estimators' unit masks, ``augmented_controls``, the risk module's
-pool sizes and the allocation objectives' control-pool terms are all read
-from that table.
+The estimators' unit masks, ``augmented_controls``, ``validate_schedule``
+and the pool rows of ``_risk_terms``, the worst-case risk's term table
+that ``max_risk`` and the allocation objectives sum, all come from it.
 """
 
 from __future__ import annotations
@@ -384,6 +384,27 @@ def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
     return pool
 
 
+@lru_cache(maxsize=None)
+def _risk_terms(T: int, estimator: str, rho: float,
+                k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (weights, membership) of the worst-case risk at unit vstar
+    on the normalized scale: ``sum_j w[j] / (m[j] @ counts)``.  The rows
+    are the always-treated arm (weight rho (T-1)), each pulse arm (weight
+    1), then the ``_pool_arms`` rows (weight 1 - rho); rows of weight 0
+    are dropped."""
+    w = np.concatenate([[rho * (T - 1)], np.ones(T - 1), np.full(T - 1, 1.0 - rho)])
+    m = np.concatenate([np.eye(T + 1)[1:], _pool_arms(T, estimator, k)], dtype=float)
+    w, m = w[w > 0.0], m[w > 0.0]
+    w.flags.writeable = False
+    m.flags.writeable = False
+    return w, m
+
+
+def _check_carryover(k: int | None) -> None:
+    if k is not None and k < 1:
+        raise ValueError(f"carryover order k must be >= 1, got {k}")
+
+
 def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> frozenset[int]:
     """Units usable as controls at time t.
 
@@ -393,8 +414,7 @@ def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> fro
     """
     if not 2 <= t <= Z.T:
         raise ValueError(f"time index {t} outside 2..{Z.T}")
-    if k is not None and k < 1:
-        raise ValueError(f"carryover order k must be >= 1, got {k}")
+    _check_carryover(k)
     row = _pool_arms(Z.T, "augmented" if k is None else "recycling", k)[t - 2]
     return frozenset(np.flatnonzero(row[Z.codes]).tolist())
 
@@ -485,13 +505,15 @@ class ObservedOutcomes:
         return self.values.shape[1]
 
 
+def _check_fits(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> None:
+    if (Z.N, Z.T) != (sched.N, sched.T):
+        raise ValueError(f"assignment is {Z.N} x {Z.T} but schedule is {sched.N} x {sched.T}")
+
+
 def observe(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> ObservedOutcomes:
     """Realize the experiment: row i is row i of the schedule matrix for
     unit i's arm."""
-    if (Z.N, Z.T) != (sched.N, sched.T):
-        raise ValueError(
-            f"assignment is {Z.N} x {Z.T} but schedule is {sched.N} x {sched.T}"
-        )
+    _check_fits(Z, sched)
     values = sched.stacked()[Z.codes, np.arange(Z.N), :]
     return ObservedOutcomes(values)
 
@@ -514,19 +536,17 @@ def validate_schedule(sched: PotentialOutcomeSchedule,
 
     Before its pulse time a pulse unit's history equals always-control, so
     those columns must agree; with ``k``, columns at least k periods after
-    the pulse must agree as well.
+    the pulse must agree as well.  These are t = 1 and every t whose
+    control pool holds the pulse arm.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"carryover order k must be >= 1, got {k}")
+    _check_carryover(k)
+    pools = _pool_arms(sched.T, "augmented" if k is None else "recycling", k)
     control = sched.matrix(ALWAYS_CONTROL)
     violations: list[tuple[ArmId, int, int]] = []
     for tp in range(2, sched.T + 1):
         arm = pulse_arm(tp)
         m = sched.matrix(arm)
-        cols = list(range(0, tp - 1))  # t < tp
-        if k is not None:
-            cols.extend(range(tp - 1 + k, sched.T))  # t >= tp + k
-        for c in cols:
+        for c in [0, *(np.flatnonzero(pools[:, tp]) + 1).tolist()]:
             bad = np.nonzero(m[:, c] != control[:, c])[0]
             violations.extend((arm, int(i), c + 1) for i in bad)
     return ScheduleValidation(tuple(violations))

@@ -33,6 +33,7 @@ from .core import (
     Family,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
+    _check_carryover,
     _pool_arms,
     pulse_arm,
 )
@@ -193,8 +194,7 @@ def recycling_instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes,
     periods.  Pulse-family assignments only: a wedge unit never stops being
     treated, so its outcomes cannot be recycled as controls."""
     _check_inputs(Z, obs, t)
-    if k < 1:
-        raise ValueError(f"carryover order k must be >= 1, got {k}")
+    _check_carryover(k)
     if Z.family is Family.WEDGE:
         raise ValueError("recycling estimator requires a pulse-family assignment")
     return _instantaneous(Z.codes, obs.values, t, "recycling", k)

@@ -8,8 +8,11 @@ box, the risk of a completely randomized design is maximized by a schedule
 whose arms are all identical with every column equal to the
 variance-maximizing vector.  At that schedule the risk has a closed form:
 the box's maximum sample variance times a sum of reciprocal arm (or
-control-pool) counts, which is exactly the quantity the allocation module
-minimizes.  Control pools and their sizes come from ``core._pool_arms``.
+control-pool) counts, the term table ``core._risk_terms``.  The
+allocation objectives are that table too (only basic merges its pools
+into one term), so ``max_risk`` is vstar times the matching objective.
+``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
+loss evaluator per schedule, which computes its estimands once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum, sqrt
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -32,10 +36,12 @@ from .core import (
     ObservedOutcomes,
     PotentialOutcomeSchedule,
     RealAllocation,
+    _check_fits,
     _iter_code_arrangements,
     _pool_arms,
+    _risk_terms,
     arms_for_horizon,
-    observe,
+    draw_assignment,
     pulse_arm,
 )
 from .estimators import (
@@ -143,15 +149,24 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
     return val
 
 
+def _loss_evaluator(sched: PotentialOutcomeSchedule, spec: LossSpec,
+                    exact: bool) -> Callable[[np.ndarray], float]:
+    """The loss of an arm-code vector against ``sched``, whose estimands are
+    computed once.  No ``observe``: its copy costs more than each draw's gather."""
+    hab, inst, _ = estimands(sched)
+    stacked, unit_idx = sched.stacked(), np.arange(sched.N)
+    return lambda codes: _loss_from_codes(codes, stacked[codes, unit_idx, :], hab.values,
+                                          inst.values, spec, exact)
+
+
 def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
     """Squared-error loss of one realized experiment against the
     schedule's estimands.  Terms whose weight is zero are skipped, so e.g.
     rho = 1 never touches the control pool."""
     if spec.estimator == "recycling" and Z.family is Family.WEDGE:
         raise ValueError("recycling loss requires a pulse-family assignment")
-    hab, inst, _ = estimands(sched)
-    obs = observe(Z, sched)
-    return _loss_from_codes(Z.codes, obs.values, hab.values, inst.values, spec, exact=True)
+    _check_fits(Z, sched)
+    return _loss_evaluator(sched, spec, exact=True)(Z.codes)
 
 
 def _worker_count(requested: int | None) -> int:
@@ -174,27 +189,15 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    if (alloc.T != sched.T) or (alloc.N != sched.N):
-        raise ValueError(
-            f"allocation is N={alloc.N}, T={alloc.T} but schedule is "
-            f"N={sched.N}, T={sched.T}"
-        )
+    _check_sizes(alloc, sched)
     _check_seed(seed)
-    hab, inst, _ = estimands(sched)
-    stacked = sched.stacked()
-    base = np.repeat(np.arange(alloc.T + 1), alloc.counts)
-    unit_idx = np.arange(alloc.N)
+    evaluate = _loss_evaluator(sched, spec, exact=False)
     losses = np.empty(draws)
 
     def run(lo: int, hi: int) -> None:
         for r in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
-            codes = base.copy()
-            rng.shuffle(codes)
-            values = stacked[codes, unit_idx, :]
-            losses[r] = _loss_from_codes(
-                codes, values, hab.values, inst.values, spec, exact=False
-            )
+            Z = draw_assignment(alloc, seed=np.random.SeedSequence((seed, r)))
+            losses[r] = evaluate(Z.codes)
 
     n_workers = _worker_count(workers)
     if n_workers == 1:
@@ -214,31 +217,25 @@ def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpe
     """Exact risk by enumerating every assignment with the given counts
     (each equally likely under complete randomization).  Only viable at
     enumeration scale; replaces Monte-Carlo sampling in oracle checks."""
+    _check_sizes(alloc, sched)
+    evaluate = _loss_evaluator(sched, spec, exact=True)
+    losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
+    return fsum(losses) / len(losses)
+
+
+def _check_sizes(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSchedule) -> None:
     if (alloc.T != sched.T) or (alloc.N != sched.N):
         raise ValueError(
             f"allocation is N={alloc.N}, T={alloc.T} but schedule is "
             f"N={sched.N}, T={sched.T}"
         )
-    hab, inst, _ = estimands(sched)
-    stacked = sched.stacked()
-    unit_idx = np.arange(alloc.N)
-    losses = []
-    for arrangement in _iter_code_arrangements(alloc.counts):
-        codes = np.array(arrangement)
-        values = stacked[codes, unit_idx, :]
-        losses.append(
-            _loss_from_codes(codes, values, hab.values, inst.values, spec, exact=True)
-        )
-    return fsum(losses) / len(losses)
 
 
 def box_max_variance(N: int, lower: float, upper: float) -> float:
     """Largest sample variance of an N-vector with entries in
     [lower, upper]: half the entries at each end (upper gets the extra one
     when N is odd)."""
-    y = _extreme_vector(N, lower, upper)
-    mean = fsum(y.tolist()) / N
-    return fsum(((y - mean) ** 2).tolist()) / (N - 1)
+    return _population_variance(_extreme_vector(N, lower, upper))
 
 
 def _extreme_vector(N: int, lower: float, upper: float) -> np.ndarray:
@@ -277,23 +274,18 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
     if alloc.T != T:
         raise ValueError(f"allocation horizon {alloc.T} does not match T={T}")
     _check_vstar(vstar)
-    rho = spec.rho
-    terms = []
-    for i, ne in enumerate(alloc.ne):
+    for t, ne in enumerate(alloc.ne, start=2):
         if ne <= 0:
-            raise ValueError(f"pulse arm at t={i + 2} needs positive units")
-        terms.append(1.0 / ne)
-    if rho > 0.0:
-        if alloc.n1 <= 0:
-            raise ValueError("always-treated arm needs positive units")
-        terms.append(rho * (T - 1) / alloc.n1)
-    if rho < 1.0:
-        pools = _pool_arms(T, spec.estimator, spec.k) @ np.asarray(alloc.counts)
-        for t, pool in enumerate(pools.tolist(), start=2):
+            raise ValueError(f"pulse arm at t={t} needs positive units")
+    if spec.rho > 0.0 and alloc.n1 <= 0:
+        raise ValueError("always-treated arm needs positive units")
+    w, m = _risk_terms(T, spec.estimator, spec.rho, spec.k)
+    sizes = m @ np.asarray(alloc.counts, dtype=float)
+    if spec.rho < 1.0:  # the pool rows come last
+        for t, pool in enumerate(sizes[-(T - 1):].tolist(), start=2):
             if pool <= 0:
                 raise ValueError(f"empty control pool at t={t}")
-            terms.append((1.0 - rho) / pool)
-    val = vstar * fsum(terms)
+    val = vstar * fsum((w / sizes).tolist())
     return 2.0 * val if spec.unnormalized else val
 
 
@@ -340,8 +332,7 @@ def true_variances(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSc
     the selected instantaneous estimate under complete randomization with
     these counts.  Each is the two pools' variances over their sizes minus
     the (unidentifiable in practice) contrast variance over N."""
-    if (alloc.T != sched.T) or (alloc.N != sched.N):
-        raise ValueError("allocation and schedule sizes differ")
+    _check_sizes(alloc, sched)
     vc = variance_components(sched, t)
     N = sched.N
     ne = alloc.ne[t - 2]

@@ -9,8 +9,11 @@ then the unit numbers and non-numbers, then the non-finite values.  It
 checks and parses all cells in one pass and rescans row by row only to
 locate an error.  JSON documents are canonical (sorted keys, compact
 separators, shortest round-trip floats), so identical inputs always
-produce identical bytes.  All writes go through a temp file and rename,
-never a partial file.
+produce identical bytes.  The JSON readers take an object with every
+field present, integer fields as JSON integers, ``labels`` as a list and
+``arms`` as an object, and raise ``ParseError`` naming the field
+otherwise.  All writes go through a temp file and rename, never a partial
+file.
 """
 
 from __future__ import annotations
@@ -289,17 +292,37 @@ def assignment_to_json(Z: AssignmentMatrix) -> str:
     })
 
 
-def assignment_from_json(text: str) -> AssignmentMatrix:
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "list", dict: "object", type(None): "null"}
+
+
+def _json_object(text: str, fields: dict[str, type | None]) -> dict:
+    """Parse a JSON document that must be an object holding every field,
+    each of the given type (None: any).  An integer field takes a JSON
+    integer only, never a number with a fraction part or a boolean."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParseError(f"JSON document must be an object, got {_JSON_TYPES[type(doc)]}")
+    for name, kind in fields.items():
+        if name not in doc:
+            raise ParseError(f"JSON document has no {name!r} field")
+        if kind is not None and type(doc[name]) is not kind:
+            raise ParseError(f"field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
+                             f"got {_JSON_TYPES[type(doc[name])]}")
+    return doc
+
+
+def assignment_from_json(text: str) -> AssignmentMatrix:
+    doc = _json_object(text, {"t": int, "family": None, "labels": list})
     family = Family(doc["family"])
-    labels = list(doc["labels"])
+    labels = doc["labels"]
     bad = [lbl for lbl in labels if not isinstance(lbl, str)]
     if bad:
         raise ParseError(f"arm label must be a string, got {bad[0]!r}")
     # each distinct label is parsed once, in order of first occurrence
     table = {lbl: _arm_code(arm_from_label(lbl, family)) for lbl in dict.fromkeys(labels)}
     codes = np.fromiter(map(table.__getitem__, labels), dtype=np.int64, count=len(labels))
-    T = int(doc["t"])
+    T = doc["t"]
     _check_horizon(T)
     _check_codes(codes, T, lambda i: arm_from_label(labels[i], family))
     return AssignmentMatrix._from_codes(codes, T, family)
@@ -320,7 +343,7 @@ def schedule_to_json(sched: PotentialOutcomeSchedule) -> str:
 
 
 def schedule_from_json(text: str) -> PotentialOutcomeSchedule:
-    doc = json.loads(text)
+    doc = _json_object(text, {"n": int, "t": int, "arms": dict})
     arms = {
         arm_from_label(label): np.array(matrix, dtype=float)
         for label, matrix in doc["arms"].items()

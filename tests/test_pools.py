@@ -1,9 +1,10 @@
 """The control-pool table ``core._pool_arms`` against a reference.
 
-The reference is a test-local copy of the four separate encodings of the
-pool rule that the table replaced: the allocation objective's arm groups,
-the estimators' unit mask, ``augmented_controls`` and the risk module's
-pool sizes.  Every consumer of the table must agree with them exactly.
+The reference is a test-local copy of the separate encodings of the pool
+rule that the table replaced: the allocation objective's arm groups, the
+estimators' unit mask, ``augmented_controls``, the risk module's pool
+sizes and ``validate_schedule``'s column ranges.  Every consumer of the
+table must agree with them exactly.
 """
 
 from math import fsum
@@ -14,12 +15,16 @@ import pytest
 from conftest import random_schedule
 from tminimax.allocation import ObjectiveMode, _term_matrix
 from tminimax.core import (
+    ALWAYS_CONTROL,
     Allocation,
     AssignmentMatrix,
     Family,
+    PotentialOutcomeSchedule,
     _pool_arms,
     augmented_controls,
     observe,
+    pulse_arm,
+    validate_schedule,
 )
 from tminimax.estimators import (
     augmented_instantaneous_estimate,
@@ -55,6 +60,23 @@ def _ref_augmented_controls(codes, t, k=None):
     if k is not None:
         mask |= (codes >= 2) & (codes <= t - k)
     return frozenset(int(i) for i in np.nonzero(mask)[0])
+
+
+def _ref_validate_schedule(sched, k):
+    """Violations under the old column rule: a pulse arm must match the
+    control arm at t < tp and, with k, at t >= tp + k."""
+    control = sched.matrix(ALWAYS_CONTROL)
+    violations = []
+    for tp in range(2, sched.T + 1):
+        arm = pulse_arm(tp)
+        m = sched.matrix(arm)
+        cols = list(range(0, tp - 1))
+        if k is not None:
+            cols.extend(range(tp - 1 + k, sched.T))
+        for c in cols:
+            bad = np.nonzero(m[:, c] != control[:, c])[0]
+            violations.extend((arm, int(i), c + 1) for i in bad)
+    return tuple(violations)
 
 
 def _ref_control_count(alloc, t, estimator, k):
@@ -201,3 +223,19 @@ class TestPoolSizes:
             ne = alloc.ne[t - 2]
             want = vc.v0 / pool + vc.ve / ne - vc.v0e / alloc.N
             assert true_variances(alloc, sched, t, spec)[1] == want
+
+
+class TestValidateSchedule:
+    @pytest.mark.parametrize("T", range(2, 9))
+    def test_violations_match_the_reference(self, T):
+        rng = np.random.default_rng(600 + T)
+        for trial in range(6):
+            N = int(rng.integers(1, 5))
+            sched = random_schedule(rng, N, T, k=int(rng.integers(1, T + 1)) if trial % 2 else None)
+            arms = {arm: sched.matrix(arm).copy() for arm in sched.arms}
+            for arm in sched.arms[2:]:
+                arms[arm][rng.random((N, T)) < 0.3] += 1.0
+            broken = PotentialOutcomeSchedule(arms)
+            for k in [None, *range(1, T + 2)]:
+                for s in (sched, broken):
+                    assert validate_schedule(s, k).violations == _ref_validate_schedule(s, k)

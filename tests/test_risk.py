@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from math import fsum, sqrt
 
 import numpy as np
@@ -181,7 +182,31 @@ LOSS_PATH_GOLDEN = {
 }
 
 
+# sha256 of the float.hex of max_risk over the seeded sweep in
+# _max_risk_sweep_digest; recorded before max_risk read the term table
+MAX_RISK_GOLDEN = "53bc87933b168a8c37ae85a03f9a6c761bee209fe150063db59cc0871016e330"
+
+
+def _max_risk_sweep_digest():
+    rng = np.random.default_rng(31)
+    digest = hashlib.sha256()
+    for T in range(2, 41):
+        for estimator in ("plugin", "augmented", "recycling"):
+            k = int(rng.integers(1, T + 1)) if estimator == "recycling" else None
+            for rho in (0.0, 0.3, 0.5, 1.0):
+                for unnormalized in (False, True):
+                    counts = rng.integers(1, 1000, size=T + 1)
+                    alloc = Allocation(int(counts[0]), int(counts[1]),
+                                       tuple(counts[2:].tolist()))
+                    spec = LossSpec(estimator, rho, k, unnormalized)
+                    digest.update(max_risk(alloc, T, 1.7, spec).hex().encode())
+    return digest.hexdigest()
+
+
 class TestGoldenBits:
+    def test_max_risk(self):
+        assert _max_risk_sweep_digest() == MAX_RISK_GOLDEN
+
     @pytest.mark.parametrize("spec", [
         LossSpec("plugin", 0.5, unnormalized=True),
         LossSpec("augmented", 0.3),
@@ -275,6 +300,23 @@ class TestMaxRisk:
                 1.7 * objective(alloc, 4, mode), rel=1e-14
             )
 
+    def test_equals_vstar_times_objective_bit_for_bit(self):
+        # one term table serves both, so the pairings that share its
+        # grouping agree exactly, not just to rounding
+        rng = np.random.default_rng(52)
+        for T in range(2, 16):
+            counts = rng.integers(1, 300, size=T + 1)
+            alloc = Allocation(int(counts[0]), int(counts[1]), tuple(counts[2:].tolist()))
+            vstar = float(rng.uniform(0.1, 5.0))
+            k = int(rng.integers(1, T + 1))
+            pairs = [(LossSpec("augmented", 0.5, unnormalized=True), ObjectiveMode.augmented()),
+                     (LossSpec("recycling", 0.5, k=k, unnormalized=True),
+                      ObjectiveMode.recycling(k))]
+            pairs += [(LossSpec("augmented", rho), ObjectiveMode.weighted(rho))
+                      for rho in (0.0, 0.3, 0.5, 0.8, 1.0)]
+            for spec, mode in pairs:
+                assert max_risk(alloc, T, vstar, spec) == vstar * objective(alloc, T, mode)
+
     def test_minimax_beats_balanced(self):
         spec = LossSpec("plugin", 0.5, unnormalized=True)
         for N, T in [(30, 3), (100, 6), (1000, 20)]:
@@ -325,6 +367,17 @@ class TestExactAndMcRisk:
         a = mc_risk(alloc, sched, spec, draws=500, seed=3, workers=1)
         b = mc_risk(alloc, sched, spec, draws=500, seed=3, workers=4)
         assert a.mc_risk == b.mc_risk and a.mc_se == b.mc_se
+
+    def test_estimands_computed_once_per_risk(self, monkeypatch):
+        from tminimax import risk
+
+        calls = []
+        monkeypatch.setattr(risk, "estimands", lambda sched: calls.append(sched) or estimands(sched))
+        sched = random_schedule(np.random.default_rng(11), 6, 3)
+        alloc = spread_allocation(6, 3)
+        mc_risk(alloc, sched, LossSpec("augmented", 0.5), draws=20, seed=1)
+        exact_risk(alloc, sched, LossSpec("plugin", 0.5))
+        assert calls == [sched, sched]  # once per call, not per assignment
 
     def test_thread_env_caps_workers(self, monkeypatch):
         from tminimax.risk import _worker_count
@@ -378,6 +431,27 @@ class TestExactAndMcRisk:
         exact = exact_risk(alloc, sched, spec)
         report = mc_risk(alloc, sched, spec, draws=3000, seed=4)
         assert abs(report.mc_risk - exact) < 3 * max(report.mc_se, 1e-12)
+
+
+class TestSizeMismatch:
+    def test_loss_names_the_assignment_and_schedule_shapes(self):
+        Z = draw_assignment(Allocation(1, 1, (1, 2)), seed=0)
+        with pytest.raises(ValueError,
+                           match=re.escape("assignment is 5 x 3 but schedule is 4 x 3")):
+            loss(Z, constant_schedule(4, 3), LossSpec("plugin", 0.5))
+
+    @pytest.mark.parametrize("sched", [constant_schedule(4, 3), constant_schedule(5, 4)],
+                             ids=["N", "T"])
+    @pytest.mark.parametrize("call", [
+        lambda a, s: mc_risk(a, s, LossSpec("plugin", 0.5), draws=2, seed=0),
+        lambda a, s: exact_risk(a, s, LossSpec("plugin", 0.5)),
+        lambda a, s: true_variances(a, s, 2, LossSpec("plugin", 0.5)),
+    ], ids=["mc_risk", "exact_risk", "true_variances"])
+    def test_risks_name_the_allocation_and_schedule_sizes(self, sched, call):
+        alloc = Allocation(1, 1, (1, 2))
+        message = f"allocation is N=5, T=3 but schedule is N={sched.N}, T={sched.T}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(alloc, sched)
 
 
 class TestVarianceComponents:

@@ -423,7 +423,7 @@ class TestAssignmentJson:
         ('{"family":"wedge","labels":["pulse_4","pulse_5","pulse_5"],"t":3}',
          "ArmId(pulse_5, wedge) does not fit horizon T=3"),
         ('{"family":"pulse","labels":{"always0":1,"pulse_5":2},"t":3}',
-         "ArmId(pulse_5) does not fit horizon T=3"),
+         "field 'labels' must be a JSON list, got object"),
         ('{"family":"pulse","labels":[],"t":3}',
          "assignment needs at least one unit"),
         ('{"family":"pulse","labels":["pulse_5"],"t":1}',
@@ -487,6 +487,55 @@ class TestAssignmentCsvGolden:
             # with no unit in a pulse arm the family is pulse whatever was asked
             expected = Family.PULSE if name == "empty_pulse_arms" else family
             assert Z.family is expected
+
+
+class TestJsonShape:
+    """A document of the wrong shape is a ParseError naming the field."""
+
+    @pytest.mark.parametrize("doc,message", [
+        ('["always0","pulse_2"]', "JSON document must be an object, got list"),
+        ('"pulse"', "JSON document must be an object, got string"),
+        ('{"family":"pulse","labels":["always0"]}', "JSON document has no 't' field"),
+        ('{"labels":["always0"],"t":2}', "JSON document has no 'family' field"),
+        ('{"family":"pulse","t":2}', "JSON document has no 'labels' field"),
+        ('{"family":"pulse","labels":["always0"],"t":2.7}',
+         "field 't' must be a JSON integer, got number"),
+        ('{"family":"pulse","labels":["always0"],"t":2.0}',
+         "field 't' must be a JSON integer, got number"),
+        ('{"family":"pulse","labels":["always0"],"t":"3"}',
+         "field 't' must be a JSON integer, got string"),
+        ('{"family":"pulse","labels":["always0"],"t":true}',
+         "field 't' must be a JSON integer, got boolean"),
+        ('{"family":"pulse","labels":["always0"],"t":null}',
+         "field 't' must be a JSON integer, got null"),
+        ('{"family":"pulse","labels":5,"t":2}', "field 'labels' must be a JSON list, got integer"),
+        ('{"family":"pulse","labels":"always0","t":2}',
+         "field 'labels' must be a JSON list, got string"),
+    ], ids=["list", "string", "no_t", "no_family", "no_labels", "t_float", "t_integral_float",
+            "t_string", "t_bool", "t_null", "labels_int", "labels_string"])
+    def test_assignment(self, doc, message):
+        with pytest.raises(ParseError) as info:
+            assignment_from_json(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc,message", [
+        ("[1, 2]", "JSON document must be an object, got list"),
+        ('{"n":1,"t":2}', "JSON document has no 'arms' field"),
+        ('{"arms":{},"t":2}', "JSON document has no 'n' field"),
+        ('{"arms":{},"n":1}', "JSON document has no 't' field"),
+        ('{"arms":{},"n":1.5,"t":2}', "field 'n' must be a JSON integer, got number"),
+        ('{"arms":{},"n":false,"t":2}', "field 'n' must be a JSON integer, got boolean"),
+        ('{"arms":{},"n":1,"t":"2"}', "field 't' must be a JSON integer, got string"),
+        ('{"arms":[],"n":1,"t":2}', "field 'arms' must be a JSON object, got list"),
+    ], ids=["list", "no_arms", "no_n", "no_t", "n_float", "n_bool", "t_string", "arms_list"])
+    def test_schedule(self, doc, message):
+        with pytest.raises(ParseError) as info:
+            schedule_from_json(doc)
+        assert str(info.value) == message
+
+    def test_integer_fields_still_read(self):
+        Z = assignment_from_json('{"family":"pulse","labels":["always0","pulse_3"],"t":3}')
+        assert Z.T == 3 and Z.codes.tolist() == [0, 3]
 
 
 class TestScheduleFormats:
