@@ -13,6 +13,9 @@ allocation objectives are that table too (only basic merges its pools
 into one term), so ``max_risk`` is vstar times the matching objective.
 ``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
 loss evaluator per schedule, which computes its estimands once.
+
+scipy is loaded only when a confidence interval is computed
+(``conservative_ci``); importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from math import fsum, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ALWAYS_CONTROL,
@@ -234,15 +237,32 @@ def _check_sizes(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSche
 def box_max_variance(N: int, lower: float, upper: float) -> float:
     """Largest sample variance of an N-vector with entries in
     [lower, upper]: half the entries at each end (upper gets the extra one
-    when N is odd)."""
-    return _population_variance(_extreme_vector(N, lower, upper))
+    when N is odd).
+
+    O(1) in N with the bits of ``_population_variance`` on that vector:
+    fsum rounds the exact sum once, and so does each exact rational sum
+    here (the squares are the same floats)."""
+    _check_box(N, lower, upper)
+    m = (N + 1) // 2
+    mean = float(Fraction(upper) * m + Fraction(lower) * (N - m)) / N
+    a = (upper - mean) * (upper - mean)
+    b = (lower - mean) * (lower - mean)
+    if math.isinf(a) or math.isinf(b):  # a square overflowed; fsum returns inf
+        return math.inf
+    return float(Fraction(a) * m + Fraction(b) * (N - m)) / (N - 1)
 
 
-def _extreme_vector(N: int, lower: float, upper: float) -> np.ndarray:
+def _check_box(N: int, lower: float, upper: float) -> None:
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if not lower < upper:
         raise ValueError(f"degenerate box [{lower}, {upper}]")
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"box bounds must be finite, got [{lower}, {upper}]")
+
+
+def _extreme_vector(N: int, lower: float, upper: float) -> np.ndarray:
+    _check_box(N, lower, upper)
     y = np.full(N, lower, dtype=float)
     y[: (N + 1) // 2] = upper
     return y
@@ -353,7 +373,8 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     The variance estimate sums each pool's sample variance over its size;
     dropping the negative contrast-variance term (unknowable from one
     realization) makes the interval conservative.  Both pools need at
-    least two units.
+    least two units.  scipy is imported here, on the first call, not when
+    the module is.
     """
     _check_inputs(Z, obs, t)
     if not 0.0 < level < 1.0:
@@ -378,7 +399,9 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
                 f"conservative variance needs >= 2 units per pool, got {n}"
             )
         variance += _population_variance(obs.values[mask, col]) / n
-    z = float(norm.ppf(0.5 + level / 2.0))
+    # A CI is the only scipy use; a module-level import would cost every command 0.6 s.
+    from scipy.special import ndtri
+    z = float(ndtri(0.5 + level / 2.0))
     return estimate, z * sqrt(variance)
 
 

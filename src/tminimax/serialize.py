@@ -10,16 +10,17 @@ checks and parses all cells in one pass and rescans row by row only to
 locate an error.  JSON documents are canonical (sorted keys, compact
 separators, shortest round-trip floats), so identical inputs always
 produce identical bytes.  The JSON readers take an object with every
-field present, integer fields as JSON integers, ``labels`` as a list and
-``arms`` as an object, and raise ``ParseError`` naming the field
-otherwise.  All writes go through a temp file and rename, never a partial
-file.
+field present, integer fields as JSON integers, ``labels`` as a list,
+``arms`` as an object and each matrix cell as a finite JSON number, and
+raise ``ParseError`` naming the field or arm otherwise.  All writes go
+through a temp file and rename, never a partial file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from typing import NoReturn, Sequence
 
@@ -342,10 +343,30 @@ def schedule_to_json(sched: PotentialOutcomeSchedule) -> str:
     })
 
 
+def _arm_matrix(label: str, matrix) -> np.ndarray:
+    """One arm's matrix as floats.  Every cell must be a JSON integer or
+    float within float range, never a boolean, string, null, NaN or
+    Infinity; the matrix's shape is checked by the schedule."""
+    rows = matrix if type(matrix) is list else [matrix]
+    for row in rows:
+        for cell in row if type(row) is list else [row]:
+            if type(cell) not in (int, float) or not abs(cell) <= sys.float_info.max:
+                if type(cell) is float:  # NaN, Infinity or -Infinity
+                    got = json.dumps(cell)
+                elif type(cell) is int:
+                    got = "integer beyond float range"
+                else:
+                    got = _JSON_TYPES[type(cell)]
+                raise ParseError(
+                    f"arm {label!r}: matrix cell must be a finite JSON number, got {got}"
+                )
+    return np.array(matrix, dtype=float)
+
+
 def schedule_from_json(text: str) -> PotentialOutcomeSchedule:
     doc = _json_object(text, {"n": int, "t": int, "arms": dict})
     arms = {
-        arm_from_label(label): np.array(matrix, dtype=float)
+        arm_from_label(label): _arm_matrix(label, matrix)
         for label, matrix in doc["arms"].items()
     }
     sched = PotentialOutcomeSchedule(arms)

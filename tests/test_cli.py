@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -292,3 +295,14 @@ class TestSimulate:
             manifests.append(doc)
         assert texts[0] == texts[1]
         assert manifests[0] == manifests[1]
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # scipy.stats alone costs each command about 0.6 s of start-up
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import sys, tminimax, tminimax.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

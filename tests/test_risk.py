@@ -281,6 +281,40 @@ class TestWorstCaseSchedule:
         with pytest.raises(ValueError):
             worst_case_schedule(4, 3, 1.0, 1.0)
 
+    @staticmethod
+    def _box_max_variance_on_vector(N, lower, upper):
+        """The O(N) form: fsum variance of the extreme vector itself."""
+        y = np.full(N, lower, dtype=float)
+        y[: (N + 1) // 2] = upper
+        mean = fsum(y.tolist()) / N
+        return fsum(((y - mean) ** 2).tolist()) / (N - 1)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 7, 10, 999, 1000, 100_000, 100_001])
+    @pytest.mark.parametrize("lower,upper", [
+        (0.0, 1.0), (-1.0, 2.0), (-0.3, 0.1), (-7.25e3, 1.1e-2), (0.1, 0.7),
+        (1e-300, 3e-300), (-5e-310, 2e-309), (-1e150, 3e150), (2e140, 9e149),
+        (-1e200, 1e200),
+    ], ids=["unit", "mixed", "mixed_small", "mixed_skew", "positive", "tiny",
+            "subnormal", "huge", "huge_positive", "square_overflows"])
+    def test_box_max_variance_matches_vector_form_bitwise(self, N, lower, upper):
+        with np.errstate(over="ignore"):
+            expected = self._box_max_variance_on_vector(N, lower, upper)
+        assert box_max_variance(N, lower, upper) == expected
+
+    def test_box_max_variance_is_constant_time(self):
+        assert box_max_variance(10_000_000, 0.0, 1.0) == 0.2500000250000025
+
+    @pytest.mark.parametrize("N,lower,upper,message", [
+        (1, 0.0, 1.0, "need N >= 2, got 1"),
+        (4, 1.0, 1.0, r"degenerate box \[1.0, 1.0\]"),
+        (4, float("nan"), 1.0, r"degenerate box \[nan, 1.0\]"),
+        (4, -float("inf"), 1.0, r"box bounds must be finite, got \[-inf, 1.0\]"),
+        (4, 0.0, float("inf"), r"box bounds must be finite, got \[0.0, inf\]"),
+    ])
+    def test_box_max_variance_rejects_bad_boxes(self, N, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            box_max_variance(N, lower, upper)
+
 
 class TestMaxRisk:
     def test_reference_value(self):
@@ -575,6 +609,26 @@ class TestConservativeCI:
         s_pulse = obs.values[codes == 2, 1].var(ddof=1) / (codes == 2).sum()
         s_ctrl = obs.values[codes == 0, 1].var(ddof=1) / (codes == 0).sum()
         assert hw == pytest.approx(1.959964 * sqrt(s_pulse + s_ctrl), rel=1e-6)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12])
+    def test_quantile_bits_match_norm_ppf(self, level):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 + level / 2.0))
+        assert float(ndtri(0.5 + level / 2.0)) == z
+        rng = np.random.default_rng(5)
+        N, T = 12, 3
+        sched = random_schedule(rng, N, T)
+        Z = draw_assignment(spread_allocation(N, T), seed=3)
+        obs = observe(Z, sched)
+        _, hw = conservative_ci(Z, obs, 2, LossSpec("plugin"), level)
+        variance = 0.0
+        for mask in (Z.codes == 2, Z.codes == 0):
+            y = obs.values[mask, 1]
+            mean = fsum(y.tolist()) / len(y)
+            variance += fsum(((y - mean) ** 2).tolist()) / (len(y) - 1) / len(y)
+        assert hw == z * sqrt(variance)
 
     def test_habituation_target(self):
         rng = np.random.default_rng(4)

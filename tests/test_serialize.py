@@ -533,6 +533,39 @@ class TestJsonShape:
             schedule_from_json(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("cell,got", [
+        ('{"a":1}', "object"),
+        ("null", "null"),
+        ("true", "boolean"),
+        ('"1"', "string"),
+        ("[1]", "list"),
+        ("NaN", "NaN"),
+        ("Infinity", "Infinity"),
+        ("-Infinity", "-Infinity"),
+        ("1e400", "Infinity"),
+        ("1" + "0" * 400, "integer beyond float range"),
+    ], ids=["object", "null", "bool", "string", "list", "nan", "inf", "neg_inf",
+            "overflowing_float", "overflowing_int"])
+    def test_schedule_cell(self, cell, got):
+        doc = ('{"arms":{"always0":[[0.5,1]],"always1":[[1,' + cell + ']],'
+               '"pulse_2":[[0.5,2]]},"n":1,"t":2}')
+        with pytest.raises(ParseError) as info:
+            schedule_from_json(doc)
+        assert str(info.value) == (
+            f"arm 'always1': matrix cell must be a finite JSON number, got {got}"
+        )
+
+    def test_schedule_matrix_as_object(self):
+        with pytest.raises(ParseError, match="arm 'always0': matrix cell must be a finite "
+                                             "JSON number, got object"):
+            schedule_from_json('{"arms":{"always0":{"a":1}},"n":1,"t":2}')
+
+    def test_schedule_numbers_still_read(self):
+        sched = schedule_from_json('{"arms":{"always0":[[0,1.5]],"always1":[[-2,1e-3]],'
+                                   '"pulse_2":[[0,7]]},"n":1,"t":2}')
+        assert sched.N == 1 and sched.T == 2
+        assert sched.matrix(ALWAYS_CONTROL).tolist() == [[0.0, 1.5]]
+
     def test_integer_fields_still_read(self):
         Z = assignment_from_json('{"family":"pulse","labels":["always0","pulse_3"],"t":3}')
         assert Z.T == 3 and Z.codes.tolist() == [0, 3]
