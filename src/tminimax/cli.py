@@ -124,7 +124,7 @@ def _cmd_design(args, argv: list[str]) -> int:
 
 def _cmd_estimate(args, argv: list[str]) -> int:
     Z = read_assignment_csv(args.assignment)
-    obs = ObservedOutcomes(read_matrix_csv(args.outcomes))
+    obs = ObservedOutcomes._owned(read_matrix_csv(args.outcomes))
     if args.estimator == "recycling" and args.k is None:
         raise ValueError("--estimator recycling requires --k")
     instantaneous = {

@@ -471,6 +471,12 @@ class PotentialOutcomeSchedule:
         """(T+1, N, T) array indexed by arm code; read-only view."""
         return self._stacked
 
+    def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Fresh N x T array whose row i is row i of the matrix of arm
+        ``codes[i]``, gathered with one take over the (T+1)N rows."""
+        rows = codes.astype(np.intp, copy=False) * self._N + np.arange(self._N)
+        return self._stacked.reshape(-1, self._T).take(rows, axis=0)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PotentialOutcomeSchedule):
             return NotImplemented
@@ -496,6 +502,15 @@ class ObservedOutcomes:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _owned(cls, values: np.ndarray) -> "ObservedOutcomes":
+        """Trusted constructor: ``values`` is a fresh N x T float array,
+        which the new instance takes over and freezes without a copy."""
+        obs = cls.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(obs, "values", values)
+        return obs
+
     @property
     def N(self) -> int:
         return self.values.shape[0]
@@ -514,8 +529,7 @@ def observe(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> ObservedOut
     """Realize the experiment: row i is row i of the schedule matrix for
     unit i's arm."""
     _check_fits(Z, sched)
-    values = sched.stacked()[Z.codes, np.arange(Z.N), :]
-    return ObservedOutcomes(values)
+    return ObservedOutcomes._owned(sched._observed_rows(Z.codes))
 
 
 @dataclass(frozen=True)

@@ -115,15 +115,17 @@ def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeri
 # ---------------------------------------------------------------------------
 
 
-def _pool_mean(values: np.ndarray, mask: np.ndarray, col: int, what: str,
-               exact: bool = True) -> float:
-    """Mean of column ``col`` over the masked units: summed with fsum, or
-    with numpy's sum when not ``exact``."""
-    n = np.count_nonzero(mask)
-    if n == 0:
+def _picked_mean(picked: np.ndarray, what: str, exact: bool = True) -> float:
+    """Mean of one pool's outcomes, ``picked`` in unit order: summed with
+    fsum, or with numpy's pairwise sum when not ``exact``."""
+    if not len(picked):
         raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
-    picked = values[:, col][mask]
-    return (fsum(picked.tolist()) if exact else picked.sum()) / n
+    return (fsum(picked.tolist()) if exact else picked.sum()) / len(picked)
+
+
+def _pool_mean(values: np.ndarray, mask: np.ndarray, col: int, what: str) -> float:
+    """fsum mean of column ``col`` over the masked units."""
+    return _picked_mean(np.compress(mask, values[:, col]), what)
 
 
 def _habituation(codes: np.ndarray, values: np.ndarray, t: int) -> float:

@@ -12,7 +12,12 @@ control-pool) counts, the term table ``core._risk_terms``.  The
 allocation objectives are that table too (only basic merges its pools
 into one term), so ``max_risk`` is vstar times the matching objective.
 ``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
-loss evaluator per schedule, which computes its estimands once.
+loss evaluator per schedule, which computes its estimands once.  Per
+assignment it gathers the observed rows with one take and groups the
+units by arm once (a bincount and a stable argsort of the codes); each
+arm and control pool is then read at its units in ascending order.  The
+picked arrays are exactly those a boolean mask over the column gives, so
+numpy's pairwise sums and fsum over them, and every risk, keep their bits.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -51,7 +56,7 @@ from .estimators import (
     _check_inputs,
     _habituation,
     _instantaneous,
-    _pool_mean,
+    _picked_mean,
     _pool_name,
     estimands,
 )
@@ -122,7 +127,17 @@ class RiskReport:
 
 def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
                      inst: np.ndarray, spec: LossSpec, exact: bool) -> float:
-    """Loss of one assignment given precomputed estimand arrays.
+    """Loss of one assignment given its observed N x T ``values`` and
+    precomputed estimand arrays.
+
+    Units are grouped by arm once per call: one bincount gives the arm
+    counts, and one stable argsort of the codes lists the units of each
+    arm in ascending order.  The always-treated and pulse-t outcomes at t
+    are then read from column t at those units.  The control pool is a
+    boolean membership vector, updated at each t only for the arms that
+    join or leave the pool, and read at its units in ascending order.
+    Each picked array holds the same units in the same order as a boolean
+    mask over the column would, so every sum keeps its bits.
 
     ``exact=True`` sums each pool with fsum (bit-stable under unit
     relabeling); ``exact=False`` sums it with numpy, the fast path used by
@@ -130,20 +145,31 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
     """
     T = values.shape[1]
     pools = _pool_arms(T, spec.estimator, spec.k)
-    treated = codes == 1
+    # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
+    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=T + 1)).tolist()]
+    treated = by_arm[bounds[1]:bounds[2]]
+    pooled = np.zeros(T + 1, dtype=bool)  # the arms ``in_pool`` marks
+    in_pool = np.zeros(len(codes), dtype=bool)
     hab_terms = []
     inst_terms = []
     for t in range(2, T + 1):
-        col = t - 1
+        col = values[:, t - 1]
         if spec.rho > 0.0:
-            treated_mean = _pool_mean(values, treated, col, "the always-treated arm", exact)
-        pulse_mean = _pool_mean(values, codes == t, col, f"the pulse arm at t={t}", exact)
+            treated_mean = _picked_mean(col[treated], "the always-treated arm", exact)
+        pulse_mean = _picked_mean(col[by_arm[bounds[t]:bounds[t + 1]]],
+                                  f"the pulse arm at t={t}", exact)
         if spec.rho > 0.0:
             err = (treated_mean - pulse_mean) - hab[t - 2]
             hab_terms.append(err * err)
         if spec.rho < 1.0:
-            pool_mean = _pool_mean(values, pools[t - 2][codes], col,
-                                   _pool_name(spec.estimator, t), exact)
+            changed = (pools[t - 2] != pooled).nonzero()[0].tolist()
+            for arm in changed:
+                in_pool[by_arm[bounds[arm]:bounds[arm + 1]]] = pools[t - 2][arm]
+            if changed:  # always at t = 2, since every pool holds arm 0
+                pooled = pools[t - 2]
+                pool_units = in_pool.nonzero()[0]
+            pool_mean = _picked_mean(col[pool_units], _pool_name(spec.estimator, t), exact)
             err = (pulse_mean - pool_mean) - inst[t - 2]
             inst_terms.append(err * err)
     val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
@@ -155,10 +181,9 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
 def _loss_evaluator(sched: PotentialOutcomeSchedule, spec: LossSpec,
                     exact: bool) -> Callable[[np.ndarray], float]:
     """The loss of an arm-code vector against ``sched``, whose estimands are
-    computed once.  No ``observe``: its copy costs more than each draw's gather."""
+    computed once."""
     hab, inst, _ = estimands(sched)
-    stacked, unit_idx = sched.stacked(), np.arange(sched.N)
-    return lambda codes: _loss_from_codes(codes, stacked[codes, unit_idx, :], hab.values,
+    return lambda codes: _loss_from_codes(codes, sched._observed_rows(codes), hab.values,
                                           inst.values, spec, exact)
 
 

@@ -11,9 +11,10 @@ locate an error.  JSON documents are canonical (sorted keys, compact
 separators, shortest round-trip floats), so identical inputs always
 produce identical bytes.  The JSON readers take an object with every
 field present, integer fields as JSON integers, ``labels`` as a list,
-``arms`` as an object and each matrix cell as a finite JSON number, and
-raise ``ParseError`` naming the field or arm otherwise.  All writes go
-through a temp file and rename, never a partial file.
+``arms`` as an object, each matrix cell as a finite JSON number and each
+matrix row with the shape of its first row, and raise ``ParseError``
+naming the field or arm otherwise.  All writes go through a temp file and
+rename, never a partial file.
 """
 
 from __future__ import annotations
@@ -343,10 +344,15 @@ def schedule_to_json(sched: PotentialOutcomeSchedule) -> str:
     })
 
 
+def _row_shape(row) -> str:
+    return f"a list of length {len(row)}" if type(row) is list else "a number"
+
+
 def _arm_matrix(label: str, matrix) -> np.ndarray:
     """One arm's matrix as floats.  Every cell must be a JSON integer or
     float within float range, never a boolean, string, null, NaN or
-    Infinity; the matrix's shape is checked by the schedule."""
+    Infinity, and every row must have the shape of row 0; the matrix's
+    N x T shape is checked by the schedule."""
     rows = matrix if type(matrix) is list else [matrix]
     for row in rows:
         for cell in row if type(row) is list else [row]:
@@ -360,6 +366,10 @@ def _arm_matrix(label: str, matrix) -> np.ndarray:
                 raise ParseError(
                     f"arm {label!r}: matrix cell must be a finite JSON number, got {got}"
                 )
+    for i, row in enumerate(rows):
+        if _row_shape(row) != _row_shape(rows[0]):
+            raise ParseError(f"arm {label!r}: row {i} is {_row_shape(row)} "
+                             f"but row 0 is {_row_shape(rows[0])}")
     return np.array(matrix, dtype=float)
 
 

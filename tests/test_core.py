@@ -12,6 +12,7 @@ from tminimax.core import (
     Allocation,
     AssignmentMatrix,
     Family,
+    ObservedOutcomes,
     PotentialOutcomeSchedule,
     arm_from_label,
     arms_for_horizon,
@@ -257,6 +258,21 @@ class TestObserve:
         Z = draw_assignment(spread_allocation(4, 2), seed=0)
         with pytest.raises(ValueError):
             observe(Z, sched)
+
+    def test_rows_match_each_units_arm_and_are_frozen(self):
+        sched = random_schedule(np.random.default_rng(9), 50, 4)
+        Z = draw_assignment(spread_allocation(50, 4), seed=3)
+        values = observe(Z, sched).values
+        expected = [sched.matrix(arm)[i] for i, arm in enumerate(Z.arm_labels)]
+        assert np.array_equal(values, expected)
+        assert not values.flags.writeable
+
+    def test_public_constructor_copies(self):
+        raw = np.zeros((2, 3))
+        obs = ObservedOutcomes(raw)
+        raw[0, 0] = 1.0
+        assert obs.values[0, 0] == 0.0
+        assert raw.flags.writeable and not obs.values.flags.writeable
 
 
 class TestValidateSchedule:

@@ -66,6 +66,38 @@ class TestLossSpec:
             LossSpec("huber", 0.5)
 
 
+def _naive_loss(codes, values, hab, inst, spec, exact):
+    """The loss as a boolean mask over each column picks each pool: the
+    reference ``_loss_from_codes`` must match bit for bit."""
+    from tminimax.core import _pool_arms
+    from tminimax.estimators import EstimatorUndefinedError, _pool_name
+
+    def pool_mean(mask, col, what):
+        n = np.count_nonzero(mask)
+        if n == 0:
+            raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
+        picked = values[:, col][mask]
+        return (fsum(picked.tolist()) if exact else picked.sum()) / n
+
+    T = values.shape[1]
+    pools = _pool_arms(T, spec.estimator, spec.k)
+    hab_terms, inst_terms = [], []
+    for t in range(2, T + 1):
+        col = t - 1
+        if spec.rho > 0.0:
+            treated_mean = pool_mean(codes == 1, col, "the always-treated arm")
+        pulse_mean = pool_mean(codes == t, col, f"the pulse arm at t={t}")
+        if spec.rho > 0.0:
+            err = (treated_mean - pulse_mean) - hab[t - 2]
+            hab_terms.append(err * err)
+        if spec.rho < 1.0:
+            pool = pool_mean(pools[t - 2][codes], col, _pool_name(spec.estimator, t))
+            err = (pulse_mean - pool) - inst[t - 2]
+            inst_terms.append(err * err)
+    val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
+    return 2.0 * val if spec.unnormalized else val
+
+
 class TestLoss:
     def test_constant_schedule_gives_zero(self):
         sched = constant_schedule(6, 3)
@@ -132,8 +164,17 @@ class TestLoss:
          "no units in the augmented control pool at t=3"),
         ([1, 2, 3], LossSpec("recycling", 0.5, k=2),
          "no units in the recycled control pool at t=3"),
+        ([0, 0, 0], LossSpec("plugin", 0.5), "no units in the always-treated arm"),
+        ([0, 0, 0], LossSpec("plugin", 0.0), "no units in the pulse arm at t=2"),
+        ([3, 3, 3], LossSpec("augmented", 0.0), "no units in the pulse arm at t=2"),
+        ([1, 2, 2], LossSpec("plugin", 0.5), "no units in the always-control arm"),
+        ([1, 2, 2], LossSpec("augmented", 0.5),
+         "no units in the augmented control pool at t=2"),
+        ([1, 2, 2], LossSpec("plugin", 1.0), "no units in the pulse arm at t=3"),
     ], ids=["treated", "pulse", "treated-before-pulse", "pulse-at-rho-0", "plugin-pool",
-            "augmented-pool", "recycled-pool"])
+            "augmented-pool", "recycled-pool", "all-but-control-empty",
+            "all-but-control-empty-rho-0", "only-last-pulse", "pool-before-later-pulse",
+            "augmented-pool-before-later-pulse", "later-pulse-at-rho-1"])
     def test_both_paths_raise_the_same_message(self, codes, spec, message):
         from tminimax.estimators import EstimatorUndefinedError
         from tminimax.risk import _loss_from_codes
@@ -144,6 +185,33 @@ class TestLoss:
             with pytest.raises(EstimatorUndefinedError) as info:
                 _loss_from_codes(codes, values, np.zeros(2), np.zeros(2), spec, exact)
             assert str(info.value) == "estimator undefined: " + message
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin", 0.5), LossSpec("plugin", 0.0), LossSpec("plugin", 1.0),
+        LossSpec("augmented", 0.3, unnormalized=True), LossSpec("augmented", 0.0),
+        LossSpec("recycling", 0.5, k=1), LossSpec("recycling", 0.3, k=3),
+    ], ids=lambda s: f"{s.estimator}-{s.rho}")
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
+    def test_matches_the_boolean_mask_loss_bitwise(self, spec, exact):
+        from tminimax.estimators import EstimatorUndefinedError
+        from tminimax.risk import _loss_from_codes
+
+        rng = np.random.default_rng(41)
+        # T = 300 sorts the codes as uint16; N = 12 at T = 8 leaves arms empty
+        for N, T in ((37, 4), (12, 8), (1500, 20), (5000, 300)):
+            values = rng.normal(size=(N, T))
+            hab, inst = rng.normal(size=T - 1), rng.normal(size=T - 1)
+            for _ in range(3):
+                codes = rng.integers(0, T + 1, size=N)
+                try:
+                    want = _naive_loss(codes, values, hab, inst, spec, exact).hex()
+                except EstimatorUndefinedError as exc:
+                    want = str(exc)
+                try:
+                    got = _loss_from_codes(codes, values, hab, inst, spec, exact).hex()
+                except EstimatorUndefinedError as exc:
+                    got = str(exc)
+                assert got == want
 
     def test_recycling_loss_rejects_wedge(self):
         from tminimax.core import AssignmentMatrix, Family
@@ -168,6 +236,21 @@ EXACT_RISK_GOLDEN = {
     "plugin": ("0x1.bb7535ac21c3bp+1", "0x1.14c2d254e0de0p-2"),
     "augmented": ("0x1.e8adc4d2e549cp+0", "0x1.42a1bdb5bbaf9p-3"),
     "recycling": ("0x1.631b543e39e8ep+0", "0x1.a496fc2828050p-3"),
+}
+
+# float.hex of (mc_risk, mc_se) at N=2000, T=20, workers 1 and 2, for the
+# seeded case in test_mc_risk_at_benchmark_shape; recorded before the loss
+# grouped units by arm, and the bits must not move
+MC_RISK_N2000_GOLDEN = {
+    ('plugin', 0.0): ('0x1.3d06bab9b39a2p-2', '0x1.ec582d12d603cp-6'),
+    ('plugin', 0.3): ('0x1.67c9725bab101p-2', '0x1.ce5908fa7493cp-6'),
+    ('plugin', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
+    ('augmented', 0.0): ('0x1.e8ab70b37c10dp-3', '0x1.88934fc296e96p-6'),
+    ('augmented', 0.3): ('0x1.34e723e54bf6ep-2', '0x1.b8eff7d83c428p-6'),
+    ('augmented', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
+    ('recycling', 0.0): ('0x1.c5c3dfd7fe7a7p-3', '0x1.4c79aca2791ddp-6'),
+    ('recycling', 0.3): ('0x1.28afb13213357p-2', '0x1.9d849970f2644p-6'),
+    ('recycling', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
 }
 
 # sha256 of the float.hex of _loss_from_codes on draws 0..19 of the seeded
@@ -218,6 +301,18 @@ class TestGoldenBits:
         alloc = Allocation(6, 7, (7, 6, 7, 7))
         report = mc_risk(alloc, sched, spec, draws=30, seed=11, workers=workers)
         assert (report.mc_risk.hex(), report.mc_se.hex()) == MC_RISK_GOLDEN[spec.estimator]
+
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 2)])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_risk_at_benchmark_shape(self, estimator, k, rho, workers):
+        sched = random_schedule(np.random.default_rng(2020), 2000, 20, k=2)
+        alloc = Allocation(198, 130, tuple(range(70, 108, 2)))
+        report = mc_risk(alloc, sched, LossSpec(estimator, rho, k), draws=12, seed=5,
+                         workers=workers)
+        got = (report.mc_risk.hex(), report.mc_se.hex())
+        assert got == MC_RISK_N2000_GOLDEN[(estimator, rho)]
 
     @pytest.mark.parametrize("spec", [
         LossSpec("plugin", 0.5, unnormalized=True),

@@ -555,6 +555,20 @@ class TestJsonShape:
             f"arm 'always1': matrix cell must be a finite JSON number, got {got}"
         )
 
+    @pytest.mark.parametrize("matrix,message", [
+        ("[[1,2],[3]]", "row 1 is a list of length 1 but row 0 is a list of length 2"),
+        ("[[1,2],[3,4],[5,6,7]]",
+         "row 2 is a list of length 3 but row 0 is a list of length 2"),
+        ("[[1,2],3]", "row 1 is a number but row 0 is a list of length 2"),
+        ("[1,[2,3]]", "row 1 is a list of length 2 but row 0 is a number"),
+    ], ids=["short_row", "long_later_row", "scalar_row", "scalar_first_row"])
+    def test_schedule_ragged_matrix(self, matrix, message):
+        doc = ('{"arms":{"always0":' + matrix + ',"always1":[[1,2],[3,4]],'
+               '"pulse_2":[[1,2],[3,4]]},"n":2,"t":2}')
+        with pytest.raises(ParseError) as info:
+            schedule_from_json(doc)
+        assert str(info.value) == f"arm 'always0': {message}"
+
     def test_schedule_matrix_as_object(self):
         with pytest.raises(ParseError, match="arm 'always0': matrix cell must be a finite "
                                              "JSON number, got object"):
