@@ -27,9 +27,11 @@ from the group sizes, one matrix holds the approximate objective change
 of every (src, dst) pair.  Only the pairs whose screened change lies
 within a proven bound on the rounding error of the best one are then
 evaluated exactly, with the same terms and ``fsum`` as ``objective``.
-Since the band contains every pair a full scan could pick, and the full
-scan's comparison rules then run on exact values, the result is
-bit-identical to scanning every transfer with ``objective``.
+The tie slide evaluates its kept pairs in the order of its tie rule and
+stops at the first exact tie.  Since the band contains every pair a full
+scan could pick, and the full scan's comparison rules then run on exact
+values, the result is bit-identical to scanning every transfer with
+``objective``.
 """
 
 from __future__ import annotations
@@ -443,15 +445,21 @@ def integer_solve(N: int, T: int, mode: ObjectiveMode) -> Allocation:
     Among equal-objective optima reachable this way the lexicographically
     smallest count vector is returned.
 
-    Each step screens every (src, dst) transfer at once, from the group
-    sizes, and evaluates exactly, with the same terms and ``fsum`` as
-    ``objective``, only those whose screened change lies within a proven
-    error band of the target: the smallest screened change while
-    descending, zero while sliding between ties (see ``_near_transfers``).
-    Every transfer a full scan could pick is therefore evaluated, and the
-    full scan's rules apply unchanged to the evaluated ones: a strictly
-    lower value wins, ties go to the first (src, dst) in scan order, and
-    the slide takes the lexicographically smallest equal-value neighbor.
+    Each step screens the transfers at once, from the group sizes, and
+    evaluates exactly, with the same terms and ``fsum`` as ``objective``,
+    only those whose screened change lies within a proven error band of
+    the target (see ``_near_transfers``).  Every transfer a full scan
+    could pick is therefore among them.
+
+    * Descent screens every (src, dst) pair against the smallest screened
+      change and evaluates all kept pairs: a strictly lower value wins,
+      ties go to the first (src, dst) in scan order.
+    * The slide between ties screens only the pairs with ``src < dst``
+      against a change of zero, orders the kept pairs by ``(src, -dst)``
+      and evaluates them a block at a time, stopping at the first whose
+      value equals the current one.  That is the lexicographically
+      smallest equal-value neighbor, the move a full scan would take.
+
     The result is bit-identical to scanning all transfers with
     ``objective``.
     """
@@ -467,24 +475,28 @@ def integer_solve(N: int, T: int, mode: ObjectiveMode) -> Allocation:
 
     current = _objective_counts(counts, T, mode)
     while True:
-        src, dst, values = _near_transfers(counts, movable, T, mode, current, None)
-        if not values or min(values) >= current:
+        src, dst = _near_transfers(counts, movable, T, mode, current, slide=False)
+        moves = _confirmed(counts, src, dst, T, mode)
+        s, d, value = min(moves, key=lambda move: move[2], default=(0, 0, current))
+        if value >= current:
             break
-        best = values.index(min(values))
-        counts[src[best]] -= 1
-        counts[dst[best]] += 1
-        current = values[best]
+        counts[s] -= 1
+        counts[d] += 1
+        current = value
 
     # among equal-objective neighbors, slide toward the lexicographically
     # smallest count vector (deterministic tie-break).  A transfer lowers
     # the counts lexicographically exactly when src < dst; among those, the
-    # smallest src, then the largest dst, gives the smallest result.
+    # smallest src, then the largest dst, gives the smallest result, so the
+    # first tie in that order is the move.
     while True:
-        src, dst, values = _near_transfers(counts, movable, T, mode, current, 0.0)
-        downhill = [(s, d) for s, d, v in zip(src, dst, values) if v == current and s < d]
-        if not downhill:
+        src, dst = _near_transfers(counts, movable, T, mode, current, slide=True)
+        order = np.lexsort((-dst, src))
+        moves = _confirmed(counts, src[order], dst[order], T, mode)
+        tie = next((move for move in moves if move[2] == current), None)
+        if tie is None:
             break
-        s, d = min(downhill, key=lambda move: (move[0], -move[1]))
+        s, d, _ = tie
         counts[s] -= 1
         counts[d] += 1
 
@@ -497,10 +509,12 @@ _CONFIRM_BLOCK = 64
 
 
 def _near_transfers(counts, movable, T: int, mode: ObjectiveMode,
-                    current: float, target: float | None):
-    """Single-unit transfers that may attain ``target``: their source and
-    destination arms, in (src, dst) scan order, and the exact objective
-    value after each one.
+                    current: float, slide: bool):
+    """Single-unit transfers that may attain the target change: their
+    source and destination arms, in (src, dst) scan order.  The descent's
+    target is the smallest screened change over all transfers; the
+    slide's is zero, over the transfers with ``src < dst`` alone (the only
+    ones that lower the counts lexicographically).
 
     Screen: with group sizes y, a group that loses a unit raises its term
     by ``w/(y-1) - w/y = w/(y(y-1))`` and a group that gains one lowers it
@@ -514,18 +528,20 @@ def _near_transfers(counts, movable, T: int, mode: ObjectiveMode,
     order delta is off by less than ``J + 4`` unit roundoffs of that, for J
     terms; ``err`` allows twice as much.
 
-    Confirm: keep the pairs whose delta is within ``band`` of ``target``
-    (the smallest delta when None) and evaluate them exactly.  An exact
-    value, like ``current``, is within two roundoffs of the real objective,
-    so a pair whose exact value is the smallest, or equals ``current``, has
-    a delta within ``2 err`` plus four roundoffs of
-    ``current + |target| + err`` of the target; ``band`` allows eight.
+    Band: keep the pairs whose delta is within ``band`` of the target.  An
+    exact value (see ``_confirmed``), like ``current``, is within two
+    roundoffs of the real objective, so a pair whose exact value is the
+    smallest, or equals ``current``, has a delta within ``2 err`` plus four
+    roundoffs of ``current + |target| + err`` of the target; ``band``
+    allows eight.
     """
     can_give = movable & (counts > 1)  # movable arms keep at least one unit
     allowed = can_give[:, None] & movable[None, :]
     np.fill_diagonal(allowed, False)
+    if slide:
+        allowed = np.triu(allowed, 1)
     if not allowed.any():
-        return [], [], []
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     w, m = _term_matrix(T, mode)
     y = m @ counts.astype(float)
     # a group of one unit holds only arms that cannot give a unit
@@ -534,18 +550,22 @@ def _near_transfers(counts, movable, T: int, mode: ObjectiveMode,
     loss_arm, gain_arm = m.T @ loss, m.T @ gain
     delta = loss_arm[:, None] - gain_arm[None, :] - (m.T * (loss - gain)) @ m
     err = (4 * len(w) + 16) * _UNIT_ROUNDOFF * (loss_arm[can_give].max() + gain_arm.max())
-    if target is None:
-        target = float(delta[allowed].min())
+    target = 0.0 if slide else float(delta[allowed].min())
     band = 2.0 * err + 8.0 * _UNIT_ROUNDOFF * (current + abs(target) + err)
-    src, dst = np.nonzero(allowed & (delta <= target + band))
+    return np.nonzero(allowed & (delta <= target + band))
+
+
+def _confirmed(counts, src: np.ndarray, dst: np.ndarray, T: int, mode: ObjectiveMode):
+    """Yield ``(src, dst, value)`` for each transfer, in the given order,
+    with its exact objective value: the same terms and ``fsum`` as
+    ``objective``.  Transfers are evaluated ``_CONFIRM_BLOCK`` at a time,
+    so the arrays stay small when many pairs tie, and a caller that stops
+    early has evaluated no block past the one it stopped in."""
     unit = np.eye(T + 1, dtype=counts.dtype)
-    values = []
-    # confirm in blocks, so the arrays stay small when many pairs tie
     for lo in range(0, len(src), _CONFIRM_BLOCK):
-        block = slice(lo, lo + _CONFIRM_BLOCK)
-        rows = counts + unit[dst[block]] - unit[src[block]]
-        values += _fsum_rows(_row_terms(rows, T, mode))
-    return src.tolist(), dst.tolist(), values
+        s, d = src[lo:lo + _CONFIRM_BLOCK], dst[lo:lo + _CONFIRM_BLOCK]
+        rows = counts + unit[d] - unit[s]
+        yield from zip(s.tolist(), d.tolist(), _fsum_rows(_row_terms(rows, T, mode)))
 
 
 def _row_terms(rows: np.ndarray, T: int, mode: ObjectiveMode) -> np.ndarray:

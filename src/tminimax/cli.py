@@ -14,7 +14,7 @@ import hashlib
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -182,8 +182,8 @@ def _cmd_risk(args, argv: list[str]) -> int:
         rows.append({
             "design": name,
             "max_risk": analytic,
-            "mc_risk": report.mc_risk if report else float("nan"),
-            "mc_se": report.mc_se if report else float("nan"),
+            "mc_risk": report.mc_risk if report else None,
+            "mc_se": report.mc_se if report else None,
             "draws": args.draws,
         })
     write_table(args.out, rows, args.format)
@@ -288,10 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused.
+    Parsing leaves it unchanged, so every call sees a fresh one's result."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

@@ -449,6 +449,25 @@ class PotentialOutcomeSchedule:
         self._N = int(N)
         self._T = int(T)
 
+    @classmethod
+    def _owned(cls, stacked: np.ndarray) -> "PotentialOutcomeSchedule":
+        """Trusted constructor: ``stacked`` is a fresh (T+1, N, T) float
+        array indexed by arm code, which the new instance takes over and
+        freezes without a copy."""
+        if stacked.dtype != np.float64 or stacked.ndim != 3:
+            raise ValueError(f"stacked schedule must be a 3-D float array, got "
+                             f"{stacked.dtype} {stacked.shape}")
+        n_arms, N, T = stacked.shape
+        if N < 1 or T < 2 or n_arms != T + 1:
+            raise ValueError(f"stacked schedule must be (T+1) x N x T with T >= 2, "
+                             f"got {stacked.shape}")
+        sched = cls.__new__(cls)
+        stacked.flags.writeable = False
+        sched._stacked = stacked
+        sched._N = int(N)
+        sched._T = int(T)
+        return sched
+
     @property
     def N(self) -> int:
         return self._N

@@ -197,12 +197,21 @@ def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -
     return _loss_evaluator(sched, spec, exact=True)(Z.codes)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(requested: int | None) -> int:
+    """Threads for ``mc_risk``: the request, capped by ``TMINIMAX_THREADS``
+    and by the CPUs this process may run on."""
     workers = 1 if requested is None else max(1, int(requested))
     cap = os.environ.get("TMINIMAX_THREADS", "")
     if cap.strip():
         workers = min(workers, max(1, int(cap)))
-    return workers
+    return min(workers, _usable_cpus())
 
 
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
@@ -213,7 +222,8 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
 
     Replicate r draws its assignment from a generator seeded by (seed, r),
     and the replicate losses are reduced in index order, so the result is
-    identical whatever the worker count (``TMINIMAX_THREADS`` caps it).
+    identical whatever the worker count (``TMINIMAX_THREADS`` and the usable
+    CPUs cap it).
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")

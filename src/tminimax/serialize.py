@@ -71,7 +71,10 @@ def format_float(x: float) -> str:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Sorted keys, no spaces, one trailing newline.  A value that was not
+    computed is ``None`` (``null``); NaN and infinities are not JSON, so
+    they raise ``ValueError``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -415,6 +418,8 @@ def read_schedule_csv(directory: str) -> PotentialOutcomeSchedule:
 
 
 def _format_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):

@@ -29,7 +29,13 @@ from .allocation import (
     relaxed_augmented,
     relaxed_basic,
 )
-from .core import PotentialOutcomeSchedule, arms_for_horizon, draw_assignment, make_arm_vector
+from .core import (
+    Family,
+    PotentialOutcomeSchedule,
+    _arm_vectors,
+    arms_for_horizon,
+    draw_assignment,
+)
 from .risk import LossSpec, loss, max_risk
 
 __all__ = [
@@ -89,23 +95,25 @@ class ModelParams:
 def _generate(params: ModelParams, N: int, T: int, seed,
               cell: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> PotentialOutcomeSchedule:
     """Build a schedule from a rule mapping (z_t, z_{t-1}) to the
-    treatment contribution; z_0 is zero (no pre-experiment treatment)."""
+    treatment contribution; z_0 is zero (no pre-experiment treatment).
+
+    Every arm lives in one (T+1, N, T) array, indexed by arm code: fixed
+    effects plus the arm's treatment row, then the noise added in place,
+    the same two additions per cell as building each arm on its own."""
     alpha, beta = params.fixed_effects(N, T)
     base = params.baseline + alpha[:, None] + beta[None, :]
     rng = np.random.default_rng(seed)
-    arms = {}
-    shared = None
-    if params.noise_sd > 0.0 and params.shared_noise:
-        shared = rng.normal(scale=params.noise_sd, size=(N, T))
-    for arm in arms_for_horizon(T):
-        bits = make_arm_vector(arm, T).astype(float)
-        prev = np.concatenate([[0.0], bits[:-1]])
-        m = base + cell(bits, prev)[None, :]
-        if params.noise_sd > 0.0:
-            m = m + (shared if shared is not None
-                     else rng.normal(scale=params.noise_sd, size=(N, T)))
-        arms[arm] = m
-    return PotentialOutcomeSchedule(arms)
+    bits = _arm_vectors(T, Family.PULSE).astype(float)  # row c: arm code c
+    prev = np.zeros_like(bits)
+    prev[:, 1:] = bits[:, :-1]
+    stacked = base + cell(bits, prev)[:, None, :]
+    if params.noise_sd > 0.0:
+        if params.shared_noise:
+            stacked += rng.normal(scale=params.noise_sd, size=(N, T))
+        else:
+            for arm in stacked:  # arm-code order, which is arms_for_horizon order
+                arm += rng.normal(scale=params.noise_sd, size=(N, T))
+    return PotentialOutcomeSchedule._owned(stacked)
 
 
 def standard_model(params: ModelParams, N: int, T: int,

@@ -238,6 +238,19 @@ DESIGN_GOLDEN = [
 ]
 
 
+# sha256 of repr(counts) of integer_solve(100 * T, T, mode) at horizons in
+# the hundreds, recorded while the tie slide still confirmed every tied
+# transfer (basic at T = 365 then took 77 s on 2 vCPUs)
+HORIZON_GOLDEN = [
+    (ObjectiveMode.basic(), 100, "d138a29650d568e8a3791fc3eeaff49db15b727d3732126566b453ac5381bca5"),
+    (ObjectiveMode.basic(), 200, "5bfdd26d14b626f386cabcceee350dfeb6b94f23d8a0fd112e8e6904d2f61f35"),
+    (ObjectiveMode.basic(), 365, "642c1e6c032eaa19cb0b55e6aa51b37dcf4740a25c88a350a815dd681d16884e"),
+    (ObjectiveMode.recycling(2), 100,
+     "aa1eb7c787ca1a390cf08fe9d3de9cc590db439a39c731f96016514df55f8cf6"),
+    (ObjectiveMode.recycling(2), 200,
+     "4292be571258d571a0f6133863f320b8fef152558545cea026607b108c493fda"),
+]
+
 def _mode_id(mode):
     rho = "" if mode.rho is None else f"({mode.rho})"
     k = "" if mode.k is None else f"({mode.k})"
@@ -531,6 +544,13 @@ class TestIntegerSolve:
                              ids=[f"{m.kind}-{T}-{N}" for m, T, N, _ in DESIGN_GOLDEN])
     def test_design_instances_match_golden_counts(self, mode, T, N, counts):
         assert integer_solve(N, T, mode).counts == counts
+
+    @pytest.mark.parametrize("mode,T,digest", HORIZON_GOLDEN,
+                             ids=[f"{_mode_id(m)}-{T}" for m, T, _ in HORIZON_GOLDEN])
+    def test_long_horizons_match_golden_counts(self, mode, T, digest):
+        counts = integer_solve(100 * T, T, mode).counts
+        assert sum(counts) == 100 * T
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
     def test_matches_naive_scan_on_a_seeded_sweep(self):
         rng = np.random.default_rng(20191108)

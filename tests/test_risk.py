@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import re
 from math import fsum, sqrt
 
@@ -511,10 +512,35 @@ class TestExactAndMcRisk:
     def test_thread_env_caps_workers(self, monkeypatch):
         from tminimax.risk import _worker_count
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("TMINIMAX_THREADS", "2")
         assert _worker_count(8) == 2
         monkeypatch.delenv("TMINIMAX_THREADS")
         assert _worker_count(8) == 8
+
+    @pytest.mark.parametrize("cpus,requested,want", [
+        (4, None, 1), (4, 0, 1), (4, 3, 3), (4, 4, 4), (4, 5, 4), (4, 100000, 4),
+        (1, 100000, 1), (64, 100000, 64),
+    ])
+    def test_usable_cpus_cap_workers(self, monkeypatch, cpus, requested, want):
+        from tminimax.risk import _worker_count
+
+        # only the count is computed: no thread is started
+        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _worker_count(requested) == want
+        monkeypatch.setenv("TMINIMAX_THREADS", "2")
+        assert _worker_count(requested) == min(want, 2)
+
+    def test_cpu_count_caps_workers_without_affinity(self, monkeypatch):
+        from tminimax.risk import _worker_count
+
+        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count(100000) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(100000) == 1
 
     @pytest.mark.parametrize("spec", SPECS,
                              ids=lambda s: f"{s.estimator}-rho{s.rho}")

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from tminimax.core import ALWAYS_CONTROL, ALWAYS_TREATED, pulse_arm, validate_schedule
+from tminimax.core import (
+    ALWAYS_CONTROL,
+    ALWAYS_TREATED,
+    PotentialOutcomeSchedule,
+    arms_for_horizon,
+    make_arm_vector,
+    pulse_arm,
+    validate_schedule,
+)
 from tminimax.estimators import estimands
 from tminimax.simulate import (
     ModelParams,
@@ -110,6 +118,81 @@ class TestHabituationModel:
         assert not np.allclose(noise_control[:, 0], noise_pulse[:, 0])
         assert not validate_schedule(sched).ok
 
+
+def _per_arm_model(params, N, T, seed, cell):
+    """Reference: each arm's matrix built on its own, fixed effects plus
+    the treatment row, then the noise (shared, or drawn per arm in
+    ``arms_for_horizon`` order)."""
+    alpha, beta = params.fixed_effects(N, T)
+    base = params.baseline + alpha[:, None] + beta[None, :]
+    rng = np.random.default_rng(seed)
+    shared = None
+    if params.noise_sd > 0.0 and params.shared_noise:
+        shared = rng.normal(scale=params.noise_sd, size=(N, T))
+    arms = {}
+    for arm in arms_for_horizon(T):
+        bits = make_arm_vector(arm, T).astype(float)
+        prev = np.concatenate([[0.0], bits[:-1]])
+        m = base + cell(params, bits, prev)[None, :]
+        if params.noise_sd > 0.0:
+            m = m + (shared if shared is not None
+                     else rng.normal(scale=params.noise_sd, size=(N, T)))
+        arms[arm] = m
+    return PotentialOutcomeSchedule(arms)
+
+
+_CELLS = {
+    standard_model: lambda p, z, prev: p.effect * z + p.carryover * prev,
+    habituation_model: lambda p, z, prev: p.effect * z - p.decay * p.effect * z * prev,
+}
+
+
+class TestInPlaceModel:
+    @pytest.mark.parametrize("model", [standard_model, habituation_model],
+                             ids=["standard", "habituation"])
+    @pytest.mark.parametrize("params", [
+        ModelParams(),
+        ModelParams(shared_noise=False),
+        ModelParams(noise_sd=0.0),
+        ModelParams(baseline=0.3, effect=2.5, carryover=0.7, decay=0.25, noise_sd=1.5,
+                    unit_effects=tuple(np.linspace(-1.0, 2.0, 37)),
+                    time_effects=(0.1, -0.2, 0.3, 1.0 / 3.0, 0.5, 7.0)),
+        ModelParams(shared_noise=False, unit_effects=tuple(np.sqrt(np.arange(37.0))),
+                    time_effects=(1.0, 0.0, -1.0, 0.1, 0.2, 0.3)),
+    ], ids=["shared", "per-arm", "noise-free", "explicit-shared", "explicit-per-arm"])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_bit_equal_to_per_arm_build(self, model, params, seed):
+        sched = model(params, 37, 6, seed)
+        want = _per_arm_model(params, 37, 6, seed, _CELLS[model]).stacked()
+        got = sched.stacked()
+        assert got.dtype == want.dtype and got.shape == want.shape == (7, 37, 6)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("N,T", [(2000, 10), (500, 30), (1, 2)])
+    def test_bit_equal_at_benchmark_sizes(self, N, T):
+        for model in (standard_model, habituation_model):
+            got = model(ModelParams(), N, T, 5).stacked()
+            want = _per_arm_model(ModelParams(), N, T, 5, _CELLS[model]).stacked()
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (3, 4), (2, 4, 1), (3, 0, 2)],
+                             ids=["arms-mismatch", "2-d", "short-horizon", "no-units"])
+    def test_owned_constructor_checks_the_shape(self, shape):
+        with pytest.raises(ValueError, match="stacked schedule"):
+            PotentialOutcomeSchedule._owned(np.zeros(shape))
+
+    def test_owned_constructor_rejects_integers(self):
+        with pytest.raises(ValueError, match="float"):
+            PotentialOutcomeSchedule._owned(np.zeros((3, 4, 2), dtype=np.int64))
+
+    def test_owned_constructor_keeps_the_array(self):
+        stacked = np.arange(24.0).reshape(3, 4, 2)
+        sched = PotentialOutcomeSchedule._owned(stacked)
+        assert sched.stacked() is stacked and not stacked.flags.writeable
+        assert (sched.N, sched.T) == (4, 2)
+        assert sched == PotentialOutcomeSchedule(
+            {arm: stacked[i] for i, arm in enumerate(arms_for_horizon(2))})
 
 class TestAllocationTable:
     def test_reference_numbers(self):
