@@ -14,7 +14,8 @@ import hashlib
 import os
 import sys
 import time
-from functools import cache, partial
+from functools import partial
+from typing import Collection
 
 import numpy as np
 
@@ -226,16 +227,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", help="also write a run-manifest JSON here")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tminimax",
-        description="Minimax allocations, effect estimates, and risk reports "
-                    "for temporal randomized experiments.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    design = subs.add_parser("design", help="compute an optimal unit allocation")
+def _design_args(design: argparse.ArgumentParser) -> None:
     design.add_argument("--n", type=int, required=True)
     design.add_argument("--t", type=int, required=True)
     design.add_argument("--mode", choices=("basic", "augmented", "weighted", "recycling"),
@@ -247,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(design)
     design.set_defaults(func=_cmd_design)
 
-    estimate = subs.add_parser("estimate", help="estimate effects from experiment files")
+
+def _estimate_args(estimate: argparse.ArgumentParser) -> None:
     estimate.add_argument("--assignment", required=True, help="assignment matrix CSV")
     estimate.add_argument("--outcomes", required=True, help="observed outcomes CSV")
     estimate.add_argument("--estimator", choices=("plugin", "augmented", "recycling"),
@@ -256,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(estimate)
     estimate.set_defaults(func=_cmd_estimate)
 
-    risk = subs.add_parser("risk", help="analytic and Monte-Carlo worst-case risk per design")
+
+def _risk_args(risk: argparse.ArgumentParser) -> None:
     risk.add_argument("--n", type=int, required=True)
     risk.add_argument("--t", type=int, required=True)
     risk.add_argument("--designs", default="balanced,minimax,augmented",
@@ -274,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(risk)
     risk.set_defaults(func=_cmd_risk)
 
-    simulate = subs.add_parser("simulate", help="rebuild a comparison table")
+
+def _simulate_args(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("--figure", type=int, choices=(1, 2, 3), required=True)
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--t-list", required=True, help="comma-separated horizons")
@@ -285,19 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.set_defaults(func=_cmd_simulate)
 
+
+_COMMANDS = (
+    ("design", "compute an optimal unit allocation", _design_args),
+    ("estimate", "estimate effects from experiment files", _estimate_args),
+    ("risk", "analytic and Monte-Carlo worst-case risk per design", _risk_args),
+    ("simulate", "rebuild a comparison table", _simulate_args),
+)
+
+
+def build_parser(only: Collection[str] | None = None) -> argparse.ArgumentParser:
+    """The ``tminimax`` parser.  Every subcommand is listed; with ``only``,
+    just the subcommands named in it get their options.  argparse picks a
+    subcommand by an exact argv token, so ``build_parser(argv)`` parses
+    ``argv`` as the full parser does, without building the options of the
+    commands it does not run."""
+    parser = argparse.ArgumentParser(
+        prog="tminimax",
+        description="Minimax allocations, effect estimates, and risk reports "
+                    "for temporal randomized experiments.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if only is None or name in only:
+            add_args(sub)
     return parser
-
-
-@cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on the first call, then reused.
-    Parsing leaves it unchanged, so every call sees a fresh one's result."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _shared_parser().parse_args(argv)
+    args = build_parser(only=argv).parse_args(argv)
     try:
         return args.func(args, argv)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

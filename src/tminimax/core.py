@@ -444,10 +444,7 @@ class PotentialOutcomeSchedule:
             if m.shape != (N, T):
                 raise ValueError(f"{arm!r} matrix has shape {m.shape}, expected {(N, T)}")
             stacked[_arm_code(arm)] = m
-        stacked.flags.writeable = False
-        self._stacked = stacked
-        self._N = int(N)
-        self._T = int(T)
+        self._adopt(stacked)
 
     @classmethod
     def _owned(cls, stacked: np.ndarray) -> "PotentialOutcomeSchedule":
@@ -462,11 +459,15 @@ class PotentialOutcomeSchedule:
             raise ValueError(f"stacked schedule must be (T+1) x N x T with T >= 2, "
                              f"got {stacked.shape}")
         sched = cls.__new__(cls)
-        stacked.flags.writeable = False
-        sched._stacked = stacked
-        sched._N = int(N)
-        sched._T = int(T)
+        sched._adopt(stacked)
         return sched
+
+    def _adopt(self, stacked: np.ndarray) -> None:
+        """Freeze ``stacked``, a (T+1, N, T) array indexed by arm code, and
+        make it this schedule's ground truth."""
+        stacked.flags.writeable = False
+        self._stacked = stacked
+        _, self._N, self._T = map(int, stacked.shape)
 
     @property
     def N(self) -> int:

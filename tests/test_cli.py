@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from tminimax.allocation import ObjectiveMode, _relaxed_for_mode
-from tminimax import __version__, cli
 from tminimax.cli import build_parser, main
 from tminimax.core import Allocation, draw_assignment, observe
 from tminimax.estimators import (
@@ -308,91 +308,39 @@ class TestColdStart:
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
-    def test_import_builds_no_parser(self):
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        code = "import tminimax.cli as c; print(c._shared_parser.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-        assert out.stdout.strip() == "0"
+
+def _parse(capsys, parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace, or the exit code
+    and the text printed on the way out."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
 
 
-class TestParserReuse:
-    """``main`` parses with one parser per process; every call must see what
-    a freshly built parser gives."""
+class TestParser:
+    """``main`` builds only the options of the subcommands its argv names;
+    it must parse, print help and fail exactly as the full parser does."""
 
-    def _commands(self, tmp_path, tag):
-        Z = draw_assignment(Allocation(6, 6, (5, 5, 4, 4)), seed=11)
-        obs = observe(Z, standard_model(ModelParams(noise_sd=1.0), 30, 5, 5))
-        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
-        write_assignment_csv(str(a_path), Z)
-        write_matrix_csv(str(o_path), obs.values)
-        out = tmp_path / tag
-        return [
-            (["design", "--n", "5000", "--t", "30", "--mode", "recycling", "--k", "2",
-              "--out", str(out / "design.json")], out / "design.json"),
-            (["risk", "--n", "200", "--t", "4", "--draws", "5", "--estimator", "augmented",
-              "--out", str(out / "risk.json")], out / "risk.json"),
-            (["estimate", "--assignment", str(a_path), "--outcomes", str(o_path),
-              "--estimator", "recycling", "--k", "2", "--format", "csv",
-              "--out", str(out / "estimate.csv")], out / "estimate.csv"),
-            (["simulate", "--figure", "3", "--n", "24", "--t-list", "3", "--reps", "2",
-              "--out", str(out / "sim")], out / "sim" / "expected_risk_standard.csv"),
-            (["design", "--n", "7", "--t", "2", "--out", str(out / "design2.json")],
-             out / "design2.json"),
-        ]
-
-    def test_each_subcommand_writes_what_a_fresh_parser_writes(self, tmp_path, monkeypatch):
-        shared = []
-        for argv, path in self._commands(tmp_path, "shared"):
-            assert main(argv) == 0
-            shared.append(path.read_bytes())
-        monkeypatch.setattr(cli, "_shared_parser", build_parser)
-        fresh = []
-        for argv, path in self._commands(tmp_path, "fresh"):
-            assert main(argv) == 0
-            fresh.append(path.read_bytes())
-        assert shared == fresh
-
-    def test_one_parser_serves_every_call(self):
-        main(["design", "--n", "7", "--t", "2", "--out", os.devnull])
-        first = cli._shared_parser()
-        main(["design", "--n", "9", "--t", "3", "--out", os.devnull])
-        assert cli._shared_parser() is first
-
-    @pytest.mark.parametrize("bad", [
-        ["design", "--n", "7"],
-        ["design", "--n", "seven", "--t", "2"],
+    @pytest.mark.parametrize("argv", [
+        ["design", "--n", "7", "--t", "2", "--mode", "recycling", "--k", "2"],
+        ["risk", "--n", "200", "--t", "4", "--draws", "5", "--out", "design"],
+        ["estimate", "--assignment", "z.csv", "--outcomes", "y.csv", "--format", "csv"],
+        ["simulate", "--figure", "3", "--n", "24", "--t-list", "3", "--out", "sim"],
+        ["--help"], ["design", "--help"], ["estimate", "--help"], ["risk", "--help"],
+        ["simulate", "--help"], ["--version"], ["--help", "design"],
+        ["design", "--n", "7"], ["design", "--n", "seven", "--t", "2"],
         ["risk", "--n", "10", "--t", "2", "--estimator", "bogus"],
-        ["bogus"],
-        [],
-    ], ids=["missing", "not-an-int", "bad-choice", "bad-command", "empty"])
-    def test_usage_error_leaves_the_parser_usable(self, capsys, bad):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
-        capsys.readouterr()
-        code, out, _ = _run(capsys, "design", "--n", "7", "--t", "2")
-        assert code == 0
-        counts = {r["arm"]: r["count"] for r in json.loads(out)}
-        assert (counts["always0"], counts["always1"], counts["pulse_2"]) == (2, 2, 3)
-
-    @pytest.mark.parametrize("command", [[], ["design"], ["estimate"], ["risk"], ["simulate"]],
-                             ids=["top", "design", "estimate", "risk", "simulate"])
-    def _help(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
-        return capsys.readouterr().out
-
-    @pytest.mark.parametrize("command", [[], ["design"], ["estimate"], ["risk"], ["simulate"]],
-                             ids=["top", "design", "estimate", "risk", "simulate"])
-    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, command):
+        ["design", "--n", "7", "--t", "2", "--bogus"], ["des", "--n", "7"], ["bogus"], [],
+    ])
+    def test_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        main(["design", "--n", "7", "--t", "2", "--out", os.devnull])
-        shared = [self._help(capsys, [*command, "--help"]) for _ in range(2)]
-        monkeypatch.setattr(cli, "_shared_parser", build_parser)
-        assert shared == [self._help(capsys, [*command, "--help"])] * 2
-        assert shared[0].startswith("usage: tminimax")
+        assert _parse(capsys, build_parser(only=argv), argv) == _parse(capsys, build_parser(), argv)
 
-    def test_version_is_unchanged(self, capsys):
-        assert [self._help(capsys, ["--version"]) for _ in range(2)] == [__version__ + "\n"] * 2
+    def test_builds_only_the_named_subcommand(self):
+        parser = build_parser(only=["risk", "--n", "10"])
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        built = {name for name, sub in subs.choices.items() if len(sub._actions) > 1}
+        assert list(subs.choices) == ["design", "estimate", "risk", "simulate"]
+        assert built == {"risk"}
