@@ -92,17 +92,11 @@ def write_run_manifest(path: str, argv: list[str], seed: int | None,
 
 
 def _mode_from_args(args) -> ObjectiveMode:
-    if args.mode == "basic":
-        return ObjectiveMode.basic()
-    if args.mode == "augmented":
-        return ObjectiveMode.augmented()
-    if args.mode == "weighted":
-        if args.rho is None:
-            raise ValueError("--mode weighted requires --rho")
-        return ObjectiveMode.weighted(args.rho)
-    if args.k is None:
+    if args.mode == "weighted" and args.rho is None:
+        raise ValueError("--mode weighted requires --rho")
+    if args.mode == "recycling" and args.k is None:
         raise ValueError("--mode recycling requires --k")
-    return ObjectiveMode.recycling(args.k)
+    return ObjectiveMode(args.mode, args.rho, args.k)
 
 
 def _cmd_design(args, argv: list[str]) -> int:
@@ -124,10 +118,12 @@ def _cmd_design(args, argv: list[str]) -> int:
 
 
 def _cmd_estimate(args, argv: list[str]) -> int:
-    Z = read_assignment_csv(args.assignment)
-    obs = ObservedOutcomes._owned(read_matrix_csv(args.outcomes))
     if args.estimator == "recycling" and args.k is None:
         raise ValueError("--estimator recycling requires --k")
+    if args.estimator != "recycling" and args.k is not None:
+        raise ValueError(f"--estimator {args.estimator} does not take --k")
+    Z = read_assignment_csv(args.assignment)
+    obs = ObservedOutcomes._owned(read_matrix_csv(args.outcomes))
     instantaneous = {
         "plugin": instantaneous_estimate,
         "augmented": augmented_instantaneous_estimate,
@@ -158,6 +154,8 @@ _DESIGN_MODES = {
 
 
 def _cmd_risk(args, argv: list[str]) -> int:
+    if args.draws < 0:
+        raise ValueError(f"--draws must be >= 0, got {args.draws}")
     spec = LossSpec(args.estimator, args.rho, args.k, args.unnormalized)
     vstar = args.vstar if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
     _check_vstar(vstar)

@@ -9,7 +9,6 @@ import pytest
 from tminimax.allocation import (
     ObjectiveMode,
     SolverConvergenceError,
-    _excluded_arm,
     _objective_counts,
     _relaxed_for_mode,
     _round_preserving_sum,
@@ -44,10 +43,13 @@ def _naive_integer_solve(N, T, mode):
     """Reference for integer_solve: the same rounding start, then steepest
     descent and the lexicographic tie-break slide, each scanning every
     single-unit transfer with the scalar objective."""
-    excl = _excluded_arm(mode)
+    used = _term_matrix(T, mode)[1].any(axis=0)
+    excl = None if used.all() else int(np.flatnonzero(~used)[0])
     mins = [0 if i == excl else 1 for i in range(T + 1)]
     relaxed = _relaxed_for_mode(float(N), T, mode)
-    counts = _round_preserving_sum(np.array(relaxed.counts), N, mins, excl)
+    counts = np.zeros(T + 1, dtype=int)
+    counts[used] = _round_preserving_sum(np.array(relaxed.counts)[used], N)
+    counts = counts.tolist()
     movable = [i for i in range(T + 1) if i != excl]
 
     def moves():
@@ -249,6 +251,16 @@ HORIZON_GOLDEN = [
      "aa1eb7c787ca1a390cf08fe9d3de9cc590db439a39c731f96016514df55f8cf6"),
     (ObjectiveMode.recycling(2), 200,
      "4292be571258d571a0f6133863f320b8fef152558545cea026607b108c493fda"),
+    # the boundary weighted objectives, which leave one arm out of every
+    # term, recorded while the solver still pinned that arm to zero
+    (ObjectiveMode.weighted(0.0), 100,
+     "cfa06e6f2b07331b22ce8975b00021f4199798fe2b585174bf2057a99f85373c"),
+    (ObjectiveMode.weighted(0.0), 200,
+     "d21c42b4b5d3db0af5c0835d1d42467919be57d7f07e86fc8b071f7c802a9132"),
+    (ObjectiveMode.weighted(1.0), 100,
+     "3c8e35cbdcb0530ed9f8f10a3f832405e1be7daf32411d28f1daf49a685b6b8d"),
+    (ObjectiveMode.weighted(1.0), 200,
+     "1f5e45dee6cbe3a668be23f460520d3208f1d8dfa34f129a2390e8db5f9157af"),
 ]
 
 def _mode_id(mode):

@@ -62,6 +62,24 @@ class TestDesign:
         code, _, err = _run(capsys, "design", "--n", "10", "--t", "2", "--mode", "weighted")
         assert code == 1 and "--rho" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--mode", "basic", "--rho", "0.3"), "basic mode does not take rho"),
+        (("--mode", "basic", "--k", "2"), "basic mode does not take k"),
+        (("--mode", "augmented", "--k", "2"), "augmented mode does not take k"),
+        (("--mode", "augmented", "--rho", "0.5"), "augmented mode does not take rho"),
+        (("--mode", "weighted", "--rho", "0.3", "--k", "2"), "weighted mode does not take k"),
+        (("--mode", "recycling", "--k", "2", "--rho", "0.3"), "recycling mode does not take rho"),
+        (("--mode", "weighted", "--rho", "1.5"), "weighted mode needs rho in [0, 1]"),
+        (("--mode", "recycling", "--k", "0"), "recycling mode needs k >= 1"),
+    ])
+    def test_option_the_mode_does_not_take_exits_1(self, capsys, tmp_path, argv, message):
+        manifest = tmp_path / "run.json"
+        code, out, err = _run(capsys, "design", "--n", "10", "--t", "2", *argv,
+                              "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        assert message in err
+        assert not manifest.exists()
+
     def test_csv_output_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "design.csv"
         code, out, _ = _run(capsys, "design", "--n", "12", "--t", "3",
@@ -158,6 +176,21 @@ class TestEstimate:
                             "--outcomes", str(o_path), "--estimator", "recycling")
         assert code == 1 and "--k" in err
 
+    @pytest.mark.parametrize("estimator", ["plugin", "augmented"])
+    def test_k_only_for_recycling(self, capsys, tmp_path, estimator):
+        Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
+        sched = standard_model(ModelParams(), 6, 2, 0)
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        write_assignment_csv(str(a_path), Z)
+        write_matrix_csv(str(o_path), observe(Z, sched).values)
+        manifest = tmp_path / "run.json"
+        code, out, err = _run(capsys, "estimate", "--assignment", str(a_path),
+                              "--outcomes", str(o_path), "--estimator", estimator,
+                              "--k", "2", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        assert f"--estimator {estimator} does not take --k" in err
+        assert not manifest.exists()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "estimate", "--assignment", str(tmp_path / "nope.csv"),
                             "--outcomes", str(tmp_path / "nope.csv"))
@@ -229,6 +262,12 @@ class TestRisk:
                               f"--vstar={vstar}", "--draws", draws)
         assert code == 1 and out == ""
         assert f"vstar must be finite and >= 0, got {float(vstar)}" in err
+
+    @pytest.mark.parametrize("draws", ["-1", "-5"])
+    def test_negative_draws_exits_1(self, capsys, draws):
+        code, out, err = _run(capsys, "risk", "--n", "30", "--t", "3", "--draws", draws)
+        assert code == 1 and out == ""
+        assert f"--draws must be >= 0, got {draws}" in err
 
     def test_unknown_design(self, capsys):
         code, _, err = _run(capsys, "risk", "--n", "30", "--t", "3",
