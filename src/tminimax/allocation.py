@@ -463,6 +463,8 @@ def integer_solve(N: int, T: int, mode: ObjectiveMode) -> Allocation:
     with ``objective``.
     """
     _check_integer_args(N, T)
+    if N > 10**12:  # beyond, float objectives go flat and the tie slide crawls
+        raise ValueError(f"integer designs need N <= 10^12, got N={N}")
     w, m = _term_matrix(T, mode)
     used = m.any(axis=0)
     mt = np.ascontiguousarray(m[:, used].T)  # mt[arm, j]: arm is in term j's group

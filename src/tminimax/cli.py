@@ -14,7 +14,6 @@ import hashlib
 import os
 import sys
 import time
-from functools import partial
 from typing import Collection
 
 import numpy as np
@@ -28,12 +27,7 @@ from .allocation import (
     objective,
 )
 from .core import arms_for_horizon, ObservedOutcomes
-from .estimators import (
-    augmented_instantaneous_estimate,
-    habituation_estimate,
-    instantaneous_estimate,
-    recycling_instantaneous_estimate,
-)
+from .estimators import _estimates
 from .risk import (
     LossSpec,
     _check_vstar,
@@ -124,19 +118,8 @@ def _cmd_estimate(args, argv: list[str]) -> int:
         raise ValueError(f"--estimator {args.estimator} does not take --k")
     Z = read_assignment_csv(args.assignment)
     obs = ObservedOutcomes._owned(read_matrix_csv(args.outcomes))
-    instantaneous = {
-        "plugin": instantaneous_estimate,
-        "augmented": augmented_instantaneous_estimate,
-        "recycling": partial(recycling_instantaneous_estimate, k=args.k),
-    }[args.estimator]
-    rows = []
-    for t in range(2, Z.T + 1):
-        inst = instantaneous(Z, obs, t)
-        rows.append({
-            "t": t,
-            "habituation": habituation_estimate(Z, obs, t),
-            "instantaneous": inst,
-        })
+    rows = [{"t": t, "habituation": hab, "instantaneous": inst}
+            for t, hab, inst in _estimates(Z, obs, args.estimator, args.k)]
     write_table(args.out, rows, args.format)
     if args.manifest:
         write_run_manifest(args.manifest, argv, args.seed,
@@ -196,7 +179,11 @@ def _cmd_risk(args, argv: list[str]) -> int:
 
 
 def _cmd_simulate(args, argv: list[str]) -> int:
-    t_list = [int(v) for v in args.t_list.split(",")]
+    try:
+        t_list = [int(v) for v in args.t_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--t-list must be comma-separated integers, "
+                         f"got {args.t_list!r}") from None
     os.makedirs(args.out, exist_ok=True)
     params = {"figure": args.figure, "n": args.n, "t_list": t_list, "model": args.model,
               "reps": args.reps, "loss_estimator": args.loss_estimator}

@@ -19,9 +19,10 @@ says which arms the pool holds:
 * ``recycling`` -- also every pulse at or before t - k (a pulse's effect
                    wears off after k periods).
 
-The estimators' unit masks, ``augmented_controls``, ``validate_schedule``
-and the pool rows of ``_risk_terms``, the worst-case risk's term table
-that ``max_risk`` and the allocation objectives sum, all come from it.
+``validate_schedule`` and the pool rows of ``_risk_terms`` (the term table
+of the worst-case risk and the allocation objectives) come from it.
+``_picks`` says which units each estimate reads; the estimators, the loss,
+the confidence interval and ``augmented_controls`` take them from it.
 """
 
 from __future__ import annotations
@@ -370,8 +371,7 @@ def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
     """(T-1) x (T+1) read-only bool table of the control pools (see the
     module docstring): row t-2 marks the arm codes pooled as controls at t
     under ``estimator``, and ``k`` is the carryover order of ``recycling``.
-    ``row[codes]`` masks the pooled units and ``row @ counts`` is the pool
-    size."""
+    ``row @ counts`` is the pool size; ``_picks`` lists the pooled units."""
     code = np.arange(T + 1)
     t = np.arange(2, T + 1)[:, None]
     pool = np.zeros((T - 1, T + 1), dtype=bool)
@@ -382,6 +382,31 @@ def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
         pool |= (code >= 2) & (code <= t - k)
     pool.flags.writeable = False
     return pool
+
+
+def _picks(codes: np.ndarray, T: int, estimator: str, k: int | None = None,
+           start: int = 2) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yields ``(t, treated, pulse, pool)`` for t = start..T: the units of
+    the always-treated arm, of the pulse-t arm and of the ``_pool_arms``
+    pool at t, each ascending, as a boolean mask over ``codes`` gives them.
+    One bincount and one stable argsort group the units by arm; the pool
+    is updated only for the arms that join or leave it, so one step costs
+    O(N)."""
+    pools = _pool_arms(T, estimator, k)
+    # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
+    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=T + 1)).tolist()]
+    treated = by_arm[bounds[1]:bounds[2]]
+    pooled = np.zeros(T + 1, dtype=bool)  # the arms ``in_pool`` marks
+    in_pool = np.zeros(len(codes), dtype=bool)
+    for t in range(start, T + 1):
+        changed = (pools[t - 2] != pooled).nonzero()[0].tolist()
+        for arm in changed:
+            in_pool[by_arm[bounds[arm]:bounds[arm + 1]]] = pools[t - 2][arm]
+        if changed:  # always at the first step, since every pool holds arm 0
+            pooled = pools[t - 2]
+            pool = in_pool.nonzero()[0]
+        yield t, treated, by_arm[bounds[t]:bounds[t + 1]], pool
 
 
 @lru_cache(maxsize=None)
@@ -415,8 +440,8 @@ def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> fro
     if not 2 <= t <= Z.T:
         raise ValueError(f"time index {t} outside 2..{Z.T}")
     _check_carryover(k)
-    row = _pool_arms(Z.T, "augmented" if k is None else "recycling", k)[t - 2]
-    return frozenset(np.flatnonzero(row[Z.codes]).tolist())
+    _, _, _, pool = next(_picks(Z.codes, Z.T, "augmented" if k is None else "recycling", k, t))
+    return frozenset(pool.tolist())
 
 
 class PotentialOutcomeSchedule:

@@ -12,7 +12,9 @@ outcomes).  The habituation effect always uses the plug-in difference in
 arm means.  The instantaneous effect has three variants that differ in the
 control pool: the always-control arm alone, the pool augmented with
 future-pulse units, or the pool additionally recycling pulses older than k
-periods (the rule is stated once, at ``core._pool_arms``).
+periods (the rule is stated once, at ``core._pool_arms``).  Each estimate
+reads its units from ``core._picks``: a per-t estimator takes one step of
+it, and ``_estimates`` (``tminimax estimate``) one pass over every t.
 
 All sums are exact (``math.fsum``), which makes every estimator invariant
 under unit relabeling, bit for bit.
@@ -34,7 +36,7 @@ from .core import (
     ObservedOutcomes,
     PotentialOutcomeSchedule,
     _check_carryover,
-    _pool_arms,
+    _picks,
     pulse_arm,
 )
 
@@ -110,8 +112,8 @@ def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeri
 
 
 # ---------------------------------------------------------------------------
-# Code-level internals, shared with the risk module's hot paths.  ``codes``
-# is the per-unit arm code array (0 control, 1 treated, t for pulse at t).
+# Unit-level internals, shared with the risk module.  ``col`` is one outcome
+# column and each unit array is one step of ``core._picks``.
 # ---------------------------------------------------------------------------
 
 
@@ -123,18 +125,6 @@ def _picked_mean(picked: np.ndarray, what: str, exact: bool = True) -> float:
     return (fsum(picked.tolist()) if exact else picked.sum()) / len(picked)
 
 
-def _pool_mean(values: np.ndarray, mask: np.ndarray, col: int, what: str) -> float:
-    """fsum mean of column ``col`` over the masked units."""
-    return _picked_mean(np.compress(mask, values[:, col]), what)
-
-
-def _habituation(codes: np.ndarray, values: np.ndarray, t: int) -> float:
-    col = t - 1
-    return _pool_mean(values, codes == 1, col, "the always-treated arm") - _pool_mean(
-        values, codes == t, col, f"the pulse arm at t={t}"
-    )
-
-
 def _pool_name(estimator: str, t: int) -> str:
     return {
         "plugin": "the always-control arm",
@@ -143,22 +133,49 @@ def _pool_name(estimator: str, t: int) -> str:
     }[estimator]
 
 
-def _instantaneous(codes: np.ndarray, values: np.ndarray, t: int,
-                   estimator: str, k: int | None = None) -> float:
-    col = t - 1
-    pool = _pool_arms(values.shape[1], estimator, k)[t - 2][codes]
-    return _pool_mean(values, codes == t, col, f"the pulse arm at t={t}") - _pool_mean(
-        values, pool, col, _pool_name(estimator, t)
-    )
+def _habituation(col: np.ndarray, treated: np.ndarray, pulse: np.ndarray, t: int) -> float:
+    return (_picked_mean(col[treated], "the always-treated arm")
+            - _picked_mean(col[pulse], f"the pulse arm at t={t}"))
 
 
-def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> None:
+def _instantaneous(col: np.ndarray, pulse: np.ndarray, pool: np.ndarray, t: int,
+                   estimator: str) -> float:
+    return (_picked_mean(col[pulse], f"the pulse arm at t={t}")
+            - _picked_mean(col[pool], _pool_name(estimator, t)))
+
+
+def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
+                  estimator: str = "plugin", k: int | None = None) -> None:
     if (Z.N, Z.T) != (obs.N, obs.T):
         raise ValueError(
             f"assignment is {Z.N} x {Z.T} but outcomes are {obs.N} x {obs.T}"
         )
     if not 2 <= t <= Z.T:
         raise ValueError(f"time index {t} outside 2..{Z.T}")
+    if estimator == "recycling":
+        _check_carryover(k)
+        if Z.family is Family.WEDGE:
+            raise ValueError("recycling estimator requires a pulse-family assignment")
+
+
+def _instantaneous_at(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
+                      estimator: str, k: int | None = None) -> float:
+    _check_inputs(Z, obs, t, estimator, k)
+    _, _, pulse, pool = next(_picks(Z.codes, Z.T, estimator, k, t))
+    return _instantaneous(obs.values[:, t - 1], pulse, pool, t, estimator)
+
+
+def _estimates(Z: AssignmentMatrix, obs: ObservedOutcomes, estimator: str,
+               k: int | None = None) -> list[tuple[int, float, float]]:
+    """``(t, habituation, instantaneous)`` for t = 2..T from one pass of
+    ``core._picks``, bit-identical to the public estimators at each t."""
+    _check_inputs(Z, obs, 2, estimator, k)
+    rows = []
+    for t, treated, pulse, pool in _picks(Z.codes, Z.T, estimator, k):
+        col = obs.values[:, t - 1]
+        inst = _instantaneous(col, pulse, pool, t, estimator)
+        rows.append((t, _habituation(col, treated, pulse, t), inst))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +187,14 @@ def habituation_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> 
     """Mean observed outcome at t of always-treated units minus that of
     pulse-t units."""
     _check_inputs(Z, obs, t)
-    return _habituation(Z.codes, obs.values, t)
+    _, treated, pulse, _ = next(_picks(Z.codes, Z.T, "plugin", None, t))
+    return _habituation(obs.values[:, t - 1], treated, pulse, t)
 
 
 def instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> float:
     """Mean observed outcome at t of pulse-t units minus that of
     always-control units (plug-in variant)."""
-    _check_inputs(Z, obs, t)
-    return _instantaneous(Z.codes, obs.values, t, "plugin")
+    return _instantaneous_at(Z, obs, t, "plugin")
 
 
 def augmented_instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes,
@@ -185,8 +202,7 @@ def augmented_instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes,
     """Plug-in variant with the control pool augmented by future-pulse
     units, whose outcomes at t match always-control as long as outcomes
     never anticipate future treatment."""
-    _check_inputs(Z, obs, t)
-    return _instantaneous(Z.codes, obs.values, t, "augmented")
+    return _instantaneous_at(Z, obs, t, "augmented")
 
 
 def recycling_instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes,
@@ -195,8 +211,4 @@ def recycling_instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes,
     k periods in the past, valid when treatment effects wear off after k
     periods.  Pulse-family assignments only: a wedge unit never stops being
     treated, so its outcomes cannot be recycled as controls."""
-    _check_inputs(Z, obs, t)
-    _check_carryover(k)
-    if Z.family is Family.WEDGE:
-        raise ValueError("recycling estimator requires a pulse-family assignment")
-    return _instantaneous(Z.codes, obs.values, t, "recycling", k)
+    return _instantaneous_at(Z, obs, t, "recycling", k)

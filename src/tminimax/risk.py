@@ -13,11 +13,11 @@ allocation objectives are that table too (only basic merges its pools
 into one term), so ``max_risk`` is vstar times the matching objective.
 ``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
 loss evaluator per schedule, which computes its estimands once.  Per
-assignment it gathers the observed rows with one take and groups the
-units by arm once (a bincount and a stable argsort of the codes); each
-arm and control pool is then read at its units in ascending order.  The
-picked arrays are exactly those a boolean mask over the column gives, so
-numpy's pairwise sums and fsum over them, and every risk, keep their bits.
+assignment it gathers the observed rows with one take and reads each
+estimate's units from one pass of ``core._picks``, as ``conservative_ci``
+reads its two pools from one step of it.  The picked arrays are exactly
+those a boolean mask over the column gives, so numpy's pairwise sums and
+fsum over them, and every risk, keep their bits.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -46,6 +46,7 @@ from .core import (
     RealAllocation,
     _check_fits,
     _iter_code_arrangements,
+    _picks,
     _pool_arms,
     _risk_terms,
     arms_for_horizon,
@@ -130,46 +131,27 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
     """Loss of one assignment given its observed N x T ``values`` and
     precomputed estimand arrays.
 
-    Units are grouped by arm once per call: one bincount gives the arm
-    counts, and one stable argsort of the codes lists the units of each
-    arm in ascending order.  The always-treated and pulse-t outcomes at t
-    are then read from column t at those units.  The control pool is a
-    boolean membership vector, updated at each t only for the arms that
-    join or leave the pool, and read at its units in ascending order.
-    Each picked array holds the same units in the same order as a boolean
-    mask over the column would, so every sum keeps its bits.
+    One pass of ``core._picks`` gives the always-treated, pulse-t and
+    control-pool units at each t; their outcomes are read from column t.
 
     ``exact=True`` sums each pool with fsum (bit-stable under unit
     relabeling); ``exact=False`` sums it with numpy, the fast path used by
     Monte-Carlo loops, identical up to last-bit rounding.
     """
-    T = values.shape[1]
-    pools = _pool_arms(T, spec.estimator, spec.k)
-    # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
-    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(codes, minlength=T + 1)).tolist()]
-    treated = by_arm[bounds[1]:bounds[2]]
-    pooled = np.zeros(T + 1, dtype=bool)  # the arms ``in_pool`` marks
-    in_pool = np.zeros(len(codes), dtype=bool)
     hab_terms = []
     inst_terms = []
-    for t in range(2, T + 1):
+    # at rho = 1 no pool is read: the plugin pool is built once, not per t
+    pools_of = spec.estimator if spec.rho < 1.0 else "plugin"
+    for t, treated, pulse, pool in _picks(codes, values.shape[1], pools_of, spec.k):
         col = values[:, t - 1]
         if spec.rho > 0.0:
             treated_mean = _picked_mean(col[treated], "the always-treated arm", exact)
-        pulse_mean = _picked_mean(col[by_arm[bounds[t]:bounds[t + 1]]],
-                                  f"the pulse arm at t={t}", exact)
+        pulse_mean = _picked_mean(col[pulse], f"the pulse arm at t={t}", exact)
         if spec.rho > 0.0:
             err = (treated_mean - pulse_mean) - hab[t - 2]
             hab_terms.append(err * err)
         if spec.rho < 1.0:
-            changed = (pools[t - 2] != pooled).nonzero()[0].tolist()
-            for arm in changed:
-                in_pool[by_arm[bounds[arm]:bounds[arm + 1]]] = pools[t - 2][arm]
-            if changed:  # always at t = 2, since every pool holds arm 0
-                pooled = pools[t - 2]
-                pool_units = in_pool.nonzero()[0]
-            pool_mean = _picked_mean(col[pool_units], _pool_name(spec.estimator, t), exact)
+            pool_mean = _picked_mean(col[pool], _pool_name(spec.estimator, t), exact)
             err = (pulse_mean - pool_mean) - inst[t - 2]
             inst_terms.append(err * err)
     val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
@@ -210,7 +192,10 @@ def _worker_count(requested: int | None) -> int:
     workers = 1 if requested is None else max(1, int(requested))
     cap = os.environ.get("TMINIMAX_THREADS", "")
     if cap.strip():
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"TMINIMAX_THREADS must be an integer, got {cap!r}") from None
     return min(workers, _usable_cpus())
 
 
@@ -411,29 +396,25 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     least two units.  scipy is imported here, on the first call, not when
     the module is.
     """
-    _check_inputs(Z, obs, t)
+    _check_inputs(Z, obs, t, spec.estimator if target == "instantaneous" else "plugin", spec.k)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if target not in ("habituation", "instantaneous"):
         raise ValueError(f"unknown target {target!r}")
-    codes = Z.codes
-    col = t - 1
+    col = obs.values[:, t - 1]
     if target == "habituation":
-        estimate = _habituation(codes, obs.values, t)
-        mask_a, mask_b = codes == 1, codes == t
+        _, a, b, _ = next(_picks(Z.codes, Z.T, "plugin", None, t))
+        estimate = _habituation(col, a, b, t)
     else:
-        if spec.estimator == "recycling" and Z.family is Family.WEDGE:
-            raise ValueError("recycling estimator requires a pulse-family assignment")
-        estimate = _instantaneous(codes, obs.values, t, spec.estimator, spec.k)
-        mask_a, mask_b = codes == t, _pool_arms(Z.T, spec.estimator, spec.k)[t - 2][codes]
+        _, _, a, b = next(_picks(Z.codes, Z.T, spec.estimator, spec.k, t))
+        estimate = _instantaneous(col, a, b, t, spec.estimator)
     variance = 0.0
-    for mask in (mask_a, mask_b):
-        n = int(mask.sum())
-        if n < 2:
+    for units in (a, b):
+        if len(units) < 2:
             raise ValueError(
-                f"conservative variance needs >= 2 units per pool, got {n}"
+                f"conservative variance needs >= 2 units per pool, got {len(units)}"
             )
-        variance += _population_variance(obs.values[mask, col]) / n
+        variance += _population_variance(col[units]) / len(units)
     # A CI is the only scipy use; a module-level import would cost every command 0.6 s.
     from scipy.special import ndtri
     z = float(ndtri(0.5 + level / 2.0))

@@ -136,21 +136,12 @@ def _csv_body(path: str, text: str) -> tuple[int, list[str]]:
     return len(header) - 1, lines[1:]
 
 
-def _split_rows(path: str, T: int, body: list[str]) -> list[list[str]]:
-    rows = []
+def _check_cell_counts(path: str, T: int, body: list[str]) -> None:
     for ln, line in enumerate(body, start=2):
-        cells = line.split(",")
-        if len(cells) != T + 1:
+        if line.count(",") != T:
             raise ParseError(
-                f"{path}, line {ln}: row has {len(cells)} cells, expected {T + 1}"
+                f"{path}, line {ln}: row has {line.count(',') + 1} cells, expected {T + 1}"
             )
-        rows.append(cells)
-    return rows
-
-
-def _parse_csv_lines(path: str, text: str) -> tuple[int, list[list[str]]]:
-    T, body = _csv_body(path, text)
-    return T, _split_rows(path, T, body)
 
 
 def _unit_error(path: str, r: int, cell: str) -> ParseError:
@@ -202,7 +193,8 @@ def _parse_cells(T: int, body: list[str]) -> tuple[np.ndarray, list[str]] | None
 def _raise_first_row_error(path: str, T: int, body: list[str]) -> NoReturn:
     """Locates what made ``_parse_cells`` fail: scans row by row and raises
     the first cell-count, unit or non-number error in file order."""
-    for r, cells in enumerate(_split_rows(path, T, body)):
+    _check_cell_counts(path, T, body)
+    for r, cells in enumerate(line.split(",") for line in body):
         if cells[0] != str(r + 1):
             raise _unit_error(path, r, cells[0])
         for c, cell in enumerate(cells[1:], start=2):
@@ -259,21 +251,22 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
     breaks the tie when every row is ambiguous."""
     with open(path) as handle:
         text = handle.read()
-    T, rows = _parse_csv_lines(path, text)
+    T, body = _csv_body(path, text)
+    _check_cell_counts(path, T, body)
     # each distinct row text is decoded once, at its first occurrence, so an
     # invalid row is reported at the first line that carries it
-    decoded: dict[tuple[str, ...], int] = {}
+    decoded: dict[str, int] = {}
     codes = []
     votes = set()
-    for r, cells in enumerate(rows):
-        if cells[0] != str(r + 1):
-            raise _unit_error(path, r, cells[0])
-        key = tuple(cells[1:])
+    for r, line in enumerate(body):
+        unit, _, key = line.partition(",")
+        if unit != str(r + 1):
+            raise _unit_error(path, r, unit)
         code = decoded.get(key)
         if code is None:
             ln = r + 2
             try:
-                bits = np.array([int(c) for c in key])
+                bits = np.array([int(c) for c in key.split(",")])
             except ValueError:
                 raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1") from None
             if not np.isin(bits, (0, 1)).all():

@@ -552,6 +552,17 @@ class TestIntegerSolve:
         with pytest.raises(ValueError):
             integer_solve(4, 4, ObjectiveMode.basic())
 
+    def test_n_beyond_the_bound_rejected(self):
+        # past 10^12 the float objective goes flat near the optimum and the
+        # tie slide walks it one unit per step
+        for mode in ALL_MODES:
+            with pytest.raises(ValueError, match=r"N <= 10\^12, got N=1000000000001"):
+                integer_solve(10**12 + 1, 3, mode)
+        assert balanced(10**20, 3).N == 10**20
+
+    def test_n_at_the_bound_solves(self):
+        assert integer_solve(10**12, 3, ObjectiveMode.basic()).N == 10**12
+
     @pytest.mark.parametrize("mode,T,N,counts", DESIGN_GOLDEN,
                              ids=[f"{m.kind}-{T}-{N}" for m, T, N, _ in DESIGN_GOLDEN])
     def test_design_instances_match_golden_counts(self, mode, T, N, counts):

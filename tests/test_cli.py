@@ -214,6 +214,18 @@ class TestEstimate:
                             "--k", "1")
         assert code == 1 and "pulse-family" in err
 
+    def test_recycling_rejects_k_below_one(self, capsys, tmp_path):
+        Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
+        sched = standard_model(ModelParams(), 6, 2, 0)
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        write_assignment_csv(str(a_path), Z)
+        write_matrix_csv(str(o_path), observe(Z, sched).values)
+        code, out, err = _run(capsys, "estimate", "--assignment", str(a_path),
+                              "--outcomes", str(o_path), "--estimator", "recycling",
+                              "--k", "0")
+        assert code == 1 and out == ""
+        assert "carryover order k must be >= 1, got 0" in err
+
     def test_manifest_records_input_digests(self, capsys, tmp_path):
         Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
         sched = standard_model(ModelParams(), 6, 2, 0)
@@ -269,6 +281,13 @@ class TestRisk:
         assert code == 1 and out == ""
         assert f"--draws must be >= 0, got {draws}" in err
 
+    def test_malformed_thread_cap_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("TMINIMAX_THREADS", "abc")
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--draws", "2",
+                              "--workers", "2")
+        assert code == 1 and out == ""
+        assert "TMINIMAX_THREADS must be an integer, got 'abc'" in err
+
     def test_unknown_design(self, capsys):
         code, _, err = _run(capsys, "risk", "--n", "30", "--t", "3",
                             "--designs", "stratified")
@@ -284,6 +303,21 @@ class TestRisk:
 
 
 class TestDesignBoundaries:
+    @pytest.mark.parametrize("argv", [
+        ("design", "--n", "100000000000000", "--t", "3"),
+        ("design", "--n", "1000000000001", "--t", "3", "--mode", "recycling", "--k", "2"),
+        ("risk", "--n", "100000000000000000000", "--t", "3"),
+    ], ids=["design", "design-recycling", "risk"])
+    def test_n_beyond_integer_designs_exits_1(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "N <= 10^12" in err
+
+    def test_relaxed_design_takes_any_n(self, capsys):
+        code, out, _ = _run(capsys, "design", "--n", "100000000000000", "--t", "3",
+                            "--relaxed")
+        assert code == 0 and len(json.loads(out)) == 5
+
     def test_weighted_boundary_drops_an_arm(self, capsys):
         code, out, _ = _run(capsys, "design", "--n", "20", "--t", "3",
                             "--mode", "weighted", "--rho", "1.0")
@@ -300,6 +334,12 @@ class TestDesignBoundaries:
 
 
 class TestSimulate:
+    def test_malformed_t_list_exits_1(self, capsys, tmp_path):
+        code, _, err = _run(capsys, "simulate", "--figure", "1", "--n", "100",
+                            "--t-list", "5,x", "--out", str(tmp_path / "sim"))
+        assert code == 1
+        assert "--t-list must be comma-separated integers, got '5,x'" in err
+
     def test_figure_one(self, capsys, tmp_path):
         out = tmp_path / "fig1"
         code, _, _ = _run(capsys, "simulate", "--figure", "1", "--n", "100",

@@ -183,6 +183,34 @@ class TestUnitMasks:
                     assert got == ref("recycling", k)
 
 
+class TestPicks:
+    """``core._picks`` against the reference masks: at each t the treated,
+    pulse and pool arrays are the units the boolean masks give, ascending,
+    whatever step the pass starts at."""
+
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 1), ("recycling", 3)])
+    @pytest.mark.parametrize("N,T", [(12, 8), (60, 5), (700, 300)])
+    def test_units_match_the_reference_masks(self, estimator, k, N, T):
+        from tminimax.core import _picks
+
+        # N = 12 at T = 8 leaves arms empty; T = 300 sorts the codes as uint16
+        rng = np.random.default_rng(700 + T)
+        for _ in range(2):
+            codes = rng.integers(0, T + 1, size=N)
+            treated = np.flatnonzero(codes == 1)
+            want = {t: (np.flatnonzero(codes == t),
+                        np.flatnonzero(_ref_control_mask(codes, t, estimator, k)))
+                    for t in range(2, T + 1)}
+            for start in range(2, T + 1):
+                steps = list(_picks(codes, T, estimator, k, start))
+                assert [step[0] for step in steps] == list(range(start, T + 1))
+                for t, got_treated, got_pulse, got_pool in steps:
+                    assert np.array_equal(got_treated, treated)
+                    assert np.array_equal(got_pulse, want[t][0])
+                    assert np.array_equal(got_pool, want[t][1])
+
+
 class TestPoolSizes:
     @pytest.mark.parametrize("T,estimator,k", CASES)
     def test_integer_sizes_match_the_reference(self, T, estimator, k):

@@ -518,6 +518,14 @@ class TestExactAndMcRisk:
         monkeypatch.delenv("TMINIMAX_THREADS")
         assert _worker_count(8) == 8
 
+    @pytest.mark.parametrize("cap", ["abc", "2.5", "0x2"])
+    def test_malformed_thread_cap_is_named(self, monkeypatch, cap):
+        from tminimax.risk import _worker_count
+
+        monkeypatch.setenv("TMINIMAX_THREADS", cap)
+        with pytest.raises(ValueError, match=f"TMINIMAX_THREADS must be an integer, got '{cap}'"):
+            _worker_count(2)
+
     @pytest.mark.parametrize("cpus,requested,want", [
         (4, None, 1), (4, 0, 1), (4, 3, 3), (4, 4, 4), (4, 5, 4), (4, 100000, 4),
         (1, 100000, 1), (64, 100000, 64),
@@ -709,7 +717,68 @@ class TestTrueVariances:
             assert sc == pytest.approx(9.0 * b, rel=1e-12)
 
 
+def _mask_ci(codes, values, t, spec, level, target):
+    """``conservative_ci`` with each pool picked by a boolean mask over the
+    codes: the reference ``conservative_ci`` must match bit for bit."""
+    from scipy.special import ndtri
+
+    from tminimax.estimators import EstimatorUndefinedError, _pool_name
+
+    if target == "habituation":
+        masks = (codes == 1, codes == t)
+        names = ("the always-treated arm", f"the pulse arm at t={t}")
+    else:
+        pool = codes == 0
+        if spec.estimator != "plugin":
+            pool |= codes > t
+        if spec.estimator == "recycling":
+            pool |= (codes >= 2) & (codes <= t - spec.k)
+        masks = (codes == t, pool)
+        names = (f"the pulse arm at t={t}", _pool_name(spec.estimator, t))
+    means = []
+    for mask, name in zip(masks, names):
+        if not mask.any():
+            raise EstimatorUndefinedError(f"estimator undefined: no units in {name}")
+        means.append(fsum(values[mask, t - 1].tolist()) / int(mask.sum()))
+    variance = 0.0
+    for mask in masks:
+        y = values[mask, t - 1]
+        if len(y) < 2:
+            raise ValueError(f"conservative variance needs >= 2 units per pool, got {len(y)}")
+        mean = fsum(y.tolist()) / len(y)
+        variance += fsum(((y - mean) ** 2).tolist()) / (len(y) - 1) / len(y)
+    return means[0] - means[1], float(ndtri(0.5 + level / 2.0)) * sqrt(variance)
+
+
 class TestConservativeCI:
+    @pytest.mark.parametrize("spec", [LossSpec("plugin"), LossSpec("augmented"),
+                                      LossSpec("recycling", k=1), LossSpec("recycling", k=3)],
+                             ids=lambda s: f"{s.estimator}-{s.k}")
+    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
+    def test_matches_the_boolean_mask_reference_bitwise(self, spec, target):
+        from tminimax.core import AssignmentMatrix, Family
+
+        rng = np.random.default_rng(17)
+        # N = 14 at T = 6 leaves pools with fewer than two units
+        for N, T in ((14, 6), (90, 5), (600, 300)):
+            values = rng.normal(size=(N, T))
+            obs = ObservedOutcomes(values)
+            for _ in range(3):
+                codes = rng.integers(0, T + 1, size=N)
+                Z = AssignmentMatrix._from_codes(codes.copy(), T, Family.PULSE)
+                for t in sorted({2, 3, T // 2, T}):
+                    try:
+                        want = tuple(v.hex() for v in _mask_ci(codes, values, t, spec, 0.9,
+                                                               target))
+                    except ValueError as exc:
+                        want = str(exc)
+                    try:
+                        got = tuple(v.hex() for v in conservative_ci(Z, obs, t, spec, 0.9,
+                                                                     target=target))
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == want
+
     def test_constant_outcomes(self):
         sched = constant_schedule(8, 3)
         Z = draw_assignment(spread_allocation(8, 3), seed=0)
