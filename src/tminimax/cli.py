@@ -184,7 +184,6 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     except ValueError:
         raise ValueError(f"--t-list must be comma-separated integers, "
                          f"got {args.t_list!r}") from None
-    os.makedirs(args.out, exist_ok=True)
     params = {"figure": args.figure, "n": args.n, "t_list": t_list, "model": args.model,
               "reps": args.reps, "loss_estimator": args.loss_estimator}
     if args.figure == 1:
@@ -198,6 +197,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
                                         reps=args.reps, seed=args.seed,
                                         loss_estimator=args.loss_estimator)
         name = f"expected_risk_{args.model}.csv"
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, name)
     atomic_write_text(out_path, rows_to_csv(rows))
     write_run_manifest(os.path.join(args.out, "run_manifest.json"), argv, args.seed,

@@ -448,7 +448,11 @@ class PotentialOutcomeSchedule:
     """Fixed ground truth: one N x T outcome matrix per arm, all T+1 arms.
 
     Matrices are copied on construction and frozen; instances are safe to
-    share across threads.
+    share across threads.  Being frozen, a schedule has fixed estimands:
+    ``estimators.estimands`` computes them on first use and keeps them in
+    the private ``_estimands`` slot.  Threads that race to fill the slot
+    each compute the same bits, so whichever write lands, every caller
+    gets equal values.
     """
 
     def __init__(self, arms: Mapping[ArmId, np.ndarray]):
@@ -493,6 +497,7 @@ class PotentialOutcomeSchedule:
         stacked.flags.writeable = False
         self._stacked = stacked
         _, self._N, self._T = map(int, stacked.shape)
+        self._estimands = None
 
     @property
     def N(self) -> int:

@@ -91,7 +91,19 @@ class EffectSeries:
 
 def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeries, EffectSeries]:
     """Population habituation, instantaneous, and average treatment effects
-    of a schedule.  The first two sum to the third, up to float rounding."""
+    of a schedule.  The first two sum to the third, up to float rounding.
+
+    A schedule is frozen, so they are computed on first use and kept on it:
+    later calls return the same tuple of read-only series."""
+    cached = sched._estimands
+    if cached is None:
+        cached = sched._estimands = _compute_estimands(sched)
+    return cached
+
+
+def _compute_estimands(
+    sched: PotentialOutcomeSchedule,
+) -> tuple[EffectSeries, EffectSeries, EffectSeries]:
     N, T = sched.N, sched.T
     treated = sched.matrix(ALWAYS_TREATED)
     control = sched.matrix(ALWAYS_CONTROL)

@@ -12,7 +12,9 @@ control-pool) counts, the term table ``core._risk_terms``.  The
 allocation objectives are that table too (only basic merges its pools
 into one term), so ``max_risk`` is vstar times the matching objective.
 ``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
-loss evaluator per schedule, which computes its estimands once.  Per
+loss evaluator per call, which reads the schedule's estimands once.  Those
+are computed on first use and kept on the schedule (``estimands``), so
+every design scored against one schedule, as in Figure 3, reuses them.  Per
 assignment it gathers the observed rows with one take and reads each
 estimate's units from one pass of ``core._picks``, as ``conservative_ci``
 reads its two pools from one step of it.  The picked arrays are exactly

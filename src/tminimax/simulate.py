@@ -36,7 +36,7 @@ from .core import (
     arms_for_horizon,
     draw_assignment,
 )
-from .risk import LossSpec, loss, max_risk
+from .risk import LossSpec, _check_seed, loss, max_risk
 
 __all__ = [
     "ModelParams",
@@ -208,6 +208,7 @@ def expected_risk_comparison(N_list: Sequence[int], T_list: Sequence[int],
         raise ValueError(f"unknown loss estimator {loss_estimator!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_seed(seed)
     generate = _MODELS[model]
     spec = LossSpec(loss_estimator, 0.5, unnormalized=True)
     params = params or ModelParams()

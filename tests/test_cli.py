@@ -340,6 +340,22 @@ class TestSimulate:
         assert code == 1
         assert "--t-list must be comma-separated integers, got '5,x'" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--figure", "3", "--n", "40", "--t-list", "4", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+        (["--figure", "3", "--n", "40", "--t-list", "4", "--reps", "0"],
+         "reps must be >= 1, got 0"),
+        (["--figure", "3", "--n", "4", "--t-list", "5"], "N=4 < T+1=6"),
+        (["--figure", "2", "--n", "4", "--t-list", "5"], "N=4 < T+1=6"),
+        (["--figure", "1", "--n", "4", "--t-list", "5"], "N=4 < T+1=6"),
+    ], ids=["seed", "reps", "fig3-small-n", "fig2-small-n", "fig1-small-n"])
+    def test_rejected_run_creates_no_output_directory(self, capsys, tmp_path, args, message):
+        out = tmp_path / "sim"
+        code, _, err = _run(capsys, "simulate", *args, "--out", str(out))
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
     def test_figure_one(self, capsys, tmp_path):
         out = tmp_path / "fig1"
         code, _, _ = _run(capsys, "simulate", "--figure", "1", "--n", "100",

@@ -1,5 +1,7 @@
 """Tests for estimands and the four randomization estimators."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import fsum
 
 import numpy as np
@@ -29,6 +31,7 @@ from tminimax.estimators import (
     instantaneous_estimate,
     recycling_instantaneous_estimate,
 )
+from tminimax.simulate import ModelParams, habituation_model
 
 
 def _series_2x2(y1_col2, ye_col2, y0_col2):
@@ -72,6 +75,48 @@ class TestEstimands:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             EffectSeries(np.array([1.0, np.nan]), EffectKind.ATE)
+
+
+class TestEstimandsMemo:
+    def test_repeat_call_returns_the_same_tuple(self):
+        sched = random_schedule(np.random.default_rng(3), 7, 5)
+        assert estimands(sched) is estimands(sched)
+
+    @pytest.mark.parametrize("build", ["public", "model"])
+    def test_bits_match_a_fresh_computation(self, build):
+        if build == "public":
+            sched = random_schedule(np.random.default_rng(4), 9, 6)
+        else:  # the trusted constructor, through an outcome model
+            sched = habituation_model(ModelParams(), 40, 7, seed=4)
+        first = estimands(sched)
+        twin = PotentialOutcomeSchedule({arm: sched.matrix(arm) for arm in sched.arms})
+        assert twin is not sched and twin == sched
+        for a, b in zip(first, estimands(twin)):
+            assert a.kind is b.kind
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_threads_filling_one_schedule_agree(self):
+        sched = habituation_model(ModelParams(), 2000, 20, seed=5)
+        start = threading.Barrier(4)
+
+        def run(_):
+            start.wait()
+            return estimands(sched)
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(run, range(4)))
+        twin = PotentialOutcomeSchedule({arm: sched.matrix(arm) for arm in sched.arms})
+        expected = [s.values.tobytes() for s in estimands(twin)]
+        for got in results:
+            assert [s.values.tobytes() for s in got] == expected
+
+    def test_kept_series_are_read_only(self):
+        sched = random_schedule(np.random.default_rng(6), 5, 4)
+        estimands(sched)
+        for series in estimands(sched):
+            assert not series.values.flags.writeable
+            with pytest.raises(ValueError):
+                series.values[0] = 1.0
 
 
 class TestTwoUnitExamples:

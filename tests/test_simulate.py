@@ -1,8 +1,11 @@
 """Tests for outcome models and the comparison tables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from tminimax import estimators
 from tminimax.core import (
     ALWAYS_CONTROL,
     ALWAYS_TREATED,
@@ -13,6 +16,7 @@ from tminimax.core import (
     validate_schedule,
 )
 from tminimax.estimators import estimands
+from tminimax.serialize import rows_to_csv
 from tminimax.simulate import (
     ModelParams,
     allocation_table,
@@ -230,7 +234,57 @@ class TestMaxriskTable:
                 assert r["ratio_to_balanced"] == 1.0
 
 
+# sha256 of ``rows_to_csv(expected_risk_comparison(**kwargs))``, recorded
+# before estimands were kept on the schedule: both models x both loss
+# estimators, per-arm noise, and the fig3-sim benchmark case.
+FIG3_GOLDEN = [
+    ("standard-plugin",
+     dict(N_list=[60, 90], T_list=[3, 5], model="standard", reps=4, seed=7,
+          loss_estimator="plugin"),
+     "37925233277ac3ad37563b676b83307cba1f198a48122fd6898156f2a1df9880"),
+    ("standard-augmented",
+     dict(N_list=[60, 90], T_list=[3, 5], model="standard", reps=4, seed=7,
+          loss_estimator="augmented"),
+     "2f3af555e353c6ec3696e9d72b644dcd66ed004040b409211c51a9b632eefa82"),
+    ("habituation-plugin",
+     dict(N_list=[60, 90], T_list=[3, 5], model="habituation", reps=4, seed=7,
+          loss_estimator="plugin"),
+     "a54b63e43c8e39c2d1f23cd1ffc53b346cb5b1cdb8d5cec2616928a9cd7c3388"),
+    ("habituation-augmented",
+     dict(N_list=[60, 90], T_list=[3, 5], model="habituation", reps=4, seed=7,
+          loss_estimator="augmented"),
+     "b1d750ebd4af68a2ffc058ea8f74da62a510cf75aec7b808de2ea79bf5b07174"),
+    ("per-arm-noise",
+     dict(N_list=[50], T_list=[4], model="habituation", reps=3, seed=3,
+          params=ModelParams(shared_noise=False)),
+     "960cb2c097cbd2180a03172c93a2caa919fe64ad45b766071d2fa1b6c4191695"),
+    ("benchmark",
+     dict(N_list=[2000], T_list=[10, 20, 30], model="habituation", reps=10, seed=41),
+     "3ff05d06d1b8eccff14f20a00d40556e5d44a6bfcc4c69959dac3af2acdb4b6a"),
+]
+
+
 class TestExpectedRiskComparison:
+    @pytest.mark.parametrize("kwargs,digest", [g[1:] for g in FIG3_GOLDEN],
+                             ids=[g[0] for g in FIG3_GOLDEN])
+    def test_table_matches_golden_bytes(self, kwargs, digest):
+        text = rows_to_csv(expected_risk_comparison(**kwargs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_estimands_computed_once_per_schedule(self, monkeypatch):
+        computed = []
+        compute = estimators._compute_estimands
+        monkeypatch.setattr(estimators, "_compute_estimands",
+                            lambda sched: computed.append(sched) or compute(sched))
+        expected_risk_comparison([40, 50], [3, 4], reps=3, seed=1)
+        assert len(computed) == 2 * 2 * 3  # sizes x horizons x reps: once each
+        assert len({id(s) for s in computed}) == len(computed)
+
+    def test_negative_seed_rejected_before_building(self):
+        # N < T+1 would fail in the design; the seed is checked first.
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            expected_risk_comparison([3], [4], reps=2, seed=-1)
+
     def test_deterministic_given_seed(self):
         a = expected_risk_comparison([40], [4], reps=5, seed=3)
         b = expected_risk_comparison([40], [4], reps=5, seed=3)
