@@ -2,9 +2,9 @@
 
 Every subcommand accepts ``--seed`` (recorded in the run manifest even
 when unused), writes output atomically, and exits 0 on success, 2 on a
-usage error, and 1 on a computation or I/O error.  Identical arguments,
-seed, and inputs produce byte-identical outputs; the manifest differs
-only in its timestamp.
+usage error, and 1 on a computation or I/O error or when memory runs
+out.  Identical arguments, seed, and inputs produce byte-identical
+outputs; the manifest differs only in its timestamp.
 """
 
 from __future__ import annotations
@@ -142,6 +142,9 @@ def _cmd_risk(args, argv: list[str]) -> int:
     spec = LossSpec(args.estimator, args.rho, args.k, args.unnormalized)
     vstar = args.vstar if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
     _check_vstar(vstar)
+    if args.draws > 0 and vstar == 0.0:
+        # the worst-case box [0, u] scales with vstar and would be empty
+        raise ValueError(f"--draws needs --vstar > 0, got {vstar}")
     sched = None
     if args.draws > 0:
         # a worst-case schedule over [0, u] chosen so its column variance
@@ -301,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, argv)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -447,6 +447,14 @@ def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> fro
 class PotentialOutcomeSchedule:
     """Fixed ground truth: one N x T outcome matrix per arm, all T+1 arms.
 
+    Storage is a (K, N, T) array of the K <= T+1 distinct matrices and a
+    read-only (T+1,) slot table that maps each arm code to its matrix.
+    Arms given as the same array object share one stored copy; sources are
+    matched by identity, never by content, so K N T floats are kept (one
+    N x T matrix for ``worst_case_schedule``, T+1 for a schedule whose arms
+    all differ).  Slots number the matrices in arm-code order of first
+    use, so K == T+1 means slot c holds arm code c.
+
     Matrices are copied on construction and frozen; instances are safe to
     share across threads.  Being frozen, a schedule has fixed estimands:
     ``estimators.estimands`` computes them on first use and keeps them in
@@ -463,17 +471,30 @@ class PotentialOutcomeSchedule:
             raise ValueError(f"arm matrices must be N x T with T >= 2, got {shape}")
         N, T = shape
         expected = arms_for_horizon(T)
+        known = set(expected)
         missing = [a.label for a in expected if a not in arms]
-        extra = [a.label for a in arms if a not in set(expected)]
+        extra = [a.label for a in arms if a not in known]
         if missing or extra:
             raise ValueError(f"schedule arms mismatch: missing={missing} extra={extra}")
-        stacked = np.empty((T + 1, N, T), dtype=float)
-        for arm in expected:
-            m = np.asarray(arms[arm], dtype=float)
+        # ``firsts`` keeps each distinct source referenced until it is
+        # copied, so no id is recycled by a mapping that builds a fresh
+        # array per lookup
+        slot_of: dict[int, int] = {}
+        firsts: list[tuple[ArmId, object]] = []
+        slots = np.empty(T + 1, dtype=np.intp)
+        for arm in expected:  # arm-code order
+            src = arms[arm]
+            if id(src) not in slot_of:
+                slot_of[id(src)] = len(firsts)
+                firsts.append((arm, src))
+            slots[_arm_code(arm)] = slot_of[id(src)]
+        stored = np.empty((len(firsts), N, T), dtype=float)
+        for slot, (arm, src) in enumerate(firsts):
+            m = np.asarray(src, dtype=float)
             if m.shape != (N, T):
                 raise ValueError(f"{arm!r} matrix has shape {m.shape}, expected {(N, T)}")
-            stacked[_arm_code(arm)] = m
-        self._adopt(stacked)
+            stored[slot] = m
+        self._adopt(stored, slots)
 
     @classmethod
     def _owned(cls, stacked: np.ndarray) -> "PotentialOutcomeSchedule":
@@ -488,15 +509,18 @@ class PotentialOutcomeSchedule:
             raise ValueError(f"stacked schedule must be (T+1) x N x T with T >= 2, "
                              f"got {stacked.shape}")
         sched = cls.__new__(cls)
-        sched._adopt(stacked)
+        sched._adopt(stacked, np.arange(n_arms, dtype=np.intp))
         return sched
 
-    def _adopt(self, stacked: np.ndarray) -> None:
-        """Freeze ``stacked``, a (T+1, N, T) array indexed by arm code, and
-        make it this schedule's ground truth."""
-        stacked.flags.writeable = False
-        self._stacked = stacked
-        _, self._N, self._T = map(int, stacked.shape)
+    def _adopt(self, stored: np.ndarray, slots: np.ndarray) -> None:
+        """Freeze ``stored``, the (K, N, T) distinct matrices, and ``slots``,
+        the matrix of each arm code, and make them this schedule's ground
+        truth."""
+        stored.flags.writeable = False
+        slots.flags.writeable = False
+        self._stored = stored
+        self._slots = slots
+        self._N, self._T = map(int, stored.shape[1:])
         self._estimands = None
 
     @property
@@ -515,23 +539,35 @@ class PotentialOutcomeSchedule:
         code = _arm_code(arm)
         if code > self._T:
             raise KeyError(f"{arm!r} not in a horizon-{self._T} schedule")
-        return self._stacked[code]
+        return self._stored[self._slots[code]]
 
     def stacked(self) -> np.ndarray:
-        """(T+1, N, T) array indexed by arm code; read-only view."""
-        return self._stacked
+        """(T+1, N, T) read-only array indexed by arm code.  A schedule
+        whose arms all differ returns its stored array; one whose arms
+        share matrices assembles a fresh (T+1) N T copy."""
+        if len(self._stored) == self._T + 1:
+            return self._stored
+        stacked = self._stored[self._slots]
+        stacked.flags.writeable = False
+        return stacked
 
     def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
-        """Fresh N x T array whose row i is row i of the matrix of arm
-        ``codes[i]``, gathered with one take over the (T+1)N rows."""
-        rows = codes.astype(np.intp, copy=False) * self._N + np.arange(self._N)
-        return self._stacked.reshape(-1, self._T).take(rows, axis=0)
+        """Read-only N x T array whose row i is row i of the matrix of arm
+        ``codes[i]``.  With one stored matrix that is the matrix itself;
+        otherwise it is gathered with one take over the K N stored rows."""
+        if len(self._stored) == 1:
+            return self._stored[0]
+        slots = codes if len(self._stored) == self._T + 1 else self._slots.take(codes)
+        rows = slots.astype(np.intp, copy=False) * self._N + np.arange(self._N)
+        values = self._stored.reshape(-1, self._T).take(rows, axis=0)
+        values.flags.writeable = False
+        return values
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PotentialOutcomeSchedule):
             return NotImplemented
-        return (self._N, self._T) == (other._N, other._T) and np.array_equal(
-            self._stacked, other._stacked
+        return (self._N, self._T) == (other._N, other._T) and all(
+            np.array_equal(self.matrix(arm), other.matrix(arm)) for arm in self.arms
         )
 
     def __repr__(self) -> str:
@@ -554,8 +590,10 @@ class ObservedOutcomes:
 
     @classmethod
     def _owned(cls, values: np.ndarray) -> "ObservedOutcomes":
-        """Trusted constructor: ``values`` is a fresh N x T float array,
-        which the new instance takes over and freezes without a copy."""
+        """Trusted constructor: ``values`` is an N x T float array that
+        nothing else writes (fresh, or read-only like a schedule's stored
+        matrix), which the new instance takes over and freezes without a
+        copy."""
         obs = cls.__new__(cls)
         values.flags.writeable = False
         object.__setattr__(obs, "values", values)
@@ -577,7 +615,8 @@ def _check_fits(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> None:
 
 def observe(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> ObservedOutcomes:
     """Realize the experiment: row i is row i of the schedule matrix for
-    unit i's arm."""
+    unit i's arm.  The values are read-only; when every arm shares one
+    matrix they are that matrix, not a copy."""
     _check_fits(Z, sched)
     return ObservedOutcomes._owned(sched._observed_rows(Z.codes))
 
@@ -627,17 +666,17 @@ def permute_units(x, perm: Sequence[int]):
     """Reindex units: row i of the result is row perm[i] of the input.
 
     Accepts an :class:`AssignmentMatrix` or a
-    :class:`PotentialOutcomeSchedule` (all arm matrices are permuted
-    together) and returns the same type.
+    :class:`PotentialOutcomeSchedule` (each stored matrix is permuted once,
+    so arms that share a matrix still share it) and returns the same type.
     """
     if isinstance(x, AssignmentMatrix):
         p = _check_permutation(perm, x.N)
         return AssignmentMatrix._from_codes(x.codes[p], x.T, x.family)
     if isinstance(x, PotentialOutcomeSchedule):
         p = _check_permutation(perm, x.N)
-        return PotentialOutcomeSchedule(
-            {arm: x.matrix(arm)[p, :] for arm in x.arms}
-        )
+        permuted = PotentialOutcomeSchedule.__new__(PotentialOutcomeSchedule)
+        permuted._adopt(x._stored[:, p, :], x._slots)  # arms sharing a matrix still do
+        return permuted
     raise TypeError(f"cannot permute {type(x).__name__}")
 
 

@@ -294,9 +294,10 @@ def worst_case_schedule(N: int, T: int, lower: float, upper: float) -> Potential
     """The schedule attaining the maximum risk over all box-bounded
     schedules: every arm identical, every column equal to the
     variance-maximizing vector.  All its estimands are zero, so the risk
-    there is purely estimator variance."""
+    there is purely estimator variance.  Every arm is given as one array
+    object, so the schedule stores a single N x T matrix."""
     y = _extreme_vector(N, lower, upper)
-    matrix = np.tile(y[:, None], (1, T))
+    matrix = np.broadcast_to(y[:, None], (N, T))  # a view: the schedule makes the one copy
     return PotentialOutcomeSchedule({arm: matrix for arm in arms_for_horizon(T)})
 
 

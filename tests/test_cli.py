@@ -275,6 +275,27 @@ class TestRisk:
         assert code == 1 and out == ""
         assert f"vstar must be finite and >= 0, got {float(vstar)}" in err
 
+    def test_draws_need_a_positive_vstar(self, capsys):
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "0",
+                              "--draws", "3")
+        assert code == 1 and out == ""
+        assert err == "error: --draws needs --vstar > 0, got 0.0\n"
+
+    def test_zero_vstar_without_draws_has_zero_risk(self, capsys):
+        code, out, _ = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "0")
+        assert code == 0
+        assert [r["max_risk"] for r in json.loads(out)] == [0.0, 0.0, 0.0]
+
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def refuse(N, T, lower, upper):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("tminimax.cli.worst_case_schedule", refuse)
+        code, out, err = _run(capsys, "risk", "--n", "1000000000000", "--t", "5",
+                              "--draws", "1")
+        assert code == 1 and out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
     @pytest.mark.parametrize("draws", ["-1", "-5"])
     def test_negative_draws_exits_1(self, capsys, draws):
         code, out, err = _run(capsys, "risk", "--n", "30", "--t", "3", "--draws", draws)

@@ -1,6 +1,7 @@
 """Tests for arm algebra, randomization, and schedule handling."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tminimax.core import (
     pulse_arm,
     validate_schedule,
 )
+from tminimax.risk import worst_case_schedule
 
 
 class TestArmVectors:
@@ -327,6 +329,17 @@ class TestPermuteUnits:
         with pytest.raises(ValueError):
             permute_units(Z, [0, 0])
 
+    def test_shared_matrices_stay_shared(self):
+        rng = np.random.default_rng(8)
+        N, T = 9, 4
+        sched = worst_case_schedule(N, T, -1.0, 2.0)
+        perm = rng.permutation(N)
+        permuted = permute_units(sched, perm)
+        assert len(permuted._stored) == 1
+        per_arm = PotentialOutcomeSchedule({arm: sched.matrix(arm)[perm] for arm in sched.arms})
+        assert permuted == per_arm
+        assert np.array_equal(permuted.stacked(), per_arm.stacked())
+
 
 class TestEnumeration:
     def test_count_and_distinctness(self):
@@ -356,3 +369,83 @@ class TestScheduleType:
         sched = constant_schedule(2, 2)
         with pytest.raises(ValueError):
             sched.matrix(ALWAYS_CONTROL)[0, 0] = 1.0
+
+
+class _FreshArrays(Mapping):
+    """A mapping that builds a new nested list on every lookup, so the ids
+    of sources from earlier lookups are free to be recycled."""
+
+    def __init__(self, arms):
+        self._arms = arms
+
+    def __getitem__(self, arm):
+        return self._arms[arm].tolist()
+
+    def __iter__(self):
+        return iter(self._arms)
+
+    def __len__(self):
+        return len(self._arms)
+
+
+def _two_arms_sharing(rng, N, T):
+    """Random schedule whose always-treated and pulse-2 arms are one object."""
+    arms = {arm: rng.normal(size=(N, T)) for arm in arms_for_horizon(T)}
+    arms[pulse_arm(2)] = arms[ALWAYS_TREATED]
+    return arms
+
+
+class TestSharedStorage:
+    N, T = 30, 5
+
+    @pytest.mark.parametrize("kind", ["all_shared", "two_shared", "all_distinct", "owned"])
+    def test_observed_rows_equal_the_per_arm_gather(self, kind):
+        rng = np.random.default_rng(17)
+        N, T = self.N, self.T
+        if kind == "all_shared":
+            sched, stored = worst_case_schedule(N, T, 0.0, 1.0), 1
+        elif kind == "two_shared":
+            sched, stored = PotentialOutcomeSchedule(_two_arms_sharing(rng, N, T)), T
+        elif kind == "all_distinct":
+            sched, stored = random_schedule(rng, N, T), T + 1
+        else:
+            sched = PotentialOutcomeSchedule._owned(rng.normal(size=(T + 1, N, T)))
+            stored = T + 1
+        assert len(sched._stored) == stored
+        for seed in range(4):
+            Z = draw_assignment(spread_allocation(N, T), seed=seed)
+            got = sched._observed_rows(Z.codes)
+            want = np.array([sched.matrix(arm)[i] for i, arm in enumerate(Z.arm_labels)])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_one_stored_matrix_is_observed_without_a_copy(self):
+        sched = worst_case_schedule(self.N, self.T, 0.0, 1.0)
+        Z = draw_assignment(spread_allocation(self.N, self.T), seed=2)
+        assert np.shares_memory(sched._observed_rows(Z.codes), sched._stored)
+        assert np.shares_memory(observe(Z, sched).values, sched.matrix(ALWAYS_CONTROL))
+
+    def test_fresh_array_mapping_equals_the_dict(self):
+        arms = {arm: np.random.default_rng(c).normal(size=(self.N, self.T))
+                for c, arm in enumerate(arms_for_horizon(self.T))}
+        sched = PotentialOutcomeSchedule(_FreshArrays(arms))
+        assert len(sched._stored) == self.T + 1
+        assert sched == PotentialOutcomeSchedule(arms)
+
+    def test_shared_equals_its_unshared_twin(self):
+        arms = _two_arms_sharing(np.random.default_rng(5), self.N, self.T)
+        shared = PotentialOutcomeSchedule(arms)
+        twin = PotentialOutcomeSchedule({arm: m.copy() for arm, m in arms.items()})
+        assert len(shared._stored) == self.T and len(twin._stored) == self.T + 1
+        assert shared == twin
+        stacked = shared.stacked()
+        assert stacked.shape == (self.T + 1, self.N, self.T) and not stacked.flags.writeable
+        assert np.array_equal(stacked, twin.stacked())
+
+    def test_mutating_a_source_leaves_the_schedule(self):
+        arms = _two_arms_sharing(np.random.default_rng(6), self.N, self.T)
+        sched = PotentialOutcomeSchedule(arms)
+        before = sched.stacked().copy()
+        arms[ALWAYS_TREATED][:] = 7.0
+        arms[ALWAYS_CONTROL][0, 0] = -7.0
+        assert np.array_equal(sched.stacked(), before)

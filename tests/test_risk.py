@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import re
+import tracemalloc
 from math import fsum, sqrt
 
 import numpy as np
@@ -254,6 +255,15 @@ MC_RISK_N2000_GOLDEN = {
     ('recycling', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
 }
 
+# float.hex of (mc_risk, mc_se) on worst_case_schedule(2000, 20, 0, 1), whose
+# arms are all one matrix, at workers 1 and 2; recorded while the schedule
+# still kept one copy per arm, and the bits must not move
+WORST_CASE_MC_GOLDEN = {
+    "plugin": ("0x1.60fd0838863f4p-3", "0x1.d91264c9dc369p-7"),
+    "augmented": ("0x1.15aeed4ce955ap-4", "0x1.6eedbaa708048p-8"),
+    "recycling": ("0x1.1c1b6ef9dff69p-4", "0x1.c688f8f443611p-8"),
+}
+
 # sha256 of the float.hex of _loss_from_codes on draws 0..19 of the seeded
 # N=400 case below, per path; the fast path's numpy pool sums must not move
 LOSS_PATH_GOLDEN = {
@@ -318,6 +328,19 @@ class TestGoldenBits:
     @pytest.mark.parametrize("spec", [
         LossSpec("plugin", 0.5, unnormalized=True),
         LossSpec("augmented", 0.3),
+        LossSpec("recycling", 0.5, k=2),
+    ], ids=lambda s: s.estimator)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_risk_on_the_worst_case(self, spec, workers):
+        sched = worst_case_schedule(2000, 20, 0.0, 1.0)
+        alloc = Allocation(198, 130, tuple(range(70, 108, 2)))
+        report = mc_risk(alloc, sched, spec, draws=12, seed=9, workers=workers)
+        got = (report.mc_risk.hex(), report.mc_se.hex())
+        assert got == WORST_CASE_MC_GOLDEN[spec.estimator]
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin", 0.5, unnormalized=True),
+        LossSpec("augmented", 0.3),
         LossSpec("recycling", 0.5, k=1),
     ], ids=lambda s: s.estimator)
     def test_exact_risk_and_loss(self, spec):
@@ -376,6 +399,17 @@ class TestWorstCaseSchedule:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             worst_case_schedule(4, 3, 1.0, 1.0)
+
+    def test_stores_one_matrix(self):
+        N, T = 20000, 50
+        tracemalloc.start()
+        try:
+            sched = worst_case_schedule(N, T, 0.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * N * T * 8
+        assert len(sched._stored) == 1
 
     @staticmethod
     def _box_max_variance_on_vector(N, lower, upper):
