@@ -447,13 +447,15 @@ def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> fro
 class PotentialOutcomeSchedule:
     """Fixed ground truth: one N x T outcome matrix per arm, all T+1 arms.
 
-    Storage is a (K, N, T) array of the K <= T+1 distinct matrices and a
-    read-only (T+1,) slot table that maps each arm code to its matrix.
-    Arms given as the same array object share one stored copy; sources are
-    matched by identity, never by content, so K N T floats are kept (one
-    N x T matrix for ``worst_case_schedule``, T+1 for a schedule whose arms
-    all differ).  Slots number the matrices in arm-code order of first
-    use, so K == T+1 means slot c holds arm code c.
+    Storage is a (K, N, T) array of K <= T+1 distinct matrices and a
+    read-only (T+1, T) slot table: cell (i, t) of arm code c is cell
+    (i, t) of stored matrix ``slots[c, t-1]``.  An arm given as a matrix
+    has one slot in every period, and arms given as the same array object
+    share it (sources are matched by identity, never by content).  So
+    K N T floats are kept: one N x T matrix for ``worst_case_schedule``,
+    T+1 for a schedule whose arms all differ, and at most 4 for a
+    simulation model, whose cell depends on the arm only through
+    (z_t, z_{t-1}).
 
     Matrices are copied on construction and frozen; instances are safe to
     share across threads.  Being frozen, a schedule has fixed estimands:
@@ -481,7 +483,7 @@ class PotentialOutcomeSchedule:
         # array per lookup
         slot_of: dict[int, int] = {}
         firsts: list[tuple[ArmId, object]] = []
-        slots = np.empty(T + 1, dtype=np.intp)
+        slots = np.empty((T + 1, T), dtype=np.intp)
         for arm in expected:  # arm-code order
             src = arms[arm]
             if id(src) not in slot_of:
@@ -497,25 +499,29 @@ class PotentialOutcomeSchedule:
         self._adopt(stored, slots)
 
     @classmethod
-    def _owned(cls, stacked: np.ndarray) -> "PotentialOutcomeSchedule":
-        """Trusted constructor: ``stacked`` is a fresh (T+1, N, T) float
-        array indexed by arm code, which the new instance takes over and
-        freezes without a copy."""
-        if stacked.dtype != np.float64 or stacked.ndim != 3:
+    def _owned(cls, stored: np.ndarray,
+               slots: np.ndarray | None = None) -> "PotentialOutcomeSchedule":
+        """Trusted constructor: ``stored`` is a fresh (K, N, T) float array
+        and ``slots`` a fresh (T+1, T) slot table into it, both of which the
+        new instance takes over and freezes without a copy.  Without
+        ``slots``, ``stored`` is (T+1, N, T) and indexed by arm code."""
+        if stored.dtype != np.float64 or stored.ndim != 3:
             raise ValueError(f"stacked schedule must be a 3-D float array, got "
-                             f"{stacked.dtype} {stacked.shape}")
-        n_arms, N, T = stacked.shape
-        if N < 1 or T < 2 or n_arms != T + 1:
+                             f"{stored.dtype} {stored.shape}")
+        n_stored, N, T = stored.shape
+        if N < 1 or T < 2 or (slots is None and n_stored != T + 1):
             raise ValueError(f"stacked schedule must be (T+1) x N x T with T >= 2, "
-                             f"got {stacked.shape}")
+                             f"got {stored.shape}")
+        if slots is None:
+            slots = np.repeat(np.arange(T + 1), T).reshape(T + 1, T)
         sched = cls.__new__(cls)
-        sched._adopt(stacked, np.arange(n_arms, dtype=np.intp))
+        sched._adopt(stored, slots)
         return sched
 
     def _adopt(self, stored: np.ndarray, slots: np.ndarray) -> None:
         """Freeze ``stored``, the (K, N, T) distinct matrices, and ``slots``,
-        the matrix of each arm code, and make them this schedule's ground
-        truth."""
+        the (T+1, T) table of the matrix behind each (arm code, period),
+        and make them this schedule's ground truth."""
         stored.flags.writeable = False
         slots.flags.writeable = False
         self._stored = stored
@@ -535,31 +541,50 @@ class PotentialOutcomeSchedule:
     def arms(self) -> tuple[ArmId, ...]:
         return arms_for_horizon(self._T)
 
-    def matrix(self, arm: ArmId) -> np.ndarray:
+    def _code(self, arm: ArmId) -> int:
         code = _arm_code(arm)
         if code > self._T:
             raise KeyError(f"{arm!r} not in a horizon-{self._T} schedule")
-        return self._stored[self._slots[code]]
+        return code
+
+    def matrix(self, arm: ArmId) -> np.ndarray:
+        """The arm's read-only N x T matrix: the stored matrix itself when
+        one slot holds every period of the arm, else a copy assembled
+        column by column from the slot table."""
+        code = self._code(arm)
+        row = self._slots[code]
+        if (row == row[0]).all():
+            return self._stored[row[0]]
+        return self._observed_rows(np.full(self._N, code))
+
+    def _column(self, arm: ArmId, t: int) -> np.ndarray:
+        """Read-only view of the arm's outcomes at period t (1-based)."""
+        return self._stored[self._slots[self._code(arm), t - 1], :, t - 1]
 
     def stacked(self) -> np.ndarray:
         """(T+1, N, T) read-only array indexed by arm code.  A schedule
-        whose arms all differ returns its stored array; one whose arms
-        share matrices assembles a fresh (T+1) N T copy."""
-        if len(self._stored) == self._T + 1:
+        whose slot table is the identity (row c is slot c throughout)
+        returns its stored array; any other assembles a fresh (T+1) N T
+        copy through the table."""
+        n_arms, T = self._slots.shape
+        if (self._slots == np.arange(n_arms)[:, None]).all():
             return self._stored
-        stacked = self._stored[self._slots]
+        stacked = self._stored[self._slots[:, None, :], np.arange(self._N)[:, None],
+                               np.arange(T)]
         stacked.flags.writeable = False
         return stacked
 
     def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
         """Read-only N x T array whose row i is row i of the matrix of arm
         ``codes[i]``.  With one stored matrix that is the matrix itself;
-        otherwise it is gathered with one take over the K N stored rows."""
+        otherwise it is gathered with one take over the stored cells, from
+        the flat offset of each (arm code, period) in unit 0."""
         if len(self._stored) == 1:
             return self._stored[0]
-        slots = codes if len(self._stored) == self._T + 1 else self._slots.take(codes)
-        rows = slots.astype(np.intp, copy=False) * self._N + np.arange(self._N)
-        values = self._stored.reshape(-1, self._T).take(rows, axis=0)
+        N, T = self._N, self._T
+        cells = (self._slots * (N * T) + np.arange(T)).take(codes, axis=0)
+        cells += np.arange(0, N * T, T)[:, None]
+        values = self._stored.reshape(-1).take(cells)
         values.flags.writeable = False
         return values
 
@@ -644,14 +669,12 @@ def validate_schedule(sched: PotentialOutcomeSchedule,
     """
     _check_carryover(k)
     pools = _pool_arms(sched.T, "augmented" if k is None else "recycling", k)
-    control = sched.matrix(ALWAYS_CONTROL)
     violations: list[tuple[ArmId, int, int]] = []
     for tp in range(2, sched.T + 1):
         arm = pulse_arm(tp)
-        m = sched.matrix(arm)
-        for c in [0, *(np.flatnonzero(pools[:, tp]) + 1).tolist()]:
-            bad = np.nonzero(m[:, c] != control[:, c])[0]
-            violations.extend((arm, int(i), c + 1) for i in bad)
+        for t in [1, *(np.flatnonzero(pools[:, tp]) + 2).tolist()]:
+            bad = np.nonzero(sched._column(arm, t) != sched._column(ALWAYS_CONTROL, t))[0]
+            violations.extend((arm, int(i), t) for i in bad)
     return ScheduleValidation(tuple(violations))
 
 

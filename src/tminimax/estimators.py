@@ -105,17 +105,16 @@ def _compute_estimands(
     sched: PotentialOutcomeSchedule,
 ) -> tuple[EffectSeries, EffectSeries, EffectSeries]:
     N, T = sched.N, sched.T
-    treated = sched.matrix(ALWAYS_TREATED)
-    control = sched.matrix(ALWAYS_CONTROL)
     hab = np.empty(T - 1)
     inst = np.empty(T - 1)
     ate = np.empty(T - 1)
     for t in range(2, T + 1):
-        col = t - 1
-        pulse = sched.matrix(pulse_arm(t))
-        hab[t - 2] = fsum((treated[:, col] - pulse[:, col]).tolist()) / N
-        inst[t - 2] = fsum((pulse[:, col] - control[:, col]).tolist()) / N
-        ate[t - 2] = fsum((treated[:, col] - control[:, col]).tolist()) / N
+        treated = sched._column(ALWAYS_TREATED, t)
+        control = sched._column(ALWAYS_CONTROL, t)
+        pulse = sched._column(pulse_arm(t), t)
+        hab[t - 2] = fsum((treated - pulse).tolist()) / N
+        inst[t - 2] = fsum((pulse - control).tolist()) / N
+        ate[t - 2] = fsum((treated - control).tolist()) / N
     return (
         EffectSeries(hab, EffectKind.HABITUATION),
         EffectSeries(inst, EffectKind.INSTANTANEOUS),

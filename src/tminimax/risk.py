@@ -113,7 +113,9 @@ class LossSpec:
 @dataclass(frozen=True)
 class RiskReport:
     """One design's analytic worst-case risk next to its Monte-Carlo
-    estimate (nan marks a column that was not computed)."""
+    estimate.  In this in-memory record nan marks a column that was not
+    computed; the CLI writes such a column as ``null`` in JSON and as an
+    empty cell in CSV."""
 
     label: str
     max_risk: float
@@ -356,10 +358,9 @@ def variance_components(sched: PotentialOutcomeSchedule, t: int) -> VarianceComp
         raise ValueError(f"need N >= 2 for variances, got N={sched.N}")
     if not 2 <= t <= sched.T:
         raise ValueError(f"time index {t} outside 2..{sched.T}")
-    col = t - 1
-    y1 = sched.matrix(ALWAYS_TREATED)[:, col]
-    y0 = sched.matrix(ALWAYS_CONTROL)[:, col]
-    ye = sched.matrix(pulse_arm(t))[:, col]
+    y1 = sched._column(ALWAYS_TREATED, t)
+    y0 = sched._column(ALWAYS_CONTROL, t)
+    ye = sched._column(pulse_arm(t), t)
     return VarianceComponents(
         v1=_population_variance(y1),
         v0=_population_variance(y0),

@@ -19,11 +19,12 @@ rename, never a partial file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 import tempfile
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -369,13 +370,25 @@ def _arm_matrix(label: str, matrix) -> np.ndarray:
     return np.array(matrix, dtype=float)
 
 
+def _shared_schedule(arms: Iterable[tuple[ArmId, np.ndarray]]) -> PotentialOutcomeSchedule:
+    """A schedule from parsed arm matrices, in which arms whose matrices
+    hold the same bytes are one object, so the schedule stores them once.
+    A hash of the bytes finds the candidate and a bitwise comparison
+    confirms it; only the distinct matrices are kept while parsing."""
+    first: dict[bytes, np.ndarray] = {}
+    shared = {}
+    for arm, m in arms:
+        kept = first.setdefault(hashlib.blake2b(m, digest_size=16).digest(), m)
+        shared[arm] = kept if np.array_equal(kept.view(np.int64), m.view(np.int64)) else m
+    return PotentialOutcomeSchedule(shared)
+
+
 def schedule_from_json(text: str) -> PotentialOutcomeSchedule:
     doc = _json_object(text, {"n": int, "t": int, "arms": dict})
-    arms = {
-        arm_from_label(label): _arm_matrix(label, matrix)
+    sched = _shared_schedule(
+        (arm_from_label(label), _arm_matrix(label, matrix))
         for label, matrix in doc["arms"].items()
-    }
-    sched = PotentialOutcomeSchedule(arms)
+    )
     if (sched.N, sched.T) != (doc["n"], doc["t"]):
         raise ParseError(
             f"schedule document says N={doc['n']}, T={doc['t']} but matrices are "
@@ -399,10 +412,10 @@ def read_schedule_csv(directory: str) -> PotentialOutcomeSchedule:
     files = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
     if not files:
         raise ParseError(f"{directory}: no arm CSV files found")
-    arms = {}
-    for name in files:
-        arms[arm_from_label(name[:-4])] = read_matrix_csv(os.path.join(directory, name))
-    return PotentialOutcomeSchedule(arms)
+    return _shared_schedule(
+        (arm_from_label(name[:-4]), read_matrix_csv(os.path.join(directory, name)))
+        for name in files
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ share unit and time fixed effects and one noise draw per (unit, period):
 
 The noise matrix is drawn once and shared by every arm of a schedule, so
 contrasts between arms reflect the model, not resampled noise; pass
-``shared_noise=False`` to draw per-arm noise instead.
+``shared_noise=False`` to draw per-arm noise instead.  With shared noise
+a cell depends on the arm only through (z_t, z_{t-1}), so a schedule
+holds at most 4 N x T matrices (8 * 4 * N * T bytes), one per pattern,
+not one per arm; per-arm noise holds T+1.
 
 The table builders reproduce the three standard views: allocations across
 designs, worst-case-risk ratios against the balanced design, and the
@@ -97,23 +100,32 @@ def _generate(params: ModelParams, N: int, T: int, seed,
     """Build a schedule from a rule mapping (z_t, z_{t-1}) to the
     treatment contribution; z_0 is zero (no pre-experiment treatment).
 
-    Every arm lives in one (T+1, N, T) array, indexed by arm code: fixed
-    effects plus the arm's treatment row, then the noise added in place,
-    the same two additions per cell as building each arm on its own."""
+    With noise shared by every arm (or none), a cell depends on the arm
+    only through its pattern 2 z_t + z_{t-1}, so one matrix is stored per
+    pattern that occurs (at most 4) and the slot table maps each (arm,
+    period) to its pattern.  Per-arm noise stores one matrix per arm.
+    Either way a cell is fixed effects plus the treatment term, then the
+    noise added in place: the same two additions as building each arm on
+    its own."""
     alpha, beta = params.fixed_effects(N, T)
     base = params.baseline + alpha[:, None] + beta[None, :]
     rng = np.random.default_rng(seed)
-    bits = _arm_vectors(T, Family.PULSE).astype(float)  # row c: arm code c
-    prev = np.zeros_like(bits)
-    prev[:, 1:] = bits[:, :-1]
-    stacked = base + cell(bits, prev)[:, None, :]
+    z = _arm_vectors(T, Family.PULSE)  # row c: arm code c
+    prev = np.zeros_like(z)
+    prev[:, 1:] = z[:, :-1]
+    slots = None
+    if params.shared_noise or params.noise_sd == 0.0:
+        patterns, slots = np.unique(2 * z + prev, return_inverse=True)
+        slots = slots.reshape(z.shape)
+        z, prev = patterns[:, None] >> 1, patterns[:, None] & 1
+    stored = base + cell(z.astype(float), prev.astype(float))[:, None, :]
     if params.noise_sd > 0.0:
         if params.shared_noise:
-            stacked += rng.normal(scale=params.noise_sd, size=(N, T))
+            stored += rng.normal(scale=params.noise_sd, size=(N, T))
         else:
-            for arm in stacked:  # arm-code order, which is arms_for_horizon order
+            for arm in stored:  # arm-code order, which is arms_for_horizon order
                 arm += rng.normal(scale=params.noise_sd, size=(N, T))
-    return PotentialOutcomeSchedule._owned(stacked)
+    return PotentialOutcomeSchedule._owned(stored, slots)
 
 
 def standard_model(params: ModelParams, N: int, T: int,

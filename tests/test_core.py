@@ -395,8 +395,45 @@ def _two_arms_sharing(rng, N, T):
     return arms
 
 
+def _pattern_schedule(rng, N, T):
+    """Schedule over four random matrices whose slot table maps each (arm,
+    period) to its pattern 2 z_t + z_{t-1}, as the outcome models do."""
+    z = np.array([make_arm_vector(arm, T) for arm in arms_for_horizon(T)], dtype=np.intp)
+    prev = np.zeros_like(z)
+    prev[:, 1:] = z[:, :-1]
+    return PotentialOutcomeSchedule._owned(rng.normal(size=(4, N, T)), 2 * z + prev)
+
+
 class TestSharedStorage:
     N, T = 30, 5
+
+    # at T = 3 the four pattern matrices are T+1 matrices, but not one per arm
+    @pytest.mark.parametrize("T", [3, 5])
+    def test_pattern_schedule_reads_through_the_slot_table(self, T):
+        N = 7
+        sched = _pattern_schedule(np.random.default_rng(T), N, T)
+        stored, slots = sched._stored, sched._slots
+        assert slots.shape == (T + 1, T) and not slots.flags.writeable
+        want = np.array([[[stored[slots[c, t], i, t] for t in range(T)] for i in range(N)]
+                         for c in range(T + 1)])
+        stacked = sched.stacked()
+        assert stacked is not stored and not stacked.flags.writeable
+        assert stacked.tobytes() == want.tobytes()
+        for c, arm in enumerate(sched.arms):
+            m = sched.matrix(arm)
+            assert m.tobytes() == want[c].tobytes() and not m.flags.writeable
+            for t in range(1, T + 1):
+                assert sched._column(arm, t).tobytes() == want[c, :, t - 1].tobytes()
+        assert np.shares_memory(sched.matrix(ALWAYS_CONTROL), stored)
+        Z = draw_assignment(spread_allocation(N, T), seed=1)
+        rows = want[Z.codes, np.arange(N)]
+        assert sched._observed_rows(Z.codes).tobytes() == rows.tobytes()
+        twin = PotentialOutcomeSchedule({arm: sched.matrix(arm) for arm in sched.arms})
+        assert sched == twin and len(twin._stored) == T + 1
+        # pattern (0, 1) follows each pulse, so only k = 1 finds violations
+        assert validate_schedule(sched).ok and validate_schedule(sched, k=2).ok
+        report = validate_schedule(sched, k=1)
+        assert report == validate_schedule(twin, k=1) and not report.ok
 
     @pytest.mark.parametrize("kind", ["all_shared", "two_shared", "all_distinct", "owned"])
     def test_observed_rows_equal_the_per_arm_gather(self, kind):

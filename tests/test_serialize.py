@@ -1,6 +1,7 @@
 """Tests for CSV/JSON round-trips and parse errors."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from conftest import random_schedule
 from tminimax.allocation import ObjectiveMode, integer_solve
 from tminimax.core import (
     ALWAYS_CONTROL,
+    ALWAYS_TREATED,
     Allocation,
     AssignmentMatrix,
     Family,
+    PotentialOutcomeSchedule,
     arm_from_label,
+    arms_for_horizon,
     draw_assignment,
     observe,
     pulse_arm,
@@ -35,6 +39,7 @@ from tminimax.serialize import (
     write_assignment_csv,
     write_schedule_csv,
 )
+from tminimax.risk import worst_case_schedule
 from tminimax.simulate import ModelParams, habituation_model
 
 
@@ -605,6 +610,37 @@ class TestScheduleFormats:
         paths = write_schedule_csv(str(tmp_path / "sched"), sched)
         assert len(paths) == 4  # T+1 arms
         assert read_schedule_csv(str(tmp_path / "sched")) == sched
+
+    def test_readers_store_equal_arms_once(self, tmp_path):
+        N, T = 2000, 20
+        sched = worst_case_schedule(N, T, 0.0, 1.0)
+        write_schedule_csv(str(tmp_path / "sched"), sched)
+        tracemalloc.start()
+        try:
+            back = read_schedule_csv(str(tmp_path / "sched"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one file's parse and two N x T matrices, not T+1 parsed arms and T+1 copies
+        assert peak < 10 * N * T * 8
+        assert len(back._stored) == 1 and back == sched
+        back = schedule_from_json(schedule_to_json(sched))
+        assert len(back._stored) == 1 and back == sched
+
+    def test_readers_keep_arms_that_differ_in_bits(self, tmp_path):
+        # -0.0 == 0.0, but the two are written differently, so they stay apart
+        m = np.zeros((2, 2))
+        arms = {arm: m for arm in arms_for_horizon(2)}
+        arms[ALWAYS_TREATED] = -m
+        sched = PotentialOutcomeSchedule(arms)
+        text = schedule_to_json(sched)
+        back = schedule_from_json(text)
+        assert len(back._stored) == 2 and schedule_to_json(back) == text
+        write_schedule_csv(str(tmp_path / "a"), sched)
+        write_schedule_csv(str(tmp_path / "b"), read_schedule_csv(str(tmp_path / "a")))
+        for name in ("always0", "always1", "pulse_2"):
+            assert (tmp_path / "a" / f"{name}.csv").read_bytes() == \
+                (tmp_path / "b" / f"{name}.csv").read_bytes()
 
     def test_missing_directory_content(self, tmp_path):
         with pytest.raises(ParseError, match="no arm CSV"):

@@ -1,6 +1,7 @@
 """Tests for outcome models and the comparison tables."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from tminimax.core import (
     PotentialOutcomeSchedule,
     arms_for_horizon,
     make_arm_vector,
+    permute_units,
     pulse_arm,
     validate_schedule,
 )
 from tminimax.estimators import estimands
-from tminimax.serialize import rows_to_csv
+from tminimax.serialize import rows_to_csv, schedule_to_json
 from tminimax.simulate import (
     ModelParams,
     allocation_table,
@@ -179,6 +181,41 @@ class TestInPlaceModel:
             got = model(ModelParams(), N, T, 5).stacked()
             want = _per_arm_model(ModelParams(), N, T, 5, _CELLS[model]).stacked()
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [standard_model, habituation_model],
+                             ids=["standard", "habituation"])
+    @pytest.mark.parametrize("params,per_arm", [
+        (ModelParams(), False), (ModelParams(noise_sd=0.0), False),
+        (ModelParams(shared_noise=False), True),
+    ], ids=["shared", "noise-free", "per-arm"])
+    # T = 2 never has the pattern (z_t, z_{t-1}) = (0, 1); at T = 3 four
+    # pattern matrices are T+1 matrices that are not one per arm
+    @pytest.mark.parametrize("T", [2, 3, 30])
+    def test_pattern_storage_is_bit_equal_to_per_arm_build(self, model, params, per_arm, T):
+        N = 23
+        sched = model(params, N, T, 9)
+        twin = _per_arm_model(params, N, T, 9, _CELLS[model])
+        assert len(sched._stored) == (T + 1 if per_arm else min(4, T + 1))
+        assert sched.stacked().tobytes() == twin.stacked().tobytes()
+        assert sched == twin
+        assert schedule_to_json(sched) == schedule_to_json(twin)
+        stacked = sched.stacked()
+        for got, want in zip(estimands(sched), estimands(twin)):
+            assert got.values.tobytes() == want.values.tobytes()
+        hab, inst, ate = (e.values for e in estimands(sched))
+        for t in range(2, T + 1):
+            control, treated, pulse = stacked[[0, 1, t], :, t - 1]
+            assert hab[t - 2] == math.fsum((treated - pulse).tolist()) / N
+            assert inst[t - 2] == math.fsum((pulse - control).tolist()) / N
+            assert ate[t - 2] == math.fsum((treated - control).tolist()) / N
+
+    def test_pattern_schedule_permutes_in_place(self):
+        sched = habituation_model(ModelParams(), 11, 5, 2)
+        perm = np.random.default_rng(3).permutation(11)
+        permuted = permute_units(sched, perm)
+        assert len(permuted._stored) == len(sched._stored) == 4
+        assert np.array_equal(permuted._slots, sched._slots)
+        assert permuted.stacked().tobytes() == sched.stacked()[:, perm].tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 4, 2), (3, 4), (2, 4, 1), (3, 0, 2)],
                              ids=["arms-mismatch", "2-d", "short-horizon", "no-units"])
