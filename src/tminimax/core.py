@@ -577,14 +577,18 @@ class PotentialOutcomeSchedule:
     def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
         """Read-only N x T array whose row i is row i of the matrix of arm
         ``codes[i]``.  With one stored matrix that is the matrix itself;
-        otherwise it is gathered with one take over the stored cells, from
-        the flat offset of each (arm code, period) in unit 0."""
+        otherwise, when each arm keeps one slot in every period, whole rows
+        are gathered, and else one take over the stored cells, from the
+        flat offset of each (arm code, period) in unit 0."""
         if len(self._stored) == 1:
             return self._stored[0]
         N, T = self._N, self._T
-        cells = (self._slots * (N * T) + np.arange(T)).take(codes, axis=0)
-        cells += np.arange(0, N * T, T)[:, None]
-        values = self._stored.reshape(-1).take(cells)
+        if (self._slots == self._slots[:, :1]).all():
+            values = self._stored[self._slots[codes, 0], np.arange(N)]
+        else:
+            cells = (self._slots * (N * T) + np.arange(T)).take(codes, axis=0)
+            cells += np.arange(0, N * T, T)[:, None]
+            values = self._stored.reshape(-1).take(cells)
         values.flags.writeable = False
         return values
 

@@ -5,11 +5,17 @@ decimal floats, which round-trip float64 exactly; each row is written
 with one ``%d,%.17g,...`` template.  The matrix reader accepts a cell
 exactly when Python's ``float()`` accepts it and rejects nan and inf.  It
 reports the first error in file order among, in turn, the cell counts,
-then the unit numbers and non-numbers, then the non-finite values.  It
-checks and parses all cells in one pass and rescans row by row only to
-locate an error.  JSON documents are canonical (sorted keys, compact
-separators, shortest round-trip floats), so identical inputs always
-produce identical bytes.  The JSON readers take an object with every
+then the unit numbers and non-numbers, then the non-finite values.  Errors
+name the physical line: its 1-based position in ``text.splitlines()``,
+blank lines included.  Both CSV families are read in two passes over the
+open file: one checks the header and every row's cell count, and one
+parses the rows into the preallocated result, the matrix reader a block
+of ``_BLOCK_CELLS`` cells at a time, rescanning a block row by row only
+to locate an error.  Both are written a block of rows at a time.  So
+reading an N x T matrix needs about 8 N T bytes plus one block, never the
+file's text or one Python string per cell.  JSON documents are canonical (sorted keys,
+compact separators, shortest round-trip floats), so identical inputs
+always produce identical bytes.  The JSON readers take an object with every
 field present, integer fields as JSON integers, ``labels`` as a list,
 ``arms`` as an object, each matrix cell as a finite JSON number and each
 matrix row with the shape of its first row, and raise ``ParseError``
@@ -20,11 +26,13 @@ rename, never a partial file.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import os
 import sys
 import tempfile
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -81,12 +89,19 @@ def canonical_json(obj) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial file."""
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to a sibling temp file, then rename it
+    over ``path``.  If a chunk raises, the temp file is removed and
+    ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,11 +109,23 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# Cells formatted or parsed at a time: the CSV readers and writers hold one
+# block of cell strings, never the whole file's.
+_BLOCK_CELLS = 1 << 14
+
+
+def _block_rows(T: int) -> int:
+    """Rows per block of a matrix with T periods (and one unit column)."""
+    return max(1, _BLOCK_CELLS // (T + 1))
+
+
 def _header(T: int) -> list[str]:
     return ["unit"] + [f"t{t}" for t in range(1, T + 1)]
 
 
-def matrix_to_csv(values: np.ndarray) -> str:
+def _matrix_blocks(values: np.ndarray) -> Iterator[str]:
+    """The CSV text of a matrix: its header line, then its rows in blocks.
+    The shape is checked before any text is made."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {values.shape}")
@@ -106,47 +133,87 @@ def matrix_to_csv(values: np.ndarray) -> str:
     # "%.17g" formats float() of a Python number, as format_float does, so
     # one template per row writes the same bytes as formatting cell by cell;
     # other cells (strings, complex) need the explicit float() first
-    if values.dtype.kind in "biuf":
-        rows = (cells.tolist() for cells in values)
-    else:
-        rows = ([float(v) for v in cells] for cells in values)
-    row = ",".join(["%d"] + ["%.17g"] * T)
-    lines = [",".join(_header(T))]
-    lines.extend(row % (i, *cells) for i, cells in enumerate(rows, start=1))
-    return "\n".join(lines) + "\n"
+    numeric = values.dtype.kind in "biuf"
+    line = ",".join(["%d"] + ["%.17g"] * T) + "\n"
+    size = _block_rows(T)
+
+    def block(r0: int) -> str:
+        cells = values[r0:r0 + size]
+        rows = cells.tolist() if numeric else ([float(v) for v in row] for row in cells)
+        return "".join([line % (i, *row) for i, row in enumerate(rows, start=r0 + 1)])
+
+    return itertools.chain([",".join(_header(T)) + "\n"], map(block, range(0, N, size)))
+
+
+def matrix_to_csv(values: np.ndarray) -> str:
+    return "".join(_matrix_blocks(values))
 
 
 def write_matrix_csv(path: str, values: np.ndarray) -> None:
-    atomic_write_text(path, matrix_to_csv(values))
+    _write_chunks(path, _matrix_blocks(values))
 
 
-def _csv_body(path: str, text: str) -> tuple[int, list[str]]:
-    """Checks the header of a unit,t1..tT file; returns T and the non-blank
-    data lines."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _lines(handle: TextIO) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of an open text file.
+    Lines and their numbers are those of ``text.splitlines()`` on the whole
+    text, so a form feed or a line separator also ends a line.  The file is
+    read a run of whole lines of about ``_BLOCK_CELLS`` characters at a
+    time; a run ends at a line break, so splitting it gives the lines that
+    splitting the whole text would."""
+    ln = 0
+    while chunk := handle.readlines(_BLOCK_CELLS):
+        for line in "".join(chunk).splitlines():
+            ln += 1
+            if line.strip():
+                yield ln, line
+
+
+def _scan(path: str, handle: TextIO) -> tuple[int, int]:
+    """First pass over a unit,t1..tT file: checks the header and every
+    row's cell count; returns T and the number of data rows."""
+    lines = _lines(handle)
+    ln, head = next(lines, (0, ""))
+    if not ln:
         raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
-    header = lines[0].split(",")
+    header = head.split(",")
     if header[0] != "unit" or len(header) < 3:
-        raise ParseError(f"{path}, line 1: expected header unit,t1..tT, got {lines[0]!r}")
+        raise ParseError(f"{path}, line {ln}: expected header unit,t1..tT, got {head!r}")
     for j, name in enumerate(header[1:], start=1):
         if name != f"t{j}":
-            raise ParseError(f"{path}, line 1, column {j + 1}: expected t{j}, got {name!r}")
-    if len(lines) == 1:
-        raise ParseError(f"{path}: no data rows")
-    return len(header) - 1, lines[1:]
-
-
-def _check_cell_counts(path: str, T: int, body: list[str]) -> None:
-    for ln, line in enumerate(body, start=2):
+            raise ParseError(f"{path}, line {ln}, column {j + 1}: expected t{j}, got {name!r}")
+    T = len(header) - 1
+    n = 0
+    for ln, line in lines:
         if line.count(",") != T:
             raise ParseError(
                 f"{path}, line {ln}: row has {line.count(',') + 1} cells, expected {T + 1}"
             )
+        n += 1
+    if not n:
+        raise ParseError(f"{path}: no data rows")
+    return T, n
 
 
-def _unit_error(path: str, r: int, cell: str) -> ParseError:
-    return ParseError(f"{path}, line {r + 2}: expected unit {r + 1}, got {cell!r}")
+def _data_lines(handle: TextIO) -> Iterator[tuple[int, str]]:
+    """Second pass: the numbered data lines, from the top of the file."""
+    handle.seek(0)
+    lines = _lines(handle)
+    next(lines)  # the header
+    return lines
+
+
+def _open_text(path: str) -> TextIO:
+    """The file opened for the two passes of a reader; a pipe, which
+    cannot seek back, is read into memory first."""
+    handle = open(path)
+    if handle.seekable():
+        return handle
+    with handle:
+        return io.StringIO(handle.read())
+
+
+def _unit_error(path: str, ln: int, r: int, cell: str) -> ParseError:
+    return ParseError(f"{path}, line {ln}: expected unit {r + 1}, got {cell!r}")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -156,54 +223,51 @@ def read_matrix_csv(path: str) -> np.ndarray:
     value is finite.  Errors name their line and column.  A row with the
     wrong cell count anywhere is reported first, then the first wrong unit
     number or non-number in file order, then the first nan or inf."""
-    with open(path) as handle:
-        text = handle.read()
-    T, body = _csv_body(path, text)
-    del text  # the cell strings are the peak; the raw text is no longer needed
-    parsed = _parse_cells(T, body)
-    if parsed is None:
-        _raise_first_row_error(path, T, body)
-    out, cells = parsed
-    bad = np.flatnonzero(~np.isfinite(out))  # row-major, so file order
-    if len(bad):
-        r, c = divmod(int(bad[0]), T)
-        raise ParseError(
-            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {cells[bad[0]]!r}"
-        )
+    with _open_text(path) as handle:
+        T, n = _scan(path, handle)
+        out = np.empty((n, T))
+        flat = out.reshape(-1)
+        lines = _data_lines(handle)
+        size = _block_rows(T)
+        non_finite = None
+        r = 0
+        while block := list(itertools.islice(lines, size)):
+            b = len(block)
+            cells = ",".join([line for _, line in block]).split(",")
+            if cells[::T + 1] != [str(i) for i in range(r + 1, r + b + 1)]:
+                _raise_first_row_error(path, r, block)
+            del cells[::T + 1]
+            values = flat[r * T:(r + b) * T]
+            try:
+                values[:] = np.fromiter(map(float, cells), float, count=b * T)
+            except ValueError:
+                _raise_first_row_error(path, r, block)
+            del cells  # before the next block's cells are made
+            if non_finite is None and not np.isfinite(values).all():
+                i, c = divmod(int(np.argmin(np.isfinite(values))), T)
+                ln, line = block[i]
+                non_finite = ParseError(f"{path}, line {ln}, column {c + 2}: "
+                                        f"not a finite number: {line.split(',')[c + 1]!r}")
+            r += b
+    if non_finite is not None:
+        raise non_finite
     return out
 
 
-def _parse_cells(T: int, body: list[str]) -> tuple[np.ndarray, list[str]] | None:
-    """All data lines checked and parsed in one pass: the n x T values and
-    their cell texts, or None when a line has the wrong cell count or unit,
-    or a cell that ``float()`` rejects."""
-    n = len(body)
-    if any(line.count(",") != T for line in body):
-        return None
-    cells = ",".join(body).split(",")
-    if cells[::T + 1] != [str(i) for i in range(1, n + 1)]:
-        return None
-    del cells[::T + 1]
-    try:
-        values = np.fromiter(map(float, cells), float, count=n * T)
-    except ValueError:
-        return None
-    return values.reshape(n, T), cells
-
-
-def _raise_first_row_error(path: str, T: int, body: list[str]) -> NoReturn:
-    """Locates what made ``_parse_cells`` fail: scans row by row and raises
-    the first cell-count, unit or non-number error in file order."""
-    _check_cell_counts(path, T, body)
-    for r, cells in enumerate(line.split(",") for line in body):
+def _raise_first_row_error(path: str, r0: int, block: list[tuple[int, str]]) -> NoReturn:
+    """Locates what made a block of data rows fail to parse: scans it row
+    by row and raises the first unit or non-number error in file order.
+    ``r0`` is the index of the block's first data row."""
+    for r, (ln, line) in enumerate(block, start=r0):
+        cells = line.split(",")
         if cells[0] != str(r + 1):
-            raise _unit_error(path, r, cells[0])
+            raise _unit_error(path, ln, r, cells[0])
         for c, cell in enumerate(cells[1:], start=2):
             try:
                 float(cell)
             except ValueError:
                 raise ParseError(
-                    f"{path}, line {r + 2}, column {c}: not a number: {cell!r}"
+                    f"{path}, line {ln}, column {c}: not a number: {cell!r}"
                 ) from None
     raise AssertionError(f"{path}: no malformed row found")
 
@@ -215,16 +279,26 @@ def _raise_first_row_error(path: str, T: int, body: list[str]) -> NoReturn:
 # ---------------------------------------------------------------------------
 
 
+def _assignment_blocks(Z: AssignmentMatrix) -> Iterator[str]:
+    """The CSV text of an assignment: its header line, then its rows in
+    blocks.  A unit's row depends only on its arm, so the T+1 rows are
+    formatted once."""
+    rows = [",".join(map(str, bits.tolist())) + "\n" for bits in _arm_vectors(Z.T, Z.family)]
+    size = _block_rows(Z.T)
+
+    def block(r0: int) -> str:
+        codes = Z.codes[r0:r0 + size].tolist()
+        return "".join([f"{i},{rows[code]}" for i, code in enumerate(codes, start=r0 + 1)])
+
+    return itertools.chain([",".join(_header(Z.T)) + "\n"], map(block, range(0, Z.N, size)))
+
+
 def assignment_to_csv(Z: AssignmentMatrix) -> str:
-    # a unit's row depends only on its arm: format the T+1 rows once
-    rows = [",".join(map(str, bits.tolist())) for bits in _arm_vectors(Z.T, Z.family)]
-    lines = [",".join(_header(Z.T))]
-    lines.extend(f"{i},{rows[code]}" for i, code in enumerate(Z.codes.tolist(), start=1))
-    return "\n".join(lines) + "\n"
+    return "".join(_assignment_blocks(Z))
 
 
 def write_assignment_csv(path: str, Z: AssignmentMatrix) -> None:
-    atomic_write_text(path, assignment_to_csv(Z))
+    _write_chunks(path, _assignment_blocks(Z))
 
 
 def _decode_bits(bits: np.ndarray, where: str) -> tuple[ArmId | None, Family | None]:
@@ -250,37 +324,36 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
     """Decode an assignment matrix from its 0/1 CSV form.  The family is
     inferred from the row patterns when they pin it down; ``family``
     breaks the tie when every row is ambiguous."""
-    with open(path) as handle:
-        text = handle.read()
-    T, body = _csv_body(path, text)
-    _check_cell_counts(path, T, body)
-    # each distinct row text is decoded once, at its first occurrence, so an
-    # invalid row is reported at the first line that carries it
-    decoded: dict[str, int] = {}
-    codes = []
-    votes = set()
-    for r, line in enumerate(body):
-        unit, _, key = line.partition(",")
-        if unit != str(r + 1):
-            raise _unit_error(path, r, unit)
-        code = decoded.get(key)
-        if code is None:
-            ln = r + 2
-            try:
-                bits = np.array([int(c) for c in key.split(",")])
-            except ValueError:
-                raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1") from None
-            if not np.isin(bits, (0, 1)).all():
-                raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1")
-            arm, vote = _decode_bits(bits, f"{path}, line {ln}")
-            code = decoded[key] = _arm_code(arm)
-            if vote is not None:
-                votes.add(vote)
-        codes.append(code)
+    with _open_text(path) as handle:
+        T, n = _scan(path, handle)
+        codes = np.empty(n, dtype=np.int64)
+        # each distinct row text is decoded once, at its first occurrence, so
+        # an invalid row is reported at the first line that carries it
+        decoded: dict[str, int] = {}
+        votes = set()
+        for r, (ln, line) in enumerate(_data_lines(handle)):
+            unit, _, key = line.partition(",")
+            if unit != str(r + 1):
+                raise _unit_error(path, ln, r, unit)
+            code = decoded.get(key)
+            if code is None:
+                try:
+                    bits = np.array([int(c) for c in key.split(",")])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}, line {ln}: assignment cells must be 0 or 1"
+                    ) from None
+                if not np.isin(bits, (0, 1)).all():
+                    raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1")
+                arm, vote = _decode_bits(bits, f"{path}, line {ln}")
+                code = decoded[key] = _arm_code(arm)
+                if vote is not None:
+                    votes.add(vote)
+            codes[r] = code
     if len(votes) > 1:
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
     chosen = votes.pop() if votes else family
-    return AssignmentMatrix._from_codes(np.array(codes, dtype=np.int64), T, chosen)
+    return AssignmentMatrix._from_codes(codes, T, chosen)
 
 
 def assignment_to_json(Z: AssignmentMatrix) -> str:

@@ -430,6 +430,17 @@ class TestSharedStorage:
         assert sched._observed_rows(Z.codes).tobytes() == rows.tobytes()
         twin = PotentialOutcomeSchedule({arm: sched.matrix(arm) for arm in sched.arms})
         assert sched == twin and len(twin._stored) == T + 1
+        # dict-built tables hold one slot per arm, so whole rows are gathered
+        shared = {arm: sched.matrix(arm) for arm in sched.arms}
+        shared[pulse_arm(2)] = shared[ALWAYS_TREATED]
+        for built in (twin, PotentialOutcomeSchedule(shared)):
+            slots = built._slots
+            assert (slots == slots[:, :1]).all()
+            cells = np.array([[[built._stored[slots[c, t], i, t] for t in range(T)]
+                               for i in range(N)] for c in range(T + 1)])
+            got = built._observed_rows(Z.codes)
+            assert got.tobytes() == cells[Z.codes, np.arange(N)].tobytes()
+            assert not got.flags.writeable
         # pattern (0, 1) follows each pulse, so only k = 1 finds violations
         assert validate_schedule(sched).ok and validate_schedule(sched, k=2).ok
         report = validate_schedule(sched, k=1)

@@ -1,6 +1,8 @@
 """Tests for CSV/JSON round-trips and parse errors."""
 
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from tminimax.core import (
 )
 from tminimax.serialize import (
     ParseError,
+    _block_rows,
     assignment_from_json,
     assignment_to_csv,
     assignment_to_json,
@@ -108,32 +111,36 @@ class TestMatrixCsv:
 def _naive_read_matrix_csv(path):
     """Test-only copy of the row-by-row reader that the bulk reader replaced:
     split each line, check its cell count, then its unit, then float() each
-    cell; non-finite values are checked after the whole parse."""
+    cell; non-finite values are checked after the whole parse.  Errors name
+    the line's 1-based position in ``text.splitlines()``, blank lines
+    included."""
     with open(path) as handle:
         text = handle.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
-    header = lines[0].split(",")
+    head_ln, head = lines[0]
+    header = head.split(",")
     if header[0] != "unit" or len(header) < 3:
-        raise ParseError(f"{path}, line 1: expected header unit,t1..tT, got {lines[0]!r}")
+        raise ParseError(f"{path}, line {head_ln}: expected header unit,t1..tT, got {head!r}")
     for j, name in enumerate(header[1:], start=1):
         if name != f"t{j}":
-            raise ParseError(f"{path}, line 1, column {j + 1}: expected t{j}, got {name!r}")
+            raise ParseError(
+                f"{path}, line {head_ln}, column {j + 1}: expected t{j}, got {name!r}"
+            )
     if len(lines) == 1:
         raise ParseError(f"{path}: no data rows")
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ParseError(
                 f"{path}, line {ln}: row has {len(cells)} cells, expected {len(header)}"
             )
-        rows.append(cells)
+        rows.append((ln, cells))
     T = len(header) - 1
     out = np.empty((len(rows), T))
-    for r, cells in enumerate(rows):
-        ln = r + 2
+    for r, (ln, cells) in enumerate(rows):
         if cells[0] != str(r + 1):
             raise ParseError(f"{path}, line {ln}: expected unit {r + 1}, got {cells[0]!r}")
         for c, cell in enumerate(cells[1:], start=1):
@@ -146,8 +153,9 @@ def _naive_read_matrix_csv(path):
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
         r, c = (int(v) for v in bad[0])
+        ln, cells = rows[r]
         raise ParseError(
-            f"{path}, line {r + 2}, column {c + 2}: not a finite number: {rows[r][c + 1]!r}"
+            f"{path}, line {ln}, column {c + 2}: not a finite number: {cells[c + 1]!r}"
         )
     return out
 
@@ -209,6 +217,19 @@ READER_CASES = {
     "ragged_after_bad_unit": ("unit,t1,t2\n5,1,2\n2,1\n", "line 3: row has 2 cells"),
     "first_non_finite_in_file_order": ("unit,t1,t2\n1,1,inf\n2,nan,2\n",
                                        "line 2, column 3: not a finite number: 'inf'"),
+    # errors name the line's position in text.splitlines(), blank lines included
+    "blank_then_non_number": ("unit,t1,t2\n\n1,1,2\n\n2,x,2\n",
+                              "line 5, column 2: not a number: 'x'"),
+    "blank_then_ragged": ("unit,t1,t2\n\n1,1,2\n \n\n2,3\n", "line 6: row has 2 cells"),
+    "blank_then_bad_unit": ("\nunit,t1,t2\n\t\n1,1,2\n\n3,1,2\n",
+                            "line 6: expected unit 2, got '3'"),
+    "blank_then_non_finite": ("unit,t1,t2\n1,1,2\n\n\n2,1,inf\n",
+                              "line 5, column 3: not a finite number: 'inf'"),
+    "blank_then_bad_header": ("\n\nunit,t1,t3\n1,1,2\n", "line 3, column 3: expected t2"),
+    "blank_then_short_header": ("\n \nunit,t1\n1,1\n", "line 3: expected header"),
+    "crlf_blank_then_non_number": ("unit,t1,t2\r\n\r\n1,1,x\r\n",
+                                   "line 3, column 3: not a number: 'x'"),
+    "form_feed_ends_a_line": ("unit,t1,t2\n1,1,2\x0c2,3,x\n", "line 3, column 3: not a number"),
 }
 
 
@@ -390,6 +411,21 @@ class TestAssignmentCsv:
         with pytest.raises(ParseError, match=f"line 3: expected unit 2, got '{unit}'$"):
             read_assignment_csv(str(path))
 
+    @pytest.mark.parametrize("text,error", [
+        ("unit,t1,t2\n\n1,0,1\n\n2,0,x\n", "line 5: assignment cells must be 0 or 1"),
+        ("\nunit,t1,t2\n1,0,1\n \n3,0,1\n", "line 5: expected unit 2, got '3'"),
+        ("unit,t1,t2,t3\n\n\n1,1,0,1\n", "line 4: row pattern [1, 0, 1] is not a valid arm"),
+        ("unit,t1,t2\n\t\n1,0,1\n\n2,0\n", "line 5: row has 2 cells, expected 3"),
+        ("\n\nunit,t2\n1,0\n", "line 3: expected header unit,t1..tT"),
+        ("unit,t1,t2\r\n\r\n1,0,1\r\n2,1,0\r\n", "line 4: single treated period at t=1"),
+    ], ids=["non_binary", "unit", "pattern", "ragged", "header", "crlf"])
+    def test_errors_below_blank_lines_name_their_line(self, tmp_path, text, error):
+        path = tmp_path / "z.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            read_assignment_csv(str(path))
+        assert str(info.value).startswith(f"{path}, {error}")
+
     def test_json_round_trip(self):
         Z = draw_assignment(Allocation(1, 2, (2,)), Family.WEDGE, seed=9)
         assert assignment_from_json(assignment_to_json(Z)) == Z
@@ -492,6 +528,195 @@ class TestAssignmentCsvGolden:
             # with no unit in a pulse arm the family is pulse whatever was asked
             expected = Family.PULSE if name == "empty_pulse_arms" else family
             assert Z.family is expected
+
+
+def _one_string_matrix_csv(values):
+    """Test-local copy of the matrix writer that built the whole file as
+    one string."""
+    values = np.asarray(values)
+    N, T = values.shape
+    if values.dtype.kind in "biuf":
+        rows = (cells.tolist() for cells in values)
+    else:
+        rows = ([float(v) for v in cells] for cells in values)
+    row = ",".join(["%d"] + ["%.17g"] * T)
+    lines = [",".join(["unit"] + [f"t{t}" for t in range(1, T + 1)])]
+    lines.extend(row % (i, *cells) for i, cells in enumerate(rows, start=1))
+    return "\n".join(lines) + "\n"
+
+
+def _one_string_assignment_csv(Z):
+    """Test-local copy of the assignment writer that built the whole file
+    as one string, one unit's 0/1 row at a time."""
+    lines = [",".join(["unit"] + [f"t{t}" for t in range(1, Z.T + 1)])]
+    lines.extend(f"{i},{','.join(map(str, bits))}"
+                 for i, bits in enumerate(Z.matrix.tolist(), start=1))
+    return "\n".join(lines) + "\n"
+
+
+def _block_sizes(T):
+    """Row counts around the block edges of a T-period matrix."""
+    B = _block_rows(T)
+    return [1, B - 1, B, B + 1, 2 * B + 3]
+
+
+def _valid_lines(rng, n, T):
+    return matrix_to_csv(rng.normal(size=(n, T))).splitlines()
+
+
+def _set_cell(lines, ln, c, text):
+    """Puts ``text`` in cell c (0: the unit) of ``lines[ln]``."""
+    cells = lines[ln].split(",")
+    cells[c] = text
+    lines[ln] = ",".join(cells)
+
+
+class TestCsvBlocks:
+    """The CSV files are read and written in blocks of rows; a block edge
+    changes no byte written, no value read and no error reported."""
+
+    @pytest.mark.parametrize("T", [2, 20])
+    def test_matrix_writer_bytes_match_one_string_writer(self, tmp_path, T):
+        rng = np.random.default_rng(T)
+        for N in _block_sizes(T):
+            for values in (rng.normal(size=(N, T)) * 10.0 ** rng.integers(-300, 301, size=(N, T)),
+                           rng.integers(-2**62, 2**62, size=(N, T)),
+                           rng.normal(size=(N, T)).astype(str)):
+                want = _one_string_matrix_csv(values)
+                assert matrix_to_csv(values) == want, (N, values.dtype)
+                write_matrix_csv(str(tmp_path / "m.csv"), values)
+                assert (tmp_path / "m.csv").read_bytes() == want.encode(), (N, values.dtype)
+
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    @pytest.mark.parametrize("T", [2, 20])
+    def test_assignment_writer_bytes_match_one_string_writer(self, tmp_path, family, T):
+        rng = np.random.default_rng(T)
+        path = tmp_path / "z.csv"
+        for N in _block_sizes(T):
+            Z = AssignmentMatrix._from_codes(rng.integers(0, T + 1, size=N), T, family)
+            want = _one_string_assignment_csv(Z)
+            assert assignment_to_csv(Z) == want, N
+            write_assignment_csv(str(path), Z)
+            assert path.read_bytes() == want.encode(), N
+            back = read_assignment_csv(str(path), family)
+            assert back == Z and back.family is Z.family
+
+    def test_matrix_reader_round_trips_at_block_edges(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "m.csv"
+        for N in _block_sizes(20):
+            values = rng.normal(size=(N, 20))
+            write_matrix_csv(str(path), values)
+            assert read_matrix_csv(str(path)).tobytes() == values.tobytes()
+
+    def test_non_number_in_a_later_block_beats_a_non_finite_value(self, tmp_path):
+        T = 20
+        B = _block_rows(T)
+        lines = _valid_lines(np.random.default_rng(2), 3 * B, T)
+        _set_cell(lines, 5, 1, "inf")
+        _set_cell(lines, 2 * B + 10, 4, "x")
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = _assert_same_as_naive(path)
+        assert got == ("error", f"{path}, line {2 * B + 11}, column 5: not a number: 'x'")
+        # without the non-number, the first non-finite value is reported
+        _set_cell(lines, 2 * B + 10, 4, "nan")
+        path.write_text("\n".join(lines) + "\n")
+        assert _assert_same_as_naive(path) == (
+            "error", f"{path}, line 6, column 2: not a finite number: 'inf'")
+
+    def test_short_last_row_beats_a_bad_unit_in_an_earlier_block(self, tmp_path):
+        T = 20
+        B = _block_rows(T)
+        lines = _valid_lines(np.random.default_rng(3), 3 * B, T)
+        _set_cell(lines, B + 7, 0, "0")
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _assert_same_as_naive(path) == (
+            "error", f"{path}, line {3 * B + 1}: row has {T} cells, expected {T + 1}")
+        lines[-1] += ",1"
+        path.write_text("\n".join(lines) + "\n")
+        assert _assert_same_as_naive(path) == (
+            "error", f"{path}, line {B + 8}: expected unit {B + 7}, got '0'")
+
+    @pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\x85", "\u2028", "\n\n \n"])
+    def test_separators_at_a_block_edge_split_as_splitlines(self, tmp_path, sep):
+        T = 3
+        B = _block_rows(T)
+        rng = np.random.default_rng(4)
+        lines = _valid_lines(rng, 2 * B + 3, T)
+        path = tmp_path / "m.csv"
+        for edge in (B - 1, B, B + 1):  # the separator before, at and after the edge
+            text = "\n".join(lines[:edge + 1]) + sep + "\n".join(lines[edge + 1:]) + "\n"
+            path.write_bytes(text.encode())
+            got = _assert_same_as_naive(path)
+            assert got[0] == np.float64 and got[1] == (2 * B + 3, T)
+            # an error after the separator names its line in text.splitlines()
+            bad = text.replace(lines[B + 2], lines[B + 2].rsplit(",", 1)[0] + ",x")
+            path.write_bytes(bad.encode())
+            ln = bad.splitlines().index(lines[B + 2].rsplit(",", 1)[0] + ",x") + 1
+            assert _assert_same_as_naive(path) == (
+                "error", f"{path}, line {ln}, column {T + 1}: not a number: 'x'")
+            Z = AssignmentMatrix._from_codes(rng.integers(0, T + 1, size=2 * B + 3), T,
+                                             Family.PULSE)
+            zlines = assignment_to_csv(Z).splitlines()
+            ztext = "\n".join(zlines[:edge + 1]) + sep + "\n".join(zlines[edge + 1:])
+            path.write_bytes(ztext.encode())
+            assert read_assignment_csv(str(path)) == Z
+
+    def test_writer_that_fails_in_block_two_leaves_no_file(self, tmp_path):
+        T = 4
+        B = _block_rows(T)
+        values = np.full((2 * B + 3, T), "1.5", dtype=object)
+        values[B + 1, 2] = "x"
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError):
+            write_matrix_csv(str(path), values)
+        assert os.listdir(tmp_path) == []
+        path.write_text("old\n")
+        with pytest.raises(ValueError):
+            write_matrix_csv(str(path), values)
+        assert os.listdir(tmp_path) == ["m.csv"] and path.read_text() == "old\n"
+        with pytest.raises(ValueError, match="2-D"):
+            write_matrix_csv(str(tmp_path / "new" / "m.csv"), np.zeros(3))
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    def test_memory_is_the_result_plus_one_block(self, tmp_path):
+        N, T = 20000, 20
+        values = np.random.default_rng(5).normal(size=(N, T))
+        Z = AssignmentMatrix._from_codes(np.random.default_rng(6).integers(0, T + 1, size=N),
+                                         T, Family.PULSE)
+        m_path, z_path = str(tmp_path / "m.csv"), str(tmp_path / "z.csv")
+        peaks = {}
+        for name, run in (("write", lambda: write_matrix_csv(m_path, values)),
+                          ("read", lambda: read_matrix_csv(m_path)),
+                          ("write_z", lambda: write_assignment_csv(z_path, Z)),
+                          ("read_z", lambda: read_assignment_csv(z_path))):
+            tracemalloc.start()
+            try:
+                result = run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert result == Z
+        # one block's strings, never the 8.2 MB text or one string per cell
+        assert peaks["write"] < 4e6 and peaks["write_z"] < 4e6
+        assert peaks["read"] < values.nbytes + 4e6
+        assert peaks["read_z"] < Z.codes.nbytes + 4e6
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        values = np.random.default_rng(7).normal(size=(3 * _block_rows(2), 2))
+        fifo = tmp_path / "m.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text,
+                                  args=("\n" + matrix_to_csv(values).replace("\n", "\r\n"),))
+        writer.start()
+        try:
+            got = read_matrix_csv(str(fifo))
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive() and got.tobytes() == values.tobytes()
 
 
 class TestJsonShape:
