@@ -27,7 +27,7 @@ from .allocation import (
     objective,
 )
 from .core import arms_for_horizon, ObservedOutcomes
-from .estimators import _estimates
+from .estimators import _check_inputs, _estimate_pass
 from .risk import (
     LossSpec,
     _check_vstar,
@@ -118,8 +118,9 @@ def _cmd_estimate(args, argv: list[str]) -> int:
         raise ValueError(f"--estimator {args.estimator} does not take --k")
     Z = read_assignment_csv(args.assignment)
     obs = ObservedOutcomes._owned(read_matrix_csv(args.outcomes))
+    _check_inputs(Z, obs, 2, args.estimator, args.k)
     rows = [{"t": t, "habituation": hab, "instantaneous": inst}
-            for t, hab, inst in _estimates(Z, obs, args.estimator, args.k)]
+            for t, hab, inst in _estimate_pass(Z.codes, obs.values, args.estimator, args.k)]
     write_table(args.out, rows, args.format)
     if args.manifest:
         write_run_manifest(args.manifest, argv, args.seed,
@@ -160,8 +161,7 @@ def _cmd_risk(args, argv: list[str]) -> int:
         alloc = balanced(args.n, args.t) if mode is None else integer_solve(args.n, args.t, mode)
         analytic = max_risk(alloc, args.t, vstar, spec)
         if args.draws > 0:
-            report = mc_risk(alloc, sched, spec, args.draws, args.seed,
-                             label=name, max_risk_value=analytic, workers=args.workers)
+            report = mc_risk(alloc, sched, spec, args.draws, args.seed, workers=args.workers)
         else:
             report = None
         rows.append({

@@ -12,9 +12,11 @@ outcomes).  The habituation effect always uses the plug-in difference in
 arm means.  The instantaneous effect has three variants that differ in the
 control pool: the always-control arm alone, the pool augmented with
 future-pulse units, or the pool additionally recycling pulses older than k
-periods (the rule is stated once, at ``core._pool_arms``).  Each estimate
-reads its units from ``core._picks``: a per-t estimator takes one step of
-it, and ``_estimates`` (``tminimax estimate``) one pass over every t.
+periods (the rule is stated once, at ``core._pool_arms``).  How an
+estimate is formed from its units is stated once too: ``_estimate_pass``
+reads them from one pass of ``core._picks`` and yields both effects at
+each t.  A per-t estimator takes one step of it; ``tminimax estimate``,
+the loss in ``risk`` and ``conservative_ci`` read it as well.
 
 All sums are exact (``math.fsum``), which makes every estimator invariant
 under unit relabeling, bit for bit.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import fsum
+from typing import Iterator
 
 import numpy as np
 
@@ -123,8 +126,7 @@ def _compute_estimands(
 
 
 # ---------------------------------------------------------------------------
-# Unit-level internals, shared with the risk module.  ``col`` is one outcome
-# column and each unit array is one step of ``core._picks``.
+# Unit-level internals, shared with the risk module and the CLI.
 # ---------------------------------------------------------------------------
 
 
@@ -144,17 +146,6 @@ def _pool_name(estimator: str, t: int) -> str:
     }[estimator]
 
 
-def _habituation(col: np.ndarray, treated: np.ndarray, pulse: np.ndarray, t: int) -> float:
-    return (_picked_mean(col[treated], "the always-treated arm")
-            - _picked_mean(col[pulse], f"the pulse arm at t={t}"))
-
-
-def _instantaneous(col: np.ndarray, pulse: np.ndarray, pool: np.ndarray, t: int,
-                   estimator: str) -> float:
-    return (_picked_mean(col[pulse], f"the pulse arm at t={t}")
-            - _picked_mean(col[pool], _pool_name(estimator, t)))
-
-
 def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
                   estimator: str = "plugin", k: int | None = None) -> None:
     if (Z.N, Z.T) != (obs.N, obs.T):
@@ -169,24 +160,32 @@ def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
             raise ValueError("recycling estimator requires a pulse-family assignment")
 
 
+def _estimate_pass(codes: np.ndarray, values: np.ndarray, estimator: str,
+                   k: int | None = None, exact: bool = True, hab: bool = True,
+                   inst: bool = True, start: int = 2
+                   ) -> Iterator[tuple[int, float | None, float | None]]:
+    """Yields ``(t, habituation, instantaneous)`` for t = start..T from one
+    pass of ``core._picks`` over the arm ``codes``, reading column t of the
+    observed N x T ``values``: treated mean minus pulse mean, and pulse mean
+    minus pool mean, the pulse mean computed once.  An effect not asked for
+    (``hab`` or ``inst`` false) is None and its arm is never read; without
+    ``inst`` the plugin pool is picked, the cheapest.  An empty arm raises
+    in the order always-treated, pulse, pool.  ``exact`` picks fsum over
+    numpy's pairwise sum (see ``_picked_mean``)."""
+    for t, treated, pulse, pool in _picks(codes, values.shape[1],
+                                          estimator if inst else "plugin", k, start):
+        col = values[:, t - 1]
+        treated_mean = _picked_mean(col[treated], "the always-treated arm", exact) if hab else None
+        pulse_mean = _picked_mean(col[pulse], f"the pulse arm at t={t}", exact)
+        pool_mean = _picked_mean(col[pool], _pool_name(estimator, t), exact) if inst else None
+        yield (t, treated_mean - pulse_mean if hab else None,
+               pulse_mean - pool_mean if inst else None)
+
+
 def _instantaneous_at(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
                       estimator: str, k: int | None = None) -> float:
     _check_inputs(Z, obs, t, estimator, k)
-    _, _, pulse, pool = next(_picks(Z.codes, Z.T, estimator, k, t))
-    return _instantaneous(obs.values[:, t - 1], pulse, pool, t, estimator)
-
-
-def _estimates(Z: AssignmentMatrix, obs: ObservedOutcomes, estimator: str,
-               k: int | None = None) -> list[tuple[int, float, float]]:
-    """``(t, habituation, instantaneous)`` for t = 2..T from one pass of
-    ``core._picks``, bit-identical to the public estimators at each t."""
-    _check_inputs(Z, obs, 2, estimator, k)
-    rows = []
-    for t, treated, pulse, pool in _picks(Z.codes, Z.T, estimator, k):
-        col = obs.values[:, t - 1]
-        inst = _instantaneous(col, pulse, pool, t, estimator)
-        rows.append((t, _habituation(col, treated, pulse, t), inst))
-    return rows
+    return next(_estimate_pass(Z.codes, obs.values, estimator, k, hab=False, start=t))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,7 @@ def habituation_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> 
     """Mean observed outcome at t of always-treated units minus that of
     pulse-t units."""
     _check_inputs(Z, obs, t)
-    _, treated, pulse, _ = next(_picks(Z.codes, Z.T, "plugin", None, t))
-    return _habituation(obs.values[:, t - 1], treated, pulse, t)
+    return next(_estimate_pass(Z.codes, obs.values, "plugin", inst=False, start=t))[1]
 
 
 def instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> float:

@@ -15,11 +15,13 @@ into one term), so ``max_risk`` is vstar times the matching objective.
 loss evaluator per call, which reads the schedule's estimands once.  Those
 are computed on first use and kept on the schedule (``estimands``), so
 every design scored against one schedule, as in Figure 3, reuses them.  Per
-assignment it gathers the observed rows with one take and reads each
-estimate's units from one pass of ``core._picks``, as ``conservative_ci``
-reads its two pools from one step of it.  The picked arrays are exactly
-those a boolean mask over the column gives, so numpy's pairwise sums and
-fsum over them, and every risk, keep their bits.
+assignment it gathers the observed rows and forms the estimates with one
+pass of ``estimators._estimate_pass``, the code that ``tminimax estimate``
+and the per-t estimators run, so the loss scores exactly the estimates a
+user gets.  ``conservative_ci`` takes its estimate from one step of that
+pass and its two pools' units from one step of ``core._picks``.  The
+picked arrays are exactly those a boolean mask over the column gives, so
+numpy's pairwise sums and fsum over them, and every risk, keep their bits.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -55,14 +57,7 @@ from .core import (
     draw_assignment,
     pulse_arm,
 )
-from .estimators import (
-    _check_inputs,
-    _habituation,
-    _instantaneous,
-    _picked_mean,
-    _pool_name,
-    estimands,
-)
+from .estimators import _check_inputs, _estimate_pass, estimands
 
 __all__ = [
     "LossSpec",
@@ -112,13 +107,9 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """One design's analytic worst-case risk next to its Monte-Carlo
-    estimate.  In this in-memory record nan marks a column that was not
-    computed; the CLI writes such a column as ``null`` in JSON and as an
-    empty cell in CSV."""
+    """A design's Monte-Carlo risk, its standard error and the number of
+    draws behind them."""
 
-    label: str
-    max_risk: float
     mc_risk: float
     mc_se: float
     draws: int
@@ -126,17 +117,15 @@ class RiskReport:
     def __post_init__(self) -> None:
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
-        if not (math.isnan(self.mc_se) or self.mc_se >= 0.0):
+        if self.mc_se < 0.0:
             raise ValueError("mc_se must be >= 0")
 
 
 def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
                      inst: np.ndarray, spec: LossSpec, exact: bool) -> float:
     """Loss of one assignment given its observed N x T ``values`` and
-    precomputed estimand arrays.
-
-    One pass of ``core._picks`` gives the always-treated, pulse-t and
-    control-pool units at each t; their outcomes are read from column t.
+    precomputed estimand arrays: the squared errors of one estimator pass
+    (``estimators._estimate_pass``), which skips an effect of weight zero.
 
     ``exact=True`` sums each pool with fsum (bit-stable under unit
     relabeling); ``exact=False`` sums it with numpy, the fast path used by
@@ -144,19 +133,13 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
     """
     hab_terms = []
     inst_terms = []
-    # at rho = 1 no pool is read: the plugin pool is built once, not per t
-    pools_of = spec.estimator if spec.rho < 1.0 else "plugin"
-    for t, treated, pulse, pool in _picks(codes, values.shape[1], pools_of, spec.k):
-        col = values[:, t - 1]
-        if spec.rho > 0.0:
-            treated_mean = _picked_mean(col[treated], "the always-treated arm", exact)
-        pulse_mean = _picked_mean(col[pulse], f"the pulse arm at t={t}", exact)
-        if spec.rho > 0.0:
-            err = (treated_mean - pulse_mean) - hab[t - 2]
+    for t, h, i in _estimate_pass(codes, values, spec.estimator, spec.k, exact,
+                                  hab=spec.rho > 0.0, inst=spec.rho < 1.0):
+        if h is not None:
+            err = h - hab[t - 2]
             hab_terms.append(err * err)
-        if spec.rho < 1.0:
-            pool_mean = _picked_mean(col[pool], _pool_name(spec.estimator, t), exact)
-            err = (pulse_mean - pool_mean) - inst[t - 2]
+        if i is not None:
+            err = i - inst[t - 2]
             inst_terms.append(err * err)
     val = spec.rho * fsum(hab_terms) + (1.0 - spec.rho) * fsum(inst_terms)
     if spec.unnormalized:
@@ -204,8 +187,7 @@ def _worker_count(requested: int | None) -> int:
 
 
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
-            draws: int, seed: int, label: str = "design",
-            max_risk_value: float = math.nan, workers: int | None = None) -> RiskReport:
+            draws: int, seed: int, workers: int | None = None) -> RiskReport:
     """Monte-Carlo risk of the completely randomized design with the given
     arm counts.
 
@@ -237,7 +219,7 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
 
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
-    return RiskReport(label, float(max_risk_value), mean, se, draws)
+    return RiskReport(mean, se, draws)
 
 
 def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
@@ -400,18 +382,18 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     least two units.  scipy is imported here, on the first call, not when
     the module is.
     """
-    _check_inputs(Z, obs, t, spec.estimator if target == "instantaneous" else "plugin", spec.k)
+    estimator = spec.estimator if target == "instantaneous" else "plugin"
+    _check_inputs(Z, obs, t, estimator, spec.k)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if target not in ("habituation", "instantaneous"):
         raise ValueError(f"unknown target {target!r}")
+    hab = target == "habituation"
+    _, h, i = next(_estimate_pass(Z.codes, obs.values, estimator, spec.k,
+                                  hab=hab, inst=not hab, start=t))
+    _, treated, pulse, pool = next(_picks(Z.codes, Z.T, estimator, spec.k, t))
+    estimate, a, b = (h, treated, pulse) if hab else (i, pulse, pool)
     col = obs.values[:, t - 1]
-    if target == "habituation":
-        _, a, b, _ = next(_picks(Z.codes, Z.T, "plugin", None, t))
-        estimate = _habituation(col, a, b, t)
-    else:
-        _, _, a, b = next(_picks(Z.codes, Z.T, spec.estimator, spec.k, t))
-        estimate = _instantaneous(col, a, b, t, spec.estimator)
     variance = 0.0
     for units in (a, b):
         if len(units) < 2:

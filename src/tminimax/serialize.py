@@ -20,7 +20,8 @@ field present, integer fields as JSON integers, ``labels`` as a list,
 ``arms`` as an object, each matrix cell as a finite JSON number and each
 matrix row with the shape of its first row, and raise ``ParseError``
 naming the field or arm otherwise.  All writes go through a temp file and
-rename, never a partial file.
+rename, never a partial file, and the file gets the mode ``open()`` would
+give it under the process umask.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
@@ -46,7 +46,6 @@ from .core import (
     _check_codes,
     _check_horizon,
     arm_from_label,
-    pulse_arm,
 )
 
 __all__ = [
@@ -94,11 +93,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks in order to a sibling temp file, then rename it
-    over ``path``.  If a chunk raises, the temp file is removed and
-    ``path`` is left as it was."""
+    over ``path``, which gets the mode ``open()`` would give a new file.
+    If a chunk raises, the temp file is removed and ``path`` is left as it
+    was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # 0o666 narrowed by the umask, as open() creates a file (mkstemp: 0o600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -273,17 +275,22 @@ def _raise_first_row_error(path: str, r0: int, block: list[tuple[int, str]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Assignment matrices.  The CSV form stores the expanded 0/1 matrix; rows
-# decode back to arms (all zeros, all ones, a single one, or a run of ones
-# through the last period).
+# Assignment matrices.  The CSV form stores the expanded 0/1 matrix.  The
+# writer formats each arm's row from ``core._arm_vectors`` and the reader
+# decodes rows through the same texts, for both families.
 # ---------------------------------------------------------------------------
+
+
+def _row_texts(T: int, family: Family) -> list[str]:
+    """The CSV cell text of each arm code's 0/1 row, without the unit."""
+    return [",".join(map(str, bits.tolist())) for bits in _arm_vectors(T, family)]
 
 
 def _assignment_blocks(Z: AssignmentMatrix) -> Iterator[str]:
     """The CSV text of an assignment: its header line, then its rows in
     blocks.  A unit's row depends only on its arm, so the T+1 rows are
     formatted once."""
-    rows = [",".join(map(str, bits.tolist())) + "\n" for bits in _arm_vectors(Z.T, Z.family)]
+    rows = [text + "\n" for text in _row_texts(Z.T, Z.family)]
     size = _block_rows(Z.T)
 
     def block(r0: int) -> str:
@@ -301,23 +308,37 @@ def write_assignment_csv(path: str, Z: AssignmentMatrix) -> None:
     _write_chunks(path, _assignment_blocks(Z))
 
 
-def _decode_bits(bits: np.ndarray, where: str) -> tuple[ArmId | None, Family | None]:
-    """Returns (arm with a placeholder family, family vote).  The vote is
-    None when the pattern fits both families."""
-    T = len(bits)
-    ones = np.nonzero(bits)[0]
-    if len(ones) == 0:
-        return arm_from_label("always0"), None
-    if len(ones) == T:
-        return arm_from_label("always1"), None
-    start = int(ones[0]) + 1
-    if len(ones) == 1:
-        if start < 2:
-            raise ParseError(f"{where}: single treated period at t=1 is not a valid arm")
-        return pulse_arm(start), None if start == T else Family.PULSE
-    if np.array_equal(ones, np.arange(ones[0], T)) and start >= 2:
-        return pulse_arm(start), Family.WEDGE
-    raise ParseError(f"{where}: row pattern {bits.tolist()} is not a valid arm")
+def _row_table(T: int) -> dict[str, tuple[int, Family | None]]:
+    """Each row text the writer makes for either family, mapped to its arm
+    code and family vote.  The rows both families write (always0, always1
+    and pulse_T) vote for neither."""
+    table: dict[str, tuple[int, Family | None]] = {}
+    for family in (Family.PULSE, Family.WEDGE):
+        for code, text in enumerate(_row_texts(T, family)):
+            table[text] = (code, None) if text in table else (code, family)
+    return table
+
+
+def _decode_row(table: dict[str, tuple[int, Family | None]], key: str,
+                where: str) -> tuple[int, Family | None]:
+    """The arm code and family vote of one row's cell text.  A text the
+    writer does not make is read cell by cell through ``int()`` and looked
+    up again."""
+    entry = table.get(key)
+    if entry is not None:
+        return entry
+    try:
+        bits = [int(c) for c in key.split(",")]
+    except ValueError:
+        raise ParseError(f"{where}: assignment cells must be 0 or 1") from None
+    if not set(bits) <= {0, 1}:
+        raise ParseError(f"{where}: assignment cells must be 0 or 1")
+    entry = table.get(",".join(map(str, bits)))
+    if entry is not None:
+        return entry
+    if bits[0] == 1 and sum(bits) == 1:
+        raise ParseError(f"{where}: single treated period at t=1 is not a valid arm")
+    raise ParseError(f"{where}: row pattern {bits} is not a valid arm")
 
 
 def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentMatrix:
@@ -327,6 +348,7 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
     with _open_text(path) as handle:
         T, n = _scan(path, handle)
         codes = np.empty(n, dtype=np.int64)
+        table = _row_table(T)
         # each distinct row text is decoded once, at its first occurrence, so
         # an invalid row is reported at the first line that carries it
         decoded: dict[str, int] = {}
@@ -337,16 +359,8 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
                 raise _unit_error(path, ln, r, unit)
             code = decoded.get(key)
             if code is None:
-                try:
-                    bits = np.array([int(c) for c in key.split(",")])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}, line {ln}: assignment cells must be 0 or 1"
-                    ) from None
-                if not np.isin(bits, (0, 1)).all():
-                    raise ParseError(f"{path}, line {ln}: assignment cells must be 0 or 1")
-                arm, vote = _decode_bits(bits, f"{path}, line {ln}")
-                code = decoded[key] = _arm_code(arm)
+                code, vote = _decode_row(table, key, f"{path}, line {ln}")
+                decoded[key] = code
                 if vote is not None:
                     votes.add(vote)
             codes[r] = code

@@ -1,6 +1,9 @@
-"""Shared builders for test schedules and allocations."""
+"""Shared builders for test schedules and allocations, and a umask fixture."""
+
+import os
 
 import numpy as np
+import pytest
 
 from tminimax.core import (
     ALWAYS_CONTROL,
@@ -43,3 +46,11 @@ def spread_allocation(N, T):
     if min(counts) < 1:
         raise ValueError(f"cannot populate {T + 1} arms with {N} units")
     return Allocation(counts[0], counts[1], tuple(counts[2:]))
+
+
+@pytest.fixture
+def umask():
+    """``os.umask``, with the process umask restored after the test."""
+    saved = os.umask(0o022)
+    yield os.umask
+    os.umask(saved)

@@ -226,6 +226,16 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert "carryover order k must be >= 1, got 0" in err
 
+    def test_empty_treated_arm_is_named_before_an_empty_pool(self, capsys, tmp_path):
+        a_path, o_path = tmp_path / "z.csv", tmp_path / "y.csv"
+        # pulse_2 and pulse_3 only: no always-treated unit and no control
+        a_path.write_text("unit,t1,t2,t3\n1,0,1,0\n2,0,0,1\n")
+        write_matrix_csv(str(o_path), np.zeros((2, 3)))
+        code, out, err = _run(capsys, "estimate", "--assignment", str(a_path),
+                              "--outcomes", str(o_path))
+        assert code == 1 and out == ""
+        assert err == "error: estimator undefined: no units in the always-treated arm\n"
+
     def test_manifest_records_input_digests(self, capsys, tmp_path):
         Z = draw_assignment(Allocation(2, 2, (2,)), seed=0)
         sched = standard_model(ModelParams(), 6, 2, 0)
@@ -321,6 +331,16 @@ class TestRisk:
         assert code == 0
         row = json.loads(out)[0]
         assert abs(row["mc_risk"] - row["max_risk"]) < 3 * row["mc_se"]
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_out_file_mode_follows_the_umask(self, capsys, tmp_path, umask, mask, mode):
+        umask(mask)
+        code, _, _ = _run(capsys, "design", "--n", "100", "--t", "3",
+                          "--out", str(tmp_path / "d.json"))
+        assert code == 0 and umask(mask) == mask
+        assert os.stat(tmp_path / "d.json").st_mode & 0o777 == mode
 
 
 class TestDesignBoundaries:

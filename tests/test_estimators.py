@@ -302,3 +302,42 @@ class TestAffineEquivariance:
                 base = fn(Z, obs, t)
                 assert fn(Z, shifted, t) == pytest.approx(base, abs=1e-12)
                 assert fn(Z, scaled, t) == pytest.approx(-2.5 * base, rel=1e-12, abs=1e-12)
+
+
+class TestEstimatePass:
+    """A per-t step of ``_estimate_pass`` is row t of the full pass."""
+
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 1), ("recycling", 3)],
+                             ids=["plugin", "augmented", "recycling-1", "recycling-3"])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
+    def test_a_step_is_the_row_of_the_full_pass(self, estimator, k, rho, exact):
+        from tminimax.estimators import _estimate_pass
+
+        def bits(row_or_error):
+            if isinstance(row_or_error, Exception):
+                return str(row_or_error)
+            return tuple(None if v is None else float(v).hex() for v in row_or_error)
+
+        rng = np.random.default_rng(23)
+        flags = {"exact": exact, "hab": rho > 0.0, "inst": rho < 1.0}
+        # N = 6 at T = 7 leaves arms empty; T = 260 sorts the codes as uint16
+        for N, T in ((6, 7), (40, 5), (1000, 260)):
+            values = rng.normal(size=(N, T))
+            for _ in range(3):
+                codes = rng.integers(0, T + 1, size=N)
+                full = _estimate_pass(codes, values, estimator, k, **flags)
+                for t in range(2, T + 1):
+                    try:
+                        row = next(full)
+                    except EstimatorUndefinedError as exc:
+                        row = exc
+                    try:
+                        step = next(_estimate_pass(codes, values, estimator, k,
+                                                   **flags, start=t))
+                    except EstimatorUndefinedError as exc:
+                        step = exc
+                    assert bits(step) == bits(row)
+                    if isinstance(row, Exception):
+                        break  # the full pass ends at its first empty arm

@@ -29,6 +29,7 @@ from tminimax.serialize import (
     assignment_from_json,
     assignment_to_csv,
     assignment_to_json,
+    atomic_write_text,
     format_float,
     matrix_to_csv,
     read_assignment_csv,
@@ -889,3 +890,36 @@ class TestRowTables:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rows_to_csv([])
+
+
+class TestFileModes:
+    """A written file gets the mode ``open()`` gives a new file: 0o666
+    narrowed by the umask, which is left as it was."""
+
+    WRITERS = {
+        "text": lambda path: atomic_write_text(path, "x\n"),
+        "matrix-csv": lambda path: write_matrix_csv(path, np.ones((3, 2))),
+        "assignment-csv": lambda path: write_assignment_csv(
+            path, draw_assignment(Allocation(1, 1, (1,)), seed=0)),
+    }
+
+    @pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_mode_follows_the_umask(self, tmp_path, umask, writer, mask, mode):
+        umask(mask)
+        path = tmp_path / "out"
+        self.WRITERS[writer](str(path))
+        assert os.stat(path).st_mode & 0o777 == mode
+        assert umask(mask) == mask
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert os.stat(tmp_path / "plain").st_mode & 0o777 == mode
+
+    def test_overwrite_takes_the_current_umask(self, tmp_path, umask):
+        path = tmp_path / "out"
+        umask(0o077)
+        atomic_write_text(str(path), "a\n")
+        umask(0o022)
+        atomic_write_text(str(path), "b\n")
+        assert os.stat(path).st_mode & 0o777 == 0o644 and path.read_text() == "b\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
