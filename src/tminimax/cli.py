@@ -141,7 +141,8 @@ def _cmd_risk(args, argv: list[str]) -> int:
     if args.draws < 0:
         raise ValueError(f"--draws must be >= 0, got {args.draws}")
     spec = LossSpec(args.estimator, args.rho, args.k, args.unnormalized)
-    vstar = args.vstar if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
+    # + 0.0 echoes a --vstar -0 as 0.0 in messages and the manifest
+    vstar = args.vstar + 0.0 if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
     _check_vstar(vstar)
     if args.draws > 0 and vstar == 0.0:
         # the worst-case box [0, u] scales with vstar and would be empty
@@ -161,7 +162,7 @@ def _cmd_risk(args, argv: list[str]) -> int:
         alloc = balanced(args.n, args.t) if mode is None else integer_solve(args.n, args.t, mode)
         analytic = max_risk(alloc, args.t, vstar, spec)
         if args.draws > 0:
-            report = mc_risk(alloc, sched, spec, args.draws, args.seed, workers=args.workers)
+            report = mc_risk(alloc, sched, spec, args.draws, args.seed)
         else:
             report = None
         rows.append({
@@ -252,7 +253,6 @@ def _risk_args(risk: argparse.ArgumentParser) -> None:
     risk.add_argument("--vstar", type=float, help="worst-case outcome variance (default: unit box)")
     risk.add_argument("--draws", type=int, default=0,
                       help="Monte-Carlo draws on the matching worst-case schedule (0: analytic only)")
-    risk.add_argument("--workers", type=int, help="worker threads (TMINIMAX_THREADS caps this)")
     _add_common(risk)
     risk.set_defaults(func=_cmd_risk)
 
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(only=argv).parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -30,8 +30,6 @@ scipy is loaded only when a confidence interval is computed
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, sqrt
@@ -166,35 +164,14 @@ def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -
     return _loss_evaluator(sched, spec, exact=True)(Z.codes)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(requested: int | None) -> int:
-    """Threads for ``mc_risk``: the request, capped by ``TMINIMAX_THREADS``
-    and by the CPUs this process may run on."""
-    workers = 1 if requested is None else max(1, int(requested))
-    cap = os.environ.get("TMINIMAX_THREADS", "")
-    if cap.strip():
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"TMINIMAX_THREADS must be an integer, got {cap!r}") from None
-    return min(workers, _usable_cpus())
-
-
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
-            draws: int, seed: int, workers: int | None = None) -> RiskReport:
+            draws: int, seed: int) -> RiskReport:
     """Monte-Carlo risk of the completely randomized design with the given
     arm counts.
 
     Replicate r draws its assignment from a generator seeded by (seed, r),
-    and the replicate losses are reduced in index order, so the result is
-    identical whatever the worker count (``TMINIMAX_THREADS`` and the usable
-    CPUs cap it).
+    and the replicate losses are reduced in index order, so one seed gives
+    one result.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -202,21 +179,9 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
     _check_seed(seed)
     evaluate = _loss_evaluator(sched, spec, exact=False)
     losses = np.empty(draws)
-
-    def run(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            Z = draw_assignment(alloc, seed=np.random.SeedSequence((seed, r)))
-            losses[r] = evaluate(Z.codes)
-
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
-        run(0, draws)
-    else:
-        chunk = -(-draws // n_workers)
-        bounds = [(lo, min(lo + chunk, draws)) for lo in range(0, draws, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda b: run(*b), bounds))
-
+    for r in range(draws):
+        Z = draw_assignment(alloc, seed=np.random.SeedSequence((seed, r)))
+        losses[r] = evaluate(Z.codes)
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
     return RiskReport(mean, se, draws)
@@ -312,7 +277,8 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
         for t, pool in enumerate(sizes[-(T - 1):].tolist(), start=2):
             if pool <= 0:
                 raise ValueError(f"empty control pool at t={t}")
-    val = vstar * fsum((w / sizes).tolist())
+    # + 0.0 turns a -0.0 bound into +0.0 and leaves every other float as it is
+    val = (vstar + 0.0) * fsum((w / sizes).tolist())
     return 2.0 * val if spec.unnormalized else val
 
 

@@ -312,12 +312,49 @@ class TestRisk:
         assert code == 1 and out == ""
         assert f"--draws must be >= 0, got {draws}" in err
 
-    def test_malformed_thread_cap_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("TMINIMAX_THREADS", "abc")
-        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--draws", "2",
-                              "--workers", "2")
+    def test_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["risk", "--n", "100", "--t", "3", "--draws", "2", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt,want", [("json", '"max_risk":0.0,'), ("csv", "balanced,0,,,0")])
+    def test_negative_zero_vstar_reports_zero(self, capsys, fmt, want):
+        code, out, _ = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "-0",
+                            "--format", fmt)
+        assert code == 0
+        assert want in out and "-0" not in out
+
+    def test_negative_zero_vstar_is_named_as_zero(self, capsys):
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "-0",
+                              "--draws", "3")
         assert code == 1 and out == ""
-        assert "TMINIMAX_THREADS must be an integer, got 'abc'" in err
+        assert err == "error: --draws needs --vstar > 0, got 0.0\n"
+
+    def test_negative_zero_vstar_is_recorded_as_zero(self, capsys, tmp_path):
+        manifest = tmp_path / "run.json"
+        code, _, _ = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "-0",
+                          "--manifest", str(manifest))
+        assert code == 0
+        assert '"vstar":0.0' in manifest.read_text().replace(" ", "")
+
+    @pytest.mark.parametrize("estimator", [("plugin",), ("augmented",), ("recycling", "--k", "2")],
+                             ids=lambda e: e[0])
+    def test_same_seed_gives_the_same_output(self, capsys, estimator):
+        argv = ["risk", "--n", "60", "--t", "4", "--draws", "20", "--estimator", *estimator,
+                "--unnormalized"]
+        runs = [_run(capsys, *argv, "--seed", seed) for seed in ["3", "3", "4"]]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1]
+        mc = [[r["mc_risk"] for r in json.loads(out)] for _, out, _ in runs]
+        assert mc[0] != mc[2]
+
+    def test_thread_env_is_not_read(self, capsys, monkeypatch):
+        argv = ["risk", "--n", "100", "--t", "3", "--draws", "2"]
+        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
+        want = _run(capsys, *argv)
+        monkeypatch.setenv("TMINIMAX_THREADS", "abc")
+        assert _run(capsys, *argv) == want and want[0] == 0
 
     def test_unknown_design(self, capsys):
         code, _, err = _run(capsys, "risk", "--n", "30", "--t", "3",
@@ -353,6 +390,21 @@ class TestDesignBoundaries:
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         assert "N <= 10^12" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("design", "--n", str(10**400), "--t", "3", "--relaxed"),
+        ("risk", "--n", str(10**400), "--t", "3"),
+        ("simulate", "--figure", "1", "--n", str(10**400), "--t-list", "3"),
+        ("design", "--n", "20", "--t", "3", "--mode", "recycling", "--k", str(10**21)),
+    ], ids=["design-relaxed", "risk", "simulate", "recycling-k"])
+    def test_numbers_too_large_for_a_float_exit_1(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "sim"
+        if argv[0] == "simulate":
+            argv += ("--out", str(out_dir))
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_relaxed_design_takes_any_n(self, capsys):
         code, out, _ = _run(capsys, "design", "--n", "100000000000000", "--t", "3",

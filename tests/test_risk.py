@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import os
 import re
 import tracemalloc
 from math import fsum, sqrt
@@ -226,7 +225,7 @@ class TestLoss:
             loss(Z, sched, LossSpec("recycling", 0.5, k=1))
 
 
-# float.hex of (mc_risk, mc_se) at workers 1 and 2, and of (exact_risk,
+# float.hex of (mc_risk, mc_se), and of (exact_risk,
 # loss), for the seeded cases below; recorded before the loss was written
 # as one loop, and the bits must not move
 MC_RISK_GOLDEN = {
@@ -240,7 +239,7 @@ EXACT_RISK_GOLDEN = {
     "recycling": ("0x1.631b543e39e8ep+0", "0x1.a496fc2828050p-3"),
 }
 
-# float.hex of (mc_risk, mc_se) at N=2000, T=20, workers 1 and 2, for the
+# float.hex of (mc_risk, mc_se) at N=2000, T=20, for the
 # seeded case in test_mc_risk_at_benchmark_shape; recorded before the loss
 # grouped units by arm, and the bits must not move
 MC_RISK_N2000_GOLDEN = {
@@ -256,7 +255,7 @@ MC_RISK_N2000_GOLDEN = {
 }
 
 # float.hex of (mc_risk, mc_se) on worst_case_schedule(2000, 20, 0, 1), whose
-# arms are all one matrix, at workers 1 and 2; recorded while the schedule
+# arms are all one matrix; recorded while the schedule
 # still kept one copy per arm, and the bits must not move
 WORST_CASE_MC_GOLDEN = {
     "plugin": ("0x1.60fd0838863f4p-3", "0x1.d91264c9dc369p-7"),
@@ -306,22 +305,19 @@ class TestGoldenBits:
         LossSpec("augmented", 0.3),
         LossSpec("recycling", 0.5, k=2, unnormalized=True),
     ], ids=lambda s: s.estimator)
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mc_risk(self, spec, workers):
+    def test_mc_risk(self, spec):
         sched = random_schedule(np.random.default_rng(2024), 40, 5, k=2)
         alloc = Allocation(6, 7, (7, 6, 7, 7))
-        report = mc_risk(alloc, sched, spec, draws=30, seed=11, workers=workers)
+        report = mc_risk(alloc, sched, spec, draws=30, seed=11)
         assert (report.mc_risk.hex(), report.mc_se.hex()) == MC_RISK_GOLDEN[spec.estimator]
 
     @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
                                              ("recycling", 2)])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mc_risk_at_benchmark_shape(self, estimator, k, rho, workers):
+    def test_mc_risk_at_benchmark_shape(self, estimator, k, rho):
         sched = random_schedule(np.random.default_rng(2020), 2000, 20, k=2)
         alloc = Allocation(198, 130, tuple(range(70, 108, 2)))
-        report = mc_risk(alloc, sched, LossSpec(estimator, rho, k), draws=12, seed=5,
-                         workers=workers)
+        report = mc_risk(alloc, sched, LossSpec(estimator, rho, k), draws=12, seed=5)
         got = (report.mc_risk.hex(), report.mc_se.hex())
         assert got == MC_RISK_N2000_GOLDEN[(estimator, rho)]
 
@@ -330,11 +326,10 @@ class TestGoldenBits:
         LossSpec("augmented", 0.3),
         LossSpec("recycling", 0.5, k=2),
     ], ids=lambda s: s.estimator)
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_mc_risk_on_the_worst_case(self, spec, workers):
+    def test_mc_risk_on_the_worst_case(self, spec):
         sched = worst_case_schedule(2000, 20, 0.0, 1.0)
         alloc = Allocation(198, 130, tuple(range(70, 108, 2)))
-        report = mc_risk(alloc, sched, spec, draws=12, seed=9, workers=workers)
+        report = mc_risk(alloc, sched, spec, draws=12, seed=9)
         got = (report.mc_risk.hex(), report.mc_se.hex())
         assert got == WORST_CASE_MC_GOLDEN[spec.estimator]
 
@@ -503,8 +498,11 @@ class TestMaxRisk:
         with pytest.raises(ValueError, match="vstar must be finite and >= 0"):
             max_risk(Allocation(2, 2, (2,)), 2, vstar, LossSpec("plugin", 0.5))
 
-    def test_zero_vstar_gives_zero_risk(self):
-        assert max_risk(Allocation(2, 2, (2,)), 2, 0.0, LossSpec("plugin", 0.5)) == 0.0
+    @pytest.mark.parametrize("vstar", [0.0, -0.0])
+    @pytest.mark.parametrize("unnormalized", [False, True])
+    def test_zero_vstar_gives_zero_risk(self, vstar, unnormalized):
+        spec = LossSpec("plugin", 0.5, unnormalized=unnormalized)
+        assert max_risk(Allocation(2, 2, (2,)), 2, vstar, spec).hex() == "0x0.0p+0"
 
 
 class TestExactAndMcRisk:
@@ -523,15 +521,6 @@ class TestExactAndMcRisk:
             report = mc_risk(alloc, sched, spec, draws=4000, seed=5)
             assert abs(report.mc_risk - exact) < 3 * report.mc_se
 
-    def test_worker_count_never_changes_values(self):
-        rng = np.random.default_rng(10)
-        sched = random_schedule(rng, 8, 3)
-        alloc = spread_allocation(8, 3)
-        spec = LossSpec("augmented", 0.5)
-        a = mc_risk(alloc, sched, spec, draws=500, seed=3, workers=1)
-        b = mc_risk(alloc, sched, spec, draws=500, seed=3, workers=4)
-        assert a.mc_risk == b.mc_risk and a.mc_se == b.mc_se
-
     def test_estimands_computed_once_per_risk(self, monkeypatch):
         from tminimax import risk
 
@@ -542,47 +531,6 @@ class TestExactAndMcRisk:
         mc_risk(alloc, sched, LossSpec("augmented", 0.5), draws=20, seed=1)
         exact_risk(alloc, sched, LossSpec("plugin", 0.5))
         assert calls == [sched, sched]  # once per call, not per assignment
-
-    def test_thread_env_caps_workers(self, monkeypatch):
-        from tminimax.risk import _worker_count
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setenv("TMINIMAX_THREADS", "2")
-        assert _worker_count(8) == 2
-        monkeypatch.delenv("TMINIMAX_THREADS")
-        assert _worker_count(8) == 8
-
-    @pytest.mark.parametrize("cap", ["abc", "2.5", "0x2"])
-    def test_malformed_thread_cap_is_named(self, monkeypatch, cap):
-        from tminimax.risk import _worker_count
-
-        monkeypatch.setenv("TMINIMAX_THREADS", cap)
-        with pytest.raises(ValueError, match=f"TMINIMAX_THREADS must be an integer, got '{cap}'"):
-            _worker_count(2)
-
-    @pytest.mark.parametrize("cpus,requested,want", [
-        (4, None, 1), (4, 0, 1), (4, 3, 3), (4, 4, 4), (4, 5, 4), (4, 100000, 4),
-        (1, 100000, 1), (64, 100000, 64),
-    ])
-    def test_usable_cpus_cap_workers(self, monkeypatch, cpus, requested, want):
-        from tminimax.risk import _worker_count
-
-        # only the count is computed: no thread is started
-        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert _worker_count(requested) == want
-        monkeypatch.setenv("TMINIMAX_THREADS", "2")
-        assert _worker_count(requested) == min(want, 2)
-
-    def test_cpu_count_caps_workers_without_affinity(self, monkeypatch):
-        from tminimax.risk import _worker_count
-
-        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _worker_count(100000) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(100000) == 1
 
     @pytest.mark.parametrize("spec", SPECS,
                              ids=lambda s: f"{s.estimator}-rho{s.rho}")
@@ -615,6 +563,40 @@ class TestExactAndMcRisk:
         with pytest.raises(ValueError):
             mc_risk(spread_allocation(5, 2), constant_schedule(5, 2),
                     LossSpec("plugin"), draws=0, seed=0)
+
+    @pytest.mark.parametrize("draws", [1, 5])
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=lambda s: f"{s.estimator}-rho{s.rho}")
+    def test_mc_risk_is_the_replicate_loop(self, spec, draws):
+        # replicate r draws from SeedSequence((seed, r)) whatever the draw
+        # count, and the losses are reduced in replicate order
+        from tminimax.risk import _loss_evaluator
+
+        sched = random_schedule(np.random.default_rng(21), 9, 3, k=1)
+        alloc = spread_allocation(9, 3)
+        evaluate = _loss_evaluator(sched, spec, exact=False)
+        losses = np.array([evaluate(draw_assignment(alloc, seed=np.random.SeedSequence((4, r))).codes)
+                           for r in range(draws)])
+        se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
+        report = mc_risk(alloc, sched, spec, draws=draws, seed=4)
+        assert (report.mc_risk.hex(), report.mc_se.hex()) == (float(np.mean(losses)).hex(), se.hex())
+        assert report.draws == draws
+
+    def test_workers_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="workers"):
+            mc_risk(spread_allocation(5, 2), constant_schedule(5, 2),
+                    LossSpec("plugin"), draws=2, seed=0, workers=2)
+
+    @pytest.mark.parametrize("cap", ["abc", "2.5", "0x2", "0", "2"])
+    def test_thread_env_is_not_read(self, monkeypatch, cap):
+        sched = random_schedule(np.random.default_rng(22), 8, 3)
+        alloc = spread_allocation(8, 3)
+        spec = LossSpec("augmented", 0.5)
+        monkeypatch.delenv("TMINIMAX_THREADS", raising=False)
+        want = mc_risk(alloc, sched, spec, draws=50, seed=3)
+        monkeypatch.setenv("TMINIMAX_THREADS", cap)
+        got = mc_risk(alloc, sched, spec, draws=50, seed=3)
+        assert (got.mc_risk.hex(), got.mc_se.hex()) == (want.mc_risk.hex(), want.mc_se.hex())
 
     def test_boundary_designs_evaluate_under_matching_weights(self):
         # an all-instantaneous design drops the treated arm; the matching
