@@ -137,9 +137,19 @@ _DESIGN_MODES = {
 }
 
 
+# The most --draws that `risk` accepts.  Monte-Carlo risk keeps every
+# draw's loss (8 bytes: 800 MB at the bound), and a draw took about 60 us
+# even at N=100, T=3 (2 vCPUs), so 10^8 draws per design already run for
+# hours; a larger count would fail in numpy only after the schedule and
+# the designs were built.
+_MAX_DRAWS = 10**8
+
+
 def _cmd_risk(args, argv: list[str]) -> int:
     if args.draws < 0:
         raise ValueError(f"--draws must be >= 0, got {args.draws}")
+    if args.draws > _MAX_DRAWS:
+        raise ValueError(f"--draws must be <= 10^8, got {args.draws}")
     spec = LossSpec(args.estimator, args.rho, args.k, args.unnormalized)
     # + 0.0 echoes a --vstar -0 as 0.0 in messages and the manifest
     vstar = args.vstar + 0.0 if args.vstar is not None else box_max_variance(args.n, 0.0, 1.0)
@@ -252,7 +262,8 @@ def _risk_args(risk: argparse.ArgumentParser) -> None:
                       help="report the loss scale where both effect sums have unit weight at rho=1/2")
     risk.add_argument("--vstar", type=float, help="worst-case outcome variance (default: unit box)")
     risk.add_argument("--draws", type=int, default=0,
-                      help="Monte-Carlo draws on the matching worst-case schedule (0: analytic only)")
+                      help="Monte-Carlo draws on the matching worst-case schedule, at most 10^8 "
+                           "(0: analytic only)")
     _add_common(risk)
     risk.set_defaults(func=_cmd_risk)
 

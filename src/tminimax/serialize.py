@@ -10,8 +10,9 @@ name the physical line: its 1-based position in ``text.splitlines()``,
 blank lines included.  Both CSV families are read in two passes over the
 open file: one checks the header and every row's cell count, and one
 parses the rows into the preallocated result, the matrix reader a block
-of ``_BLOCK_CELLS`` cells at a time, rescanning a block row by row only
-to locate an error.  Both are written a block of rows at a time.  So
+of ``_BLOCK_CELLS`` cells at a time and the assignment reader a run of
+lines read at once, rescanning a block row by row only to locate an
+error.  Both are written a block of rows at a time.  So
 reading an N x T matrix needs about 8 N T bytes plus one block, never the
 file's text or one Python string per cell.  JSON documents are canonical (sorted keys,
 compact separators, shortest round-trip floats), so identical inputs
@@ -32,6 +33,7 @@ import itertools
 import json
 import os
 import sys
+from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
@@ -155,26 +157,43 @@ def write_matrix_csv(path: str, values: np.ndarray) -> None:
     _write_chunks(path, _matrix_blocks(values))
 
 
-def _lines(handle: TextIO) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each non-blank line of an open text file.
-    Lines and their numbers are those of ``text.splitlines()`` on the whole
-    text, so a form feed or a line separator also ends a line.  The file is
-    read a run of whole lines of about ``_BLOCK_CELLS`` characters at a
-    time; a run ends at a line break, so splitting it gives the lines that
-    splitting the whole text would."""
+# The line numbers and texts of a run of lines read at once.
+_Run = tuple[Sequence[int], list[str]]
+
+
+def _line_runs(handle: TextIO) -> Iterator[_Run]:
+    """The line numbers and texts of the non-blank lines of an open text
+    file, a run of whole lines of about ``_BLOCK_CELLS`` characters at a
+    time.  Lines and their numbers are those of ``text.splitlines()`` on
+    the whole text, so a form feed or a line separator also ends a line; a
+    run ends at a line break, so splitting it gives the lines that
+    splitting the whole text would.  Every run holds at least one line."""
     ln = 0
     while chunk := handle.readlines(_BLOCK_CELLS):
-        for line in "".join(chunk).splitlines():
-            ln += 1
-            if line.strip():
-                yield ln, line
+        texts = "".join(chunk).splitlines()
+        numbers: Sequence[int] = range(ln + 1, ln + 1 + len(texts))
+        ln += len(texts)
+        if not all(map(str.strip, texts)):
+            kept = [(n, line) for n, line in zip(numbers, texts) if line.strip()]
+            numbers, texts = [n for n, _ in kept], [line for _, line in kept]
+        if texts:
+            yield numbers, texts
+
+
+def _after_first(handle: TextIO) -> tuple[tuple[int, str], Iterator[_Run]]:
+    """The number and text of the first non-blank line of an open text
+    file, ``(0, "")`` if there is none, and the runs of ``_line_runs``
+    after it."""
+    runs = _line_runs(handle)
+    numbers, texts = next(runs, ((0,), [""]))
+    rest = [(numbers[1:], texts[1:])] if len(texts) > 1 else []
+    return (numbers[0], texts[0]), itertools.chain(rest, runs)
 
 
 def _scan(path: str, handle: TextIO) -> tuple[int, int]:
     """First pass over a unit,t1..tT file: checks the header and every
     row's cell count; returns T and the number of data rows."""
-    lines = _lines(handle)
-    ln, head = next(lines, (0, ""))
+    (ln, head), runs = _after_first(handle)
     if not ln:
         raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
     header = head.split(",")
@@ -185,23 +204,29 @@ def _scan(path: str, handle: TextIO) -> tuple[int, int]:
             raise ParseError(f"{path}, line {ln}, column {j + 1}: expected t{j}, got {name!r}")
     T = len(header) - 1
     n = 0
-    for ln, line in lines:
-        if line.count(",") != T:
+    for numbers, texts in runs:
+        commas = list(map(str.count, texts, itertools.repeat(",")))
+        if commas.count(T) != len(commas):
+            i = next(i for i, count in enumerate(commas) if count != T)
             raise ParseError(
-                f"{path}, line {ln}: row has {line.count(',') + 1} cells, expected {T + 1}"
+                f"{path}, line {numbers[i]}: row has {commas[i] + 1} cells, expected {T + 1}"
             )
-        n += 1
+        n += len(texts)
     if not n:
         raise ParseError(f"{path}: no data rows")
     return T, n
 
 
+def _data_runs(handle: TextIO) -> Iterator[_Run]:
+    """Second pass: the numbers and texts of the data lines, from the top
+    of the file, a run at a time."""
+    handle.seek(0)
+    return _after_first(handle)[1]
+
+
 def _data_lines(handle: TextIO) -> Iterator[tuple[int, str]]:
     """Second pass: the numbered data lines, from the top of the file."""
-    handle.seek(0)
-    lines = _lines(handle)
-    next(lines)  # the header
-    return lines
+    return itertools.chain.from_iterable(zip(*run) for run in _data_runs(handle))
 
 
 def _open_text(path: str) -> TextIO:
@@ -344,26 +369,41 @@ def _decode_row(table: dict[str, tuple[int, Family | None]], key: str,
 def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentMatrix:
     """Decode an assignment matrix from its 0/1 CSV form.  The family is
     inferred from the row patterns when they pin it down; ``family``
-    breaks the tie when every row is ambiguous."""
+    breaks the tie when every row is ambiguous.
+
+    The second pass decodes a run of rows at a time: the unit column is
+    split off the run's rows and checked against the expected numbers at
+    once, and the row texts are mapped to arm codes through a memo that
+    decodes each distinct text once, at its first occurrence.  So an
+    invalid row is reported at the first line that carries it, and before
+    a wrong unit number on a later line."""
     with _open_text(path) as handle:
         T, n = _scan(path, handle)
         codes = np.empty(n, dtype=np.int64)
         table = _row_table(T)
-        # each distinct row text is decoded once, at its first occurrence, so
-        # an invalid row is reported at the first line that carries it
         decoded: dict[str, int] = {}
         votes = set()
-        for r, (ln, line) in enumerate(_data_lines(handle)):
-            unit, _, key = line.partition(",")
-            if unit != str(r + 1):
-                raise _unit_error(path, ln, r, unit)
-            code = decoded.get(key)
-            if code is None:
-                code, vote = _decode_row(table, key, f"{path}, line {ln}")
-                decoded[key] = code
-                if vote is not None:
-                    votes.add(vote)
-            codes[r] = code
+        r = 0
+        for numbers, texts in _data_runs(handle):
+            b = len(texts)
+            parts = list(map(str.partition, texts, itertools.repeat(",")))
+            keys = list(map(itemgetter(2), parts))
+            # no unit holds a line break, so the joined texts match exactly
+            # when every unit does
+            units = "\n".join(map(itemgetter(0), parts)) + "\n"
+            bad = b
+            if units != ("%d\n" * b) % tuple(range(r + 1, r + b + 1)):
+                bad = next(i for i, part in enumerate(parts) if part[0] != str(r + i + 1))
+            if not decoded.keys() >= set(keys[:bad]):
+                for ln, key in zip(numbers, keys[:bad]):
+                    if key not in decoded:
+                        decoded[key], vote = _decode_row(table, key, f"{path}, line {ln}")
+                        if vote is not None:
+                            votes.add(vote)
+            if bad < b:
+                raise _unit_error(path, numbers[bad], r + bad, parts[bad][0])
+            codes[r:r + b] = np.fromiter(map(decoded.__getitem__, keys), np.int64, count=b)
+            r += b
     if len(votes) > 1:
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
     chosen = votes.pop() if votes else family

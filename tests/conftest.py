@@ -29,6 +29,13 @@ def random_schedule(rng, N, T, k=None):
     return PotentialOutcomeSchedule(arms)
 
 
+def numpy_stack(recorded):
+    """Message for a golden that pins numpy's ``Generator`` streams and
+    pairwise sums, which NumPy does not promise to keep across versions
+    (NEP 19): the numpy version it was recorded on and the one running."""
+    return f"golden recorded on numpy {recorded}, running numpy {np.__version__}"
+
+
 def constant_schedule(N, T, value=3.25):
     m = np.full((N, T), value)
     arms = {ALWAYS_CONTROL: m, ALWAYS_TREATED: m}

@@ -312,6 +312,26 @@ class TestRisk:
         assert code == 1 and out == ""
         assert f"--draws must be >= 0, got {draws}" in err
 
+    @pytest.mark.parametrize("draws", [10**8 + 1, 10**12, 10**22])
+    def test_draws_beyond_the_bound_name_the_flag(self, capsys, monkeypatch, draws):
+        def refuse(*args):
+            raise AssertionError("built before --draws was checked")
+
+        for name in ("worst_case_schedule", "balanced", "integer_solve", "max_risk"):
+            monkeypatch.setattr(f"tminimax.cli.{name}", refuse)
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--draws", str(draws))
+        assert code == 1 and out == ""
+        assert err == f"error: --draws must be <= 10^8, got {draws}\n"
+
+    def test_draws_at_the_bound_are_accepted(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr("tminimax.cli.mc_risk",
+                            lambda alloc, sched, spec, draws, seed: seen.append(draws))
+        monkeypatch.setattr("tminimax.cli.write_table", lambda *args: None)
+        code, _, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--draws", "100000000",
+                            "--designs", "balanced")
+        assert (code, err, seen) == (0, "", [10**8])
+
     def test_workers_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["risk", "--n", "100", "--t", "3", "--draws", "2", "--workers", "2"])

@@ -1,6 +1,7 @@
 """Tests for estimands and the four randomization estimators."""
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import fsum
 
@@ -21,6 +22,7 @@ from tminimax.core import (
     permute_units,
     pulse_arm,
 )
+from tminimax import estimators
 from tminimax.estimators import (
     EffectKind,
     EffectSeries,
@@ -31,7 +33,9 @@ from tminimax.estimators import (
     instantaneous_estimate,
     recycling_instantaneous_estimate,
 )
-from tminimax.simulate import ModelParams, habituation_model
+from tminimax.estimators import _exact_sums
+from tminimax.risk import worst_case_schedule
+from tminimax.simulate import ModelParams, habituation_model, standard_model
 
 
 def _series_2x2(y1_col2, ye_col2, y0_col2):
@@ -117,6 +121,197 @@ class TestEstimandsMemo:
             assert not series.values.flags.writeable
             with pytest.raises(ValueError):
                 series.values[0] = 1.0
+
+
+def _outcome(compute):
+    """The bits of what ``compute`` returns, or the type and message of
+    the ``ValueError`` or ``OverflowError`` it raises."""
+    try:
+        return np.asarray(compute(), dtype=float).view(np.int64).tolist()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _rows(case, rng):
+    """A 2-D float array of one kind that exact summation must get right."""
+    if case == "wide_exponents":
+        return rng.normal(size=(6, 300)) * np.ldexp(1.0, rng.integers(-1074, 990, size=(6, 300)))
+    if case == "every_scale":  # a cell at nearly every scale: the most passes
+        e = np.linspace(-1074, 1000, 2000).astype(int)
+        return (1.0 + rng.random((2, 2000))) * np.ldexp(rng.choice([-1.0, 1.0], (2, 2000)), e)
+    if case == "same_sign":  # partial sums grow to n max|x|: the largest sigma must cover
+        return np.concatenate([1.0 + rng.random((3, 2000)), -rng.random((1, 2000)) * 1e-3])
+    if case == "subnormals":
+        return rng.integers(-2**52, 2**52, size=(5, 500)) * 2.0**-1074
+    if case == "cancelling_pairs":
+        half = rng.normal(size=(5, 200)) * np.ldexp(1.0, rng.integers(-300, 300, size=(5, 200)))
+        x = np.concatenate([half, -half], axis=1)
+        x[:, 0] += rng.normal(size=5) * 1e-300
+        x[4, 0] = half[4, 0]  # one row cancels exactly to zero
+        return rng.permuted(x, axis=1)
+    if case == "signed_zeros":
+        return np.array([[0.0] * 7, [-0.0] * 7, [0.0, -0.0] * 3 + [-0.0], [-0.0] * 6 + [0.0]])
+    if case == "single_element":
+        return np.array([[1.5], [-0.0], [0.0], [5e-324], [-1e308], [np.inf], [np.nan]])
+    if case == "large_n":
+        return rng.normal(size=(3, 10**5)) * np.ldexp(1.0, rng.integers(-60, 60, size=(3, 10**5)))
+    if case == "near_overflow":  # an intermediate overflow in fsum, then rows that sum
+        x = rng.normal(size=(4, 50))
+        x[1, :3] = 1e308
+        x[2, :2] = [1e308, -1e308]
+        x[3, 0] = 2.0**1017  # just past the extraction's limit at n = 50
+        return x
+    if case == "near_overflow_sums":  # near-overflow rows that fsum can sum
+        x = rng.normal(size=(3, 50))
+        x[0, :2] = [1e308, -1e308]
+        x[1, 0] = -1.7e308
+        x[2, :] = 2.0**1016  # the limit at n = 50: (2n - 1).bit_length() = 7
+        return x
+    if case == "non_finite":
+        x = rng.normal(size=(5, 40))
+        x[1, 3] = np.inf
+        x[2, 5] = np.nan
+        x[3, [0, 9]] = [np.inf, -np.inf]
+        x[4, 0] = -np.inf
+        return x
+    if case == "inf_rows":  # no row raises: each sums to +-inf or nan
+        x = rng.normal(size=(3, 40))
+        x[0, 3], x[1, 4], x[2, [0, 1]] = np.inf, -np.inf, [np.nan, np.inf]
+        return x
+    raise AssertionError(case)
+
+
+class TestExactSums:
+    """``_exact_sums`` gives ``math.fsum`` of each row, bit for bit, or
+    raises what summing the rows in order with ``fsum`` raises."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", [
+        "wide_exponents", "every_scale", "same_sign", "subnormals", "cancelling_pairs", "signed_zeros",
+        "single_element", "large_n", "near_overflow", "near_overflow_sums", "non_finite",
+        "inf_rows",
+    ])
+    def test_matches_fsum(self, case, seed):
+        rows = _rows(case, np.random.default_rng(seed))
+        want = _outcome(lambda: [fsum(row.tolist()) for row in rows])
+        assert _outcome(lambda: _exact_sums(rows)) == want
+        if case == "near_overflow":
+            assert want == (OverflowError, "intermediate overflow in fsum")
+        elif case == "non_finite":
+            assert want == (ValueError, "-inf + inf in fsum")
+        else:
+            assert isinstance(want, list)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_rows_match_fsum(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        m, n = int(rng.integers(1, 8)), int(rng.choice([1, 2, 3, 17, 2000]))
+        scale = np.ldexp(1.0, rng.integers(int(rng.integers(-1074, 0)),
+                                           int(rng.integers(1, 1000)), size=(m, n)))
+        rows = rng.normal(size=(m, n)) * scale
+        rows[rng.random((m, n)) < 0.1] = 0.0
+        assert _outcome(lambda: _exact_sums(rows)) == _outcome(
+            lambda: [fsum(row.tolist()) for row in rows])
+
+    def test_input_is_not_changed(self):
+        rows = np.random.default_rng(1).normal(size=(4, 100))
+        before = rows.tobytes()
+        _exact_sums(rows)
+        assert rows.tobytes() == before
+
+
+def _fsum_estimands(sched):
+    """The estimands as one ``fsum`` per (t, effect), in (t, effect) order,
+    from the public arm matrices: the reference for ``estimands``."""
+    N, T = sched.N, sched.T
+    sums = np.empty((3, T - 1))
+    for t in range(2, T + 1):
+        treated, pulse, control = (sched.matrix(arm)[:, t - 1]
+                                   for arm in (ALWAYS_TREATED, pulse_arm(t), ALWAYS_CONTROL))
+        for e, (a, b) in enumerate([(treated, pulse), (pulse, control), (treated, control)]):
+            sums[e, t - 2] = fsum((a - b).tolist()) / N
+    return tuple(EffectSeries(v, kind) for v, kind in zip(sums, EffectKind))
+
+
+def _schedules():
+    rng = np.random.default_rng(8)
+    yield "habituation", habituation_model(ModelParams(), 2000, 30, seed=1)
+    yield "standard", standard_model(ModelParams(noise_sd=1.0), 300, 12, seed=2)
+    yield "per_arm_noise", habituation_model(ModelParams(shared_noise=False), 200, 9, seed=3)
+    yield "worst_case", worst_case_schedule(1001, 7, -2.0, 3.0)
+    for N, T in ((1, 2), (5, 4), (64, 11)):
+        yield f"random_{N}x{T}", random_schedule(rng, N, T)
+    wide = {arm: rng.normal(size=(40, 6)) * np.ldexp(1.0, rng.integers(-1000, 1000, size=(40, 6)))
+            for arm in random_schedule(rng, 40, 6).arms}
+    yield "random_wide_exponents", PotentialOutcomeSchedule(wide)
+
+
+class TestEstimandsAreExactSums:
+    @pytest.mark.parametrize("name,sched", list(_schedules()), ids=lambda v: v
+                             if isinstance(v, str) else "")
+    @pytest.mark.parametrize("block", [None, 1, 3000])
+    def test_bits_match_one_fsum_per_effect(self, monkeypatch, name, sched, block):
+        if block is not None:  # one period per block, or two to five
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
+        got = estimators._compute_estimands(sched)
+        want = _fsum_estimands(sched)
+        for g, w in zip(got, want):
+            assert g.kind is w.kind
+            assert g.values.tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("cells,error", [
+        ({(ALWAYS_TREATED, 0, 3): np.inf},
+         (ValueError, "non-finite effect value in habituation series")),
+        ({(pulse_arm(2), 0, 2): np.nan},
+         (ValueError, "non-finite effect value in habituation series")),
+        ({(ALWAYS_TREATED, 0, 3): np.inf, (pulse_arm(3), 1, 3): np.inf},
+         (ValueError, "-inf + inf in fsum")),
+        # t = 2 overflows in its instantaneous effect before t = 3's inf - inf
+        ({(ALWAYS_TREATED, 0, 3): np.inf, (pulse_arm(3), 1, 3): np.inf,
+          (pulse_arm(2), 0, 2): 1e308, (pulse_arm(2), 1, 2): 1e308},
+         (OverflowError, "intermediate overflow in fsum")),
+        # at one t, the habituation effect's inf - inf comes before the
+        # ate's overflow; the instantaneous effect is inf
+        ({(ALWAYS_TREATED, 0, 4): np.inf, (pulse_arm(4), 1, 4): np.inf,
+          (ALWAYS_TREATED, 2, 4): 1.6e308, (ALWAYS_TREATED, 3, 4): 1.6e308,
+          (pulse_arm(4), 2, 4): 0.8e308, (pulse_arm(4), 3, 4): 0.8e308,
+          (ALWAYS_CONTROL, 2, 4): 0.0, (ALWAYS_CONTROL, 3, 4): 0.0},
+         (ValueError, "-inf + inf in fsum")),
+        # the ate at t = 2 overflows before the habituation effect at t = 3
+        ({(ALWAYS_TREATED, 0, 3): np.inf, (pulse_arm(3), 1, 3): np.inf,
+          (ALWAYS_TREATED, 2, 2): 1.6e308, (ALWAYS_TREATED, 3, 2): 1.6e308,
+          (pulse_arm(2), 2, 2): 0.8e308, (pulse_arm(2), 3, 2): 0.8e308,
+          (ALWAYS_CONTROL, 2, 2): 0.0, (ALWAYS_CONTROL, 3, 2): 0.0},
+         (OverflowError, "intermediate overflow in fsum")),
+    ], ids=["inf", "nan", "inf_minus_inf", "overflow_first", "habituation_first",
+            "earlier_t_first"])
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_non_finite_cells_fail_as_one_fsum_per_effect(self, monkeypatch, cells, error,
+                                                          block):
+        if block is not None:
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
+        rng = np.random.default_rng(5)
+        arms = {arm: rng.normal(size=(6, 5)) for arm in random_schedule(rng, 6, 5).arms}
+        for (arm, unit, t), value in cells.items():
+            arms[arm][unit, t - 1] = value
+        sched = PotentialOutcomeSchedule(arms)
+        want = _outcome(lambda: _fsum_estimands(sched))
+        assert want == error
+        assert _outcome(lambda: estimands(sched)) == want
+
+    @pytest.mark.parametrize("T", [20, 200])
+    def test_memory_does_not_grow_with_the_horizon(self, T):
+        # one period per block at N = 10000: a few rows of N cells, where
+        # one gather of all T - 1 periods would take 3 (T - 1) 8N bytes
+        N = 10000
+        sched = worst_case_schedule(N, T, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            estimators._compute_estimands(sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 8 * N
 
 
 class TestTwoUnitExamples:

@@ -26,6 +26,8 @@ from tminimax.core import (
 from tminimax.serialize import (
     ParseError,
     _block_rows,
+    _decode_row,
+    _row_table,
     assignment_from_json,
     assignment_to_csv,
     assignment_to_json,
@@ -572,6 +574,38 @@ def _set_cell(lines, ln, c, text):
     lines[ln] = ",".join(cells)
 
 
+def _naive_read_assignment_csv(path, family=Family.PULSE):
+    """Test-only copy of the line-by-line decode that the run decode
+    replaced, for files whose header and cell counts are valid: check each
+    data line's unit, then decode its row text at its first occurrence."""
+    with open(path) as handle:
+        lines = [(ln, line) for ln, line in enumerate(handle.read().splitlines(), start=1)
+                 if line.strip()]
+    T = lines[0][1].count(",")
+    table = _row_table(T)
+    decoded, votes, codes = {}, set(), []
+    for r, (ln, line) in enumerate(lines[1:]):
+        unit, _, key = line.partition(",")
+        if unit != str(r + 1):
+            raise ParseError(f"{path}, line {ln}: expected unit {r + 1}, got {unit!r}")
+        if key not in decoded:
+            decoded[key], vote = _decode_row(table, key, f"{path}, line {ln}")
+            if vote is not None:
+                votes.add(vote)
+        codes.append(decoded[key])
+    if len(votes) > 1:
+        raise ParseError(f"{path}: rows mix pulse and wedge patterns")
+    return AssignmentMatrix._from_codes(np.array(codes), T, votes.pop() if votes else family)
+
+
+def _assignment_outcome(reader, path):
+    try:
+        Z = reader(str(path))
+    except ParseError as exc:
+        return "error", str(exc)
+    return Z.codes.tolist(), Z.T, Z.family
+
+
 class TestCsvBlocks:
     """The CSV files are read and written in blocks of rows; a block edge
     changes no byte written, no value read and no error reported."""
@@ -665,6 +699,41 @@ class TestCsvBlocks:
             ztext = "\n".join(zlines[:edge + 1]) + sep + "\n".join(zlines[edge + 1:])
             path.write_bytes(ztext.encode())
             assert read_assignment_csv(str(path)) == Z
+
+    @pytest.mark.parametrize("edit", [
+        "valid", "blank_lines", "bad_unit", "bad_row_then_bad_unit", "bad_unit_then_bad_row",
+        "new_text_late", "bad_row_repeated", "mixed_families",
+    ])
+    @pytest.mark.parametrize("T", [3, 20])
+    def test_assignment_reader_matches_the_line_by_line_decode(self, tmp_path, edit, T):
+        # about 3 runs of lines, so each edit lands on either side of a run edge
+        rng = np.random.default_rng(T)
+        n = 3 * (1 << 14) // (2 * T + 4)
+        Z = AssignmentMatrix._from_codes(rng.integers(0, T, size=n), T, Family.PULSE)
+        lines = assignment_to_csv(Z).splitlines()
+        wedge = ",".join(["0"] * (T - 2) + ["1", "1"])  # the wedge arm at T - 1
+        for ln in sorted(rng.choice(np.arange(1, n), size=6, replace=False).tolist()):
+            if edit == "blank_lines":
+                lines[ln] = " \n" + lines[ln]
+            elif edit == "bad_unit":
+                _set_cell(lines, ln, 0, "0" + lines[ln].split(",")[0])
+            elif edit == "bad_row_then_bad_unit":
+                _set_cell(lines, ln, 1, "2")
+                _set_cell(lines, ln + 1, 0, "x")
+            elif edit == "bad_unit_then_bad_row":
+                _set_cell(lines, ln, 0, "x")
+                _set_cell(lines, ln + 1, 1, "2")
+            elif edit == "new_text_late":
+                _set_cell(lines, ln, 1, " " + lines[ln].split(",")[1])
+            elif edit == "bad_row_repeated":
+                _set_cell(lines, ln, T, "7")
+            elif edit == "mixed_families":
+                lines[ln] = f"{ln},{wedge}"
+        path = tmp_path / "z.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = _assignment_outcome(read_assignment_csv, path)
+        assert got == _assignment_outcome(_naive_read_assignment_csv, path)
+        assert (got[0] == "error") == (edit not in ("valid", "blank_lines", "new_text_late"))
 
     def test_writer_that_fails_in_block_two_leaves_no_file(self, tmp_path):
         T = 4
