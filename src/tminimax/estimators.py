@@ -120,20 +120,30 @@ def _compute_estimands(
     difference blocks are summed together by ``_exact_sums``, in the rows'
     (t, effect) order: habituation, instantaneous, ate at t, then t + 1.
     So a schedule that makes ``fsum`` raise raises the same exception, at
-    the same (t, effect), as summing each difference with ``fsum``."""
+    the same (t, effect), as summing each difference with ``fsum``.
+
+    A period whose three arms read one stored column that is finite, as
+    every period of ``worst_case_schedule`` does, has three differences
+    x - x = +0.0, so its effects are 0.0 and nothing is gathered for it."""
     N, T = sched.N, sched.T
-    sums = np.empty((T - 1, 3))
+    slots = sched._slots
+    # 0-based columns j of t = j + 1; arm codes: 1 always-treated, t the
+    # pulse at t, 0 always-control
+    rest = np.array([j for j in range(1, T)
+                     if not (slots[1, j] == slots[j + 1, j] == slots[0, j]
+                             and np.isfinite(sched._stored[slots[0, j], :, j]).all())],
+                    dtype=np.intp)
+    sums = np.zeros((T - 1, 3))
     size = max(1, _BLOCK_CELLS // N)
-    for j0 in range(1, T, size):
-        cols = np.arange(j0, min(j0 + size, T))  # 0-based columns of t = j + 1
-        # arm codes: 1 always-treated, t the pulse at t, 0 always-control
-        treated, pulse, control = (sched._stored[sched._slots[codes, cols], :, cols]
-                                   for codes in (1, cols + 1, 0))
-        diffs = np.empty((len(cols), 3, N))
+    for b in range(0, len(rest), size):
+        block = rest[b:b + size]
+        treated, pulse, control = (sched._stored[slots[codes, block], :, block]
+                                   for codes in (1, block + 1, 0))
+        diffs = np.empty((len(block), 3, N))
         np.subtract(treated, pulse, out=diffs[:, 0])
         np.subtract(pulse, control, out=diffs[:, 1])
         np.subtract(treated, control, out=diffs[:, 2])
-        sums[j0 - 1:j0 - 1 + len(cols)] = _exact_sums(diffs.reshape(-1, N)).reshape(-1, 3)
+        sums[block - 1] = _exact_sums(diffs.reshape(-1, N)).reshape(-1, 3)
     sums /= N
     return (
         EffectSeries(sums[:, 0], EffectKind.HABITUATION),
@@ -202,11 +212,9 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _picked_mean(picked: np.ndarray, what: str, exact: bool = True) -> float:
-    """Mean of one pool's outcomes, ``picked`` in unit order: summed with
-    fsum, or with numpy's pairwise sum when not ``exact``."""
-    if not len(picked):
-        raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
+def _picked_mean(picked: np.ndarray, exact: bool = True) -> float:
+    """Mean of one nonempty pool's outcomes, ``picked`` in unit order:
+    summed with fsum, or with numpy's pairwise sum when not ``exact``."""
     return (fsum(picked.tolist()) if exact else picked.sum()) / len(picked)
 
 
@@ -216,6 +224,19 @@ def _pool_name(estimator: str, t: int) -> str:
         "augmented": f"the augmented control pool at t={t}",
         "recycling": f"the recycled control pool at t={t}",
     }[estimator]
+
+
+def _undefined(estimator: str, t: int, treated_empty: bool,
+               pulse_empty: bool) -> EstimatorUndefinedError:
+    """The error for the first empty arm at t, in the order always-treated,
+    pulse, pool; its text is built only here, when an arm is empty."""
+    if treated_empty:
+        what = "the always-treated arm"
+    elif pulse_empty:
+        what = f"the pulse arm at t={t}"
+    else:
+        what = _pool_name(estimator, t)
+    return EstimatorUndefinedError(f"estimator undefined: no units in {what}")
 
 
 def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
@@ -246,10 +267,12 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray, estimator: str,
     numpy's pairwise sum (see ``_picked_mean``)."""
     for t, treated, pulse, pool in _picks(codes, values.shape[1],
                                           estimator if inst else "plugin", k, start):
+        if not (len(pulse) and (len(treated) or not hab) and (len(pool) or not inst)):
+            raise _undefined(estimator, t, hab and not len(treated), not len(pulse))
         col = values[:, t - 1]
-        treated_mean = _picked_mean(col[treated], "the always-treated arm", exact) if hab else None
-        pulse_mean = _picked_mean(col[pulse], f"the pulse arm at t={t}", exact)
-        pool_mean = _picked_mean(col[pool], _pool_name(estimator, t), exact) if inst else None
+        treated_mean = _picked_mean(col[treated], exact) if hab else None
+        pulse_mean = _picked_mean(col[pulse], exact)
+        pool_mean = _picked_mean(col[pool], exact) if inst else None
         yield (t, treated_mean - pulse_mean if hab else None,
                pulse_mean - pool_mean if inst else None)
 

@@ -22,6 +22,12 @@ user gets.  ``conservative_ci`` takes its estimate from one step of that
 pass and its two pools' units from one step of ``core._picks``.  The
 picked arrays are exactly those a boolean mask over the column gives, so
 numpy's pairwise sums and fsum over them, and every risk, keep their bits.
+One kind of schedule is scored by counting instead: one whose arms and
+periods all share one outcome column y of integers with sum(|y|) < 2**53,
+as ``worst_case_schedule`` builds in an integer box such as the default
+[0, 1].  Every sum of its cells, in any order, is then an exact integer,
+so one weighted ``bincount`` per assignment gives each arm's total, and
+each pool's, with the bits fsum and numpy's pairwise sum give.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -148,10 +154,72 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
 def _loss_evaluator(sched: PotentialOutcomeSchedule, spec: LossSpec,
                     exact: bool) -> Callable[[np.ndarray], float]:
     """The loss of an arm-code vector against ``sched``, whose estimands are
-    computed once."""
+    computed once.
+
+    The path is chosen here, once per call: a schedule with one integer
+    outcome column (``_counted_column``) scores each assignment by
+    counting, one weighted ``bincount`` of its units' outcomes by arm, and
+    every other schedule by ``_loss_from_codes``.  Both give the same bits,
+    for ``exact`` true or false.  An assignment that leaves an arm the
+    loss reads empty goes to ``_loss_from_codes``, which raises."""
     hab, inst, _ = estimands(sched)
-    return lambda codes: _loss_from_codes(codes, sched._observed_rows(codes), hab.values,
-                                          inst.values, spec, exact)
+    hab, inst = hab.values, inst.values
+
+    def general(codes: np.ndarray) -> float:
+        return _loss_from_codes(codes, sched._observed_rows(codes), hab, inst, spec, exact)
+
+    y = _counted_column(sched)
+    if y is None:
+        return general
+    T = sched.T
+    pools = _pool_arms(T, spec.estimator, spec.k).astype(float)
+
+    def counted(codes: np.ndarray) -> float:
+        # every arm or pool total below is a sum of integers, each partial
+        # sum at most sum(|y|) < 2**53 in magnitude, so it is exact in any
+        # order: the value fsum or numpy's pairwise sum gives over the units
+        counts = np.bincount(codes, minlength=T + 1)
+        pool_counts = pools @ counts
+        if not (counts[2:].all() and (counts[1] or spec.rho == 0.0)
+                and (pool_counts.all() or spec.rho == 1.0)):
+            return general(codes)
+        sums = np.bincount(codes, weights=y, minlength=T + 1)
+        pulse = sums[2:] / counts[2:]
+        hab_sum = inst_sum = 0.0
+        if spec.rho > 0.0:
+            err = (sums[1] / counts[1] - pulse) - hab
+            hab_sum = fsum((err * err).tolist())
+        if spec.rho < 1.0:
+            err = (pulse - (pools @ sums) / pool_counts) - inst
+            inst_sum = fsum((err * err).tolist())
+        val = spec.rho * hab_sum + (1.0 - spec.rho) * inst_sum
+        return 2.0 * val if spec.unnormalized else val
+
+    return counted
+
+
+def _counted_column(sched: PotentialOutcomeSchedule) -> np.ndarray | None:
+    """The outcome column y shared by every arm and period of ``sched``,
+    when draws against it can be scored by counting, else None.
+
+    That needs one stored matrix (so every arm observes the same rows),
+    columns that are bitwise equal, and a y that is finite,
+    integer-valued, free of -0.0 (whose fsum sign a count cannot tell)
+    and has sum(|y|) < 2**53.  The checks cost O(N) memory beyond the
+    schedule."""
+    if len(sched._stored) != 1:
+        return None
+    matrix = sched._stored[0]
+    bits = matrix.view(np.int64)
+    if not all(np.array_equal(bits[:, 0], bits[:, j]) for j in range(1, sched.T)):
+        return None
+    y = np.ascontiguousarray(matrix[:, 0])
+    # |y| holds integers, so its float sum is exact below 2**53 and at
+    # least 2**53 when the exact sum is
+    if not (np.isfinite(y).all() and (np.trunc(y) == y).all()
+            and not np.signbit(y[y == 0.0]).any() and np.abs(y).sum() < 2.0 ** 53):
+        return None
+    return y
 
 
 def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
@@ -171,7 +239,8 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
 
     Replicate r draws its assignment from a generator seeded by (seed, r),
     and the replicate losses are reduced in index order, so one seed gives
-    one result.
+    one result.  On a schedule with one integer outcome column each draw
+    is scored by counting (see ``_loss_evaluator``), with the same bits.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")

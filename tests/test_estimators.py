@@ -16,6 +16,7 @@ from tminimax.core import (
     Family,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
+    arms_for_horizon,
     draw_assignment,
     enumerate_assignments,
     observe,
@@ -299,12 +300,20 @@ class TestEstimandsAreExactSums:
         assert want == error
         assert _outcome(lambda: estimands(sched)) == want
 
+    @pytest.mark.parametrize("shifted", [False, True], ids=["shared", "treated-shifted"])
     @pytest.mark.parametrize("T", [20, 200])
-    def test_memory_does_not_grow_with_the_horizon(self, T):
+    def test_memory_does_not_grow_with_the_horizon(self, T, shifted):
         # one period per block at N = 10000: a few rows of N cells, where
-        # one gather of all T - 1 periods would take 3 (T - 1) 8N bytes
+        # one gather of all T - 1 periods would take 3 (T - 1) 8N bytes;
+        # a shifted treated arm makes every period gather its columns
         N = 10000
         sched = worst_case_schedule(N, T, 0.0, 1.0)
+        if shifted:
+            y = sched.matrix(ALWAYS_CONTROL)
+            arms = {arm: y for arm in sched.arms}
+            arms[ALWAYS_TREATED] = y + 1.0
+            sched = PotentialOutcomeSchedule(arms)
+            del y, arms
         tracemalloc.start()
         try:
             estimators._compute_estimands(sched)
@@ -312,6 +321,57 @@ class TestEstimandsAreExactSums:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 8 * N
+
+
+def _shared_schedule(N, T, cells=(), own=()):
+    """Every arm one N x T integer matrix, with ``cells`` set to their
+    values, except the pulse arms at the periods in ``own``, which get a
+    shifted copy: those periods are the only ones whose slots differ."""
+    m = np.repeat((np.arange(N, dtype=float) % 5)[:, None], T, axis=1)
+    for (unit, t), value in dict(cells).items():
+        m[unit, t - 1] = value
+    arms = {arm: m for arm in arms_for_horizon(T)}
+    for t in own:
+        arms[pulse_arm(t)] = m + 1.0
+    return PotentialOutcomeSchedule(arms)
+
+
+class TestSharedSlotPeriods:
+    """A period whose treated, pulse and control slots are one finite
+    column has zero effects, written without an extraction pass."""
+
+    def test_worst_case_estimands_skip_the_extraction(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("extraction ran")
+
+        monkeypatch.setattr(estimators, "_exact_sums", fail)
+        for sched in (worst_case_schedule(1001, 7, -2.0, 3.0), _shared_schedule(30, 6)):
+            for series in estimators._compute_estimands(sched):
+                assert [v.hex() for v in series.values.tolist()] == ["0x0.0p+0"] * (sched.T - 1)
+
+    @pytest.mark.parametrize("own", [(), (2,), (3, 6), (2, 3, 4, 5, 6)])
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_mixed_periods_match_one_fsum_per_effect(self, monkeypatch, own, block):
+        if block is not None:
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
+        sched = _shared_schedule(30, 6, own=own)
+        got = estimators._compute_estimands(sched)
+        for g, w in zip(got, _fsum_estimands(sched)):
+            assert g.values.tobytes() == w.values.tobytes()
+        assert [t for t in range(2, 7) if got[1].at(t) != 0.0] == list(own)
+
+    @pytest.mark.parametrize("cells,own", [
+        ({(0, 3): np.inf}, ()),
+        ({(4, 2): np.nan}, ()),
+        ({(0, 3): -np.inf, (1, 5): np.nan}, (5,)),
+        ({(0, 1): np.inf}, ()),  # period 1 has no effects, so nothing fails
+    ], ids=["inf", "nan", "inf-before-own-nan", "t1-inf"])
+    def test_non_finite_shared_columns_fail_as_one_fsum_per_effect(self, cells, own):
+        sched = _shared_schedule(8, 6, cells, own)
+        with np.errstate(invalid="ignore"):  # inf - inf is the nan under test
+            want = _outcome(lambda: [e.values for e in _fsum_estimands(sched)])
+            assert _outcome(lambda: [e.values for e in estimands(sched)]) == want
+        assert (want[0] is ValueError) == (cells != {(0, 1): np.inf})
 
 
 class TestTwoUnitExamples:

@@ -17,6 +17,7 @@ from tminimax.core import (
     Allocation,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
+    arms_for_horizon,
     draw_assignment,
     observe,
     permute_units,
@@ -35,6 +36,7 @@ from tminimax.risk import (
     variance_components,
     worst_case_schedule,
 )
+from tminimax.simulate import ModelParams, habituation_model
 
 SPECS = [
     LossSpec("plugin", 0.5, unnormalized=True),
@@ -223,6 +225,142 @@ class TestLoss:
         )
         with pytest.raises(ValueError, match="pulse-family"):
             loss(Z, sched, LossSpec("recycling", 0.5, k=1))
+
+
+def _broadcast_schedule(y, T):
+    """A schedule whose arms are all one N x T matrix with every column y."""
+    matrix = np.broadcast_to(np.asarray(y, dtype=float)[:, None], (len(y), T))
+    return PotentialOutcomeSchedule({arm: matrix for arm in arms_for_horizon(T)})
+
+
+def _counted_schedules():
+    rng = np.random.default_rng(43)
+    for N, T in ((37, 4), (12, 8), (1500, 20)):
+        yield f"unit-{N}x{T}", worst_case_schedule(N, T, 0.0, 1.0)
+        yield f"minus3-5-{N}x{T}", worst_case_schedule(N, T, -3.0, 5.0)
+        yield f"two-40-{N}x{T}", worst_case_schedule(N, T, 0.0, 2.0 ** 40)
+        yield f"dict-{N}x{T}", _broadcast_schedule(rng.integers(-9, 10, size=N), T)
+
+
+def _general_schedules():
+    """Schedules one column short of counting: non-integer, a -0.0 cell, one
+    cell off, more than one stored matrix, sum(|y|) = 2**53."""
+    N, T = 40, 5
+    y = np.arange(N, dtype=float) % 3
+    yield "non-integer-u", worst_case_schedule(N, T, 0.0, 0.1)
+    yield "vstar-1-u", worst_case_schedule(N, T, 0.0, (1.0 / box_max_variance(N, 0.0, 1.0)) ** 0.5)
+    negative_zero = y.copy()
+    negative_zero[3] = -0.0
+    yield "negative-zero", _broadcast_schedule(negative_zero, T)
+    one_cell = np.repeat(y[:, None], T, axis=1)
+    one_cell[7, 3] += 1.0
+    yield "one-cell", PotentialOutcomeSchedule({arm: one_cell for arm in arms_for_horizon(T)})
+    yield "habituation-model", habituation_model(ModelParams(), N, T, seed=1)
+    yield "sum-2**53", _broadcast_schedule([2.0 ** 52, 2.0 ** 52 - 19] + [0.0, 1.0] * 19, T)
+
+
+def _loss_or_error(call):
+    from tminimax.estimators import EstimatorUndefinedError
+
+    try:
+        return call().hex()
+    except EstimatorUndefinedError as exc:
+        return str(exc)
+
+
+class TestCountedLoss:
+    """A schedule with one integer outcome column scores each assignment by
+    counting; its losses must be those of ``_loss_from_codes``, bit for
+    bit, and every other schedule must keep ``_loss_from_codes``."""
+
+    @pytest.fixture
+    def general_calls(self, monkeypatch):
+        from tminimax import risk
+
+        calls = []
+        general = risk._loss_from_codes
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return general(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "_loss_from_codes", spy)
+        return calls
+
+    @pytest.mark.parametrize("name,sched", list(_counted_schedules()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 1), ("recycling", 2)],
+                             ids=["plugin", "augmented", "recycling-1", "recycling-2"])
+    def test_matches_the_general_loss_bitwise(self, name, sched, estimator, k):
+        from tminimax.risk import _loss_evaluator, _loss_from_codes
+
+        N, T = sched.N, sched.T
+        hab, inst, _ = estimands(sched)
+        rng = np.random.default_rng(N * T)
+        codes_list = [rng.integers(0, T + 1, size=N) for _ in range(3)]
+        full = draw_assignment(spread_allocation(N, T), seed=N).codes
+        codes_list.append(full)
+        for empty in (1, 2, T, 0):  # treated, the first and last pulse, the control arm
+            codes = full.copy()
+            codes[codes == empty] = (empty + 1) % (T + 1)
+            codes_list.append(codes)
+        # only treated and pulse-2 units: every pool at t = 2 is empty
+        codes_list.append(np.where((full > 2) | (full == 0), 1, full))
+        for rho, unnormalized, exact in itertools.product((0.0, 0.3, 0.5, 1.0), (False, True),
+                                                          (True, False)):
+            spec = LossSpec(estimator, rho, k, unnormalized)
+            evaluate = _loss_evaluator(sched, spec, exact)
+            for codes in codes_list:
+                values = sched._observed_rows(codes)
+                want = _loss_or_error(lambda: _loss_from_codes(codes, values, hab.values,
+                                                               inst.values, spec, exact))
+                assert _loss_or_error(lambda: evaluate(codes)) == want
+
+    @pytest.mark.parametrize("name,sched", list(_counted_schedules()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_qualifying_schedules_are_counted(self, general_calls, name, sched):
+        alloc = spread_allocation(sched.N, sched.T)
+        for spec in SPECS:
+            mc_risk(alloc, sched, spec, draws=3, seed=1)
+            loss(draw_assignment(alloc, seed=2), sched, spec)
+        assert general_calls == []
+
+    def test_an_empty_arm_goes_to_the_general_loss(self, general_calls):
+        from tminimax.estimators import EstimatorUndefinedError
+
+        sched = worst_case_schedule(6, 3, 0.0, 1.0)
+        Z = draw_assignment(Allocation(3, 0, (1, 2)), seed=0)
+        with pytest.raises(EstimatorUndefinedError, match="no units in the always-treated arm"):
+            loss(Z, sched, LossSpec("plugin", 0.5))
+        assert len(general_calls) == 1
+
+    @pytest.mark.parametrize("name,sched", list(_general_schedules()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_other_schedules_take_the_general_loss(self, general_calls, name, sched):
+        alloc = spread_allocation(sched.N, sched.T)
+        mc_risk(alloc, sched, LossSpec("augmented", 0.5), draws=3, seed=1)
+        assert len(general_calls) == 3
+
+    def test_sum_just_below_2_53_is_counted(self, general_calls):
+        from tminimax.risk import _loss_evaluator, _loss_from_codes
+
+        y = [2.0 ** 52, 2.0 ** 52 - 20] + [0.0, 1.0] * 19
+        assert sum(map(int, y)) == 2 ** 53 - 1
+        sched = _broadcast_schedule(y, 5)
+        hab, inst, _ = estimands(sched)
+        alloc = spread_allocation(sched.N, sched.T)
+        for spec in SPECS:
+            for exact in (True, False):
+                evaluate = _loss_evaluator(sched, spec, exact)
+                for seed in range(5):
+                    codes = draw_assignment(alloc, seed=seed).codes
+                    got = evaluate(codes).hex()
+                    assert general_calls == []
+                    want = _loss_from_codes(codes, sched._observed_rows(codes), hab.values,
+                                            inst.values, spec, exact).hex()
+                    general_calls.clear()
+                    assert got == want
 
 
 # The numpy version that MC_RISK_GOLDEN, MC_RISK_N2000_GOLDEN,
