@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "ALWAYS_CONTROL",
     "ALWAYS_TREATED",
     "pulse_arm",
-    "arm_from_label",
     "arms_for_horizon",
     "make_arm_vector",
     "Allocation",
@@ -115,21 +114,6 @@ ALWAYS_TREATED = ArmId(ArmKind.ALWAYS_TREATED)
 
 def pulse_arm(t: int, family: Family = Family.PULSE) -> ArmId:
     return ArmId(ArmKind.PULSE, t, family)
-
-
-def arm_from_label(label: str, family: Family = Family.PULSE) -> ArmId:
-    """Inverse of :attr:`ArmId.label`."""
-    if label == ArmKind.ALWAYS_CONTROL.value:
-        return ALWAYS_CONTROL
-    if label == ArmKind.ALWAYS_TREATED.value:
-        return ALWAYS_TREATED
-    if label.startswith("pulse_"):
-        try:
-            t = int(label[len("pulse_"):])
-        except ValueError:
-            raise ValueError(f"malformed arm label {label!r}") from None
-        return pulse_arm(t, family)
-    raise ValueError(f"unknown arm label {label!r}")
 
 
 def _check_horizon(T: int) -> None:
@@ -256,15 +240,6 @@ def _arm_vectors(T: int, family: Family) -> np.ndarray:
     return table
 
 
-def _check_codes(codes: np.ndarray, T: int, arm_at: Callable[[int], ArmId]) -> None:
-    """Rejects an empty code vector or a code past T; ``arm_at(i)`` is the
-    arm of unit i, named in the message."""
-    if not len(codes):
-        raise ValueError("assignment needs at least one unit")
-    if codes.max() > T:
-        raise ValueError(f"{arm_at(int(np.argmax(codes)))!r} does not fit horizon T={T}")
-
-
 class AssignmentMatrix:
     """One realized randomization of N units to the T+1 arms of a horizon-T
     design.
@@ -283,8 +258,11 @@ class AssignmentMatrix:
         families = {a.family for a in labels if a.kind is ArmKind.PULSE}
         if len(families) > 1:
             raise ValueError("mixed pulse/wedge families in one assignment")
+        if not labels:
+            raise ValueError("assignment needs at least one unit")
         codes = np.fromiter((_arm_code(a) for a in labels), dtype=np.int64, count=len(labels))
-        _check_codes(codes, T, labels.__getitem__)
+        if codes.max() > T:
+            raise ValueError(f"{labels[int(np.argmax(codes))]!r} does not fit horizon T={T}")
         self._store(codes, T, families.pop() if families else Family.PULSE)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""File formats: matrix/assignment CSV, schedule JSON, table writers.
+"""File formats: matrix/assignment CSV and the row tables.
 
 CSV matrices carry a ``unit,t1..tT`` header and 17-significant-digit
 decimal floats, which round-trip float64 exactly; each row is written
@@ -14,41 +14,25 @@ of ``_BLOCK_CELLS`` cells at a time and the assignment reader a run of
 lines read at once, rescanning a block row by row only to locate an
 error.  Both are written a block of rows at a time.  So
 reading an N x T matrix needs about 8 N T bytes plus one block, never the
-file's text or one Python string per cell.  JSON documents are canonical (sorted keys,
+file's text or one Python string per cell.  JSON output is canonical (sorted keys,
 compact separators, shortest round-trip floats), so identical inputs
-always produce identical bytes.  The JSON readers take an object with every
-field present, integer fields as JSON integers, ``labels`` as a list,
-``arms`` as an object, each matrix cell as a finite JSON number and each
-matrix row with the shape of its first row, and raise ``ParseError``
-naming the field or arm otherwise.  All writes go through a temp file and
+always produce identical bytes.  All writes go through a temp file and
 rename, never a partial file, and the file gets the mode ``open()`` would
 give it under the process umask.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 import json
 import os
-import sys
 from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .core import (
-    ArmId,
-    AssignmentMatrix,
-    Family,
-    PotentialOutcomeSchedule,
-    _arm_code,
-    _arm_vectors,
-    _check_codes,
-    _check_horizon,
-    arm_from_label,
-)
+from .core import AssignmentMatrix, Family, _arm_vectors
 
 __all__ = [
     "ParseError",
@@ -61,12 +45,6 @@ __all__ = [
     "assignment_to_csv",
     "read_assignment_csv",
     "write_assignment_csv",
-    "assignment_to_json",
-    "assignment_from_json",
-    "schedule_to_json",
-    "schedule_from_json",
-    "write_schedule_csv",
-    "read_schedule_csv",
     "rows_to_csv",
     "rows_to_json",
 ]
@@ -408,141 +386,6 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
     chosen = votes.pop() if votes else family
     return AssignmentMatrix._from_codes(codes, T, chosen)
-
-
-def assignment_to_json(Z: AssignmentMatrix) -> str:
-    return canonical_json({
-        "t": Z.T,
-        "family": Z.family.value,
-        "labels": [a.label for a in Z.arm_labels],
-    })
-
-
-_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
-               list: "list", dict: "object", type(None): "null"}
-
-
-def _json_object(text: str, fields: dict[str, type | None]) -> dict:
-    """Parse a JSON document that must be an object holding every field,
-    each of the given type (None: any).  An integer field takes a JSON
-    integer only, never a number with a fraction part or a boolean."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ParseError(f"JSON document must be an object, got {_JSON_TYPES[type(doc)]}")
-    for name, kind in fields.items():
-        if name not in doc:
-            raise ParseError(f"JSON document has no {name!r} field")
-        if kind is not None and type(doc[name]) is not kind:
-            raise ParseError(f"field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
-                             f"got {_JSON_TYPES[type(doc[name])]}")
-    return doc
-
-
-def assignment_from_json(text: str) -> AssignmentMatrix:
-    doc = _json_object(text, {"t": int, "family": None, "labels": list})
-    family = Family(doc["family"])
-    labels = doc["labels"]
-    bad = [lbl for lbl in labels if not isinstance(lbl, str)]
-    if bad:
-        raise ParseError(f"arm label must be a string, got {bad[0]!r}")
-    # each distinct label is parsed once, in order of first occurrence
-    table = {lbl: _arm_code(arm_from_label(lbl, family)) for lbl in dict.fromkeys(labels)}
-    codes = np.fromiter(map(table.__getitem__, labels), dtype=np.int64, count=len(labels))
-    T = doc["t"]
-    _check_horizon(T)
-    _check_codes(codes, T, lambda i: arm_from_label(labels[i], family))
-    return AssignmentMatrix._from_codes(codes, T, family)
-
-
-# ---------------------------------------------------------------------------
-# Schedules.
-# ---------------------------------------------------------------------------
-
-
-def schedule_to_json(sched: PotentialOutcomeSchedule) -> str:
-    """Single-document schedule serialization; floats round-trip exactly."""
-    return canonical_json({
-        "n": sched.N,
-        "t": sched.T,
-        "arms": {arm.label: sched.matrix(arm).tolist() for arm in sched.arms},
-    })
-
-
-def _row_shape(row) -> str:
-    return f"a list of length {len(row)}" if type(row) is list else "a number"
-
-
-def _arm_matrix(label: str, matrix) -> np.ndarray:
-    """One arm's matrix as floats.  Every cell must be a JSON integer or
-    float within float range, never a boolean, string, null, NaN or
-    Infinity, and every row must have the shape of row 0; the matrix's
-    N x T shape is checked by the schedule."""
-    rows = matrix if type(matrix) is list else [matrix]
-    for row in rows:
-        for cell in row if type(row) is list else [row]:
-            if type(cell) not in (int, float) or not abs(cell) <= sys.float_info.max:
-                if type(cell) is float:  # NaN, Infinity or -Infinity
-                    got = json.dumps(cell)
-                elif type(cell) is int:
-                    got = "integer beyond float range"
-                else:
-                    got = _JSON_TYPES[type(cell)]
-                raise ParseError(
-                    f"arm {label!r}: matrix cell must be a finite JSON number, got {got}"
-                )
-    for i, row in enumerate(rows):
-        if _row_shape(row) != _row_shape(rows[0]):
-            raise ParseError(f"arm {label!r}: row {i} is {_row_shape(row)} "
-                             f"but row 0 is {_row_shape(rows[0])}")
-    return np.array(matrix, dtype=float)
-
-
-def _shared_schedule(arms: Iterable[tuple[ArmId, np.ndarray]]) -> PotentialOutcomeSchedule:
-    """A schedule from parsed arm matrices, in which arms whose matrices
-    hold the same bytes are one object, so the schedule stores them once.
-    A hash of the bytes finds the candidate and a bitwise comparison
-    confirms it; only the distinct matrices are kept while parsing."""
-    first: dict[bytes, np.ndarray] = {}
-    shared = {}
-    for arm, m in arms:
-        kept = first.setdefault(hashlib.blake2b(m, digest_size=16).digest(), m)
-        shared[arm] = kept if np.array_equal(kept.view(np.int64), m.view(np.int64)) else m
-    return PotentialOutcomeSchedule(shared)
-
-
-def schedule_from_json(text: str) -> PotentialOutcomeSchedule:
-    doc = _json_object(text, {"n": int, "t": int, "arms": dict})
-    sched = _shared_schedule(
-        (arm_from_label(label), _arm_matrix(label, matrix))
-        for label, matrix in doc["arms"].items()
-    )
-    if (sched.N, sched.T) != (doc["n"], doc["t"]):
-        raise ParseError(
-            f"schedule document says N={doc['n']}, T={doc['t']} but matrices are "
-            f"{sched.N} x {sched.T}"
-        )
-    return sched
-
-
-def write_schedule_csv(directory: str, sched: PotentialOutcomeSchedule) -> list[str]:
-    """One CSV per arm, named by arm label; returns the paths written."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for arm in sched.arms:
-        path = os.path.join(directory, f"{arm.label}.csv")
-        write_matrix_csv(path, sched.matrix(arm))
-        paths.append(path)
-    return paths
-
-
-def read_schedule_csv(directory: str) -> PotentialOutcomeSchedule:
-    files = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
-    if not files:
-        raise ParseError(f"{directory}: no arm CSV files found")
-    return _shared_schedule(
-        (arm_from_label(name[:-4]), read_matrix_csv(os.path.join(directory, name)))
-        for name in files
-    )
 
 
 # ---------------------------------------------------------------------------

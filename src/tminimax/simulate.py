@@ -20,6 +20,7 @@ empirical loss distribution of minimax versus balanced randomization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,7 +58,8 @@ class ModelParams:
 
     ``unit_effects`` / ``time_effects`` override the default log(i) and
     log(t) fixed-effect rules with explicit tables (length N and T).
-    ``noise_sd = 0`` disables noise entirely.
+    ``noise_sd = 0`` disables noise entirely.  Every number must be finite;
+    a nan or infinity raises ``ValueError`` naming its field.
     """
 
     baseline: float = 0.0
@@ -70,14 +72,21 @@ class ModelParams:
     shared_noise: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {self.decay}")
-        if self.noise_sd < 0.0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         for name in ("unit_effects", "time_effects"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, tuple(float(x) for x in v))
+        for name, values in (("baseline", [self.baseline]), ("effect", [self.effect]),
+                             ("carryover", [self.carryover]), ("noise_sd", [self.noise_sd]),
+                             ("unit_effects", self.unit_effects or ()),
+                             ("time_effects", self.time_effects or ())):
+            bad = [x for x in values if not math.isfinite(x)]
+            if bad:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError(f"decay must be in [0, 1), got {self.decay}")
+        if self.noise_sd < 0.0:
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
     def fixed_effects(self, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
         if self.unit_effects is None:

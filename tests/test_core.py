@@ -15,7 +15,6 @@ from tminimax.core import (
     Family,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
-    arm_from_label,
     arms_for_horizon,
     assignment_count,
     augmented_controls,
@@ -62,10 +61,6 @@ class TestArmVectors:
     def test_family_never_affects_arm_identity(self):
         assert pulse_arm(3) == pulse_arm(3, Family.WEDGE)
         assert hash(pulse_arm(3)) == hash(pulse_arm(3, Family.WEDGE))
-
-    def test_label_round_trip(self):
-        for arm in arms_for_horizon(5):
-            assert arm_from_label(arm.label) == arm
 
 
 class TestAllocation:
@@ -191,6 +186,30 @@ class TestCodesFirstAssignment:
             Z.matrix = np.zeros((6, 3), dtype=np.int8)
         with pytest.raises(AttributeError):
             Z.arm_labels = ()
+
+
+def _wedges(*times):
+    return [pulse_arm(t, Family.WEDGE) for t in times]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: AssignmentMatrix([ALWAYS_CONTROL, pulse_arm(5), pulse_arm(4)], 3),
+         "ArmId(pulse_5) does not fit horizon T=3"),
+        (lambda: AssignmentMatrix(_wedges(4, 5, 5), 3),
+         "ArmId(pulse_5, wedge) does not fit horizon T=3"),
+        (lambda: AssignmentMatrix([], 3), "assignment needs at least one unit"),
+        (lambda: AssignmentMatrix([pulse_arm(5)], 1), "horizon T must be >= 2, got 1"),
+        (lambda: AssignmentMatrix([pulse_arm(2), *_wedges(2), pulse_arm(5)], 3),
+         "mixed pulse/wedge families in one assignment"),
+        (lambda: pulse_arm(1), "pulse arm requires a time index >= 2, got 1"),
+        (lambda: Family("diagonal"), "'diagonal' is not a valid Family"),
+    ], ids=["past_T", "past_T_wedge", "no_units", "horizon", "mixed_families", "pulse_1",
+            "family"])
+    def test_message(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestAugmentedControls:

@@ -1,4 +1,4 @@
-"""Tests for CSV/JSON round-trips and parse errors."""
+"""Tests for CSV round-trips, parse errors and the row tables."""
 
 import hashlib
 import os
@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_schedule
 from tminimax.allocation import ObjectiveMode, integer_solve
 from tminimax.core import (
     ALWAYS_CONTROL,
@@ -16,9 +15,6 @@ from tminimax.core import (
     Allocation,
     AssignmentMatrix,
     Family,
-    PotentialOutcomeSchedule,
-    arm_from_label,
-    arms_for_horizon,
     draw_assignment,
     observe,
     pulse_arm,
@@ -28,24 +24,17 @@ from tminimax.serialize import (
     _block_rows,
     _decode_row,
     _row_table,
-    assignment_from_json,
     assignment_to_csv,
-    assignment_to_json,
     atomic_write_text,
     format_float,
     matrix_to_csv,
     read_assignment_csv,
     read_matrix_csv,
-    read_schedule_csv,
     rows_to_csv,
     rows_to_json,
-    schedule_from_json,
-    schedule_to_json,
     write_matrix_csv,
     write_assignment_csv,
-    write_schedule_csv,
 )
-from tminimax.risk import worst_case_schedule
 from tminimax.simulate import ModelParams, habituation_model
 
 
@@ -97,12 +86,24 @@ class TestMatrixCsv:
         with pytest.raises(ParseError, match="expected t1"):
             read_matrix_csv(str(path))
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    @pytest.mark.parametrize("cell", [
+        "nan", "inf", "-inf", "Infinity", "1e999", "NaN", "-Infinity", "-1e999",
+        pytest.param("1" + "0" * 400, id="integer_beyond_float_range"),
+    ])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         path = tmp_path / "nf.csv"
         path.write_text(f"unit,t1,t2\n1,1.0,2.0\n2,3.0,{cell}\n3,nan,4.0\n")
         with pytest.raises(ParseError, match=f"line 3, column 3: not a finite number: '{cell}'"):
             read_matrix_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["null", "true", '"1"', "[1]", ""],
+                             ids=["null", "bool", "quoted", "list", "empty"])
+    def test_non_number_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "nn.csv"
+        path.write_text(f"unit,t1,t2\n1,1.0,2.0\n2,3.0,{cell}\n")
+        with pytest.raises(ParseError) as info:
+            read_matrix_csv(str(path))
+        assert str(info.value) == f"{path}, line 3, column 3: not a number: '{cell}'"
 
     def test_wrong_unit_number(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -348,6 +349,31 @@ class TestAssignmentCsv:
         back = read_assignment_csv(str(path))
         assert back == Z and back.family == family
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("alloc", [
+        Allocation(3, 1, (2, 0, 4, 1)), Allocation(2, 3, (0, 0)),
+        Allocation(5, 4, (3, 3, 2, 2, 1, 1)),
+    ], ids=["T5", "no_pulses", "T7"])
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    def test_round_trip_keeps_family_labels_and_matrix(self, tmp_path, family, alloc, seed):
+        Z = draw_assignment(alloc, family, seed)
+        path = tmp_path / "z.csv"
+        write_assignment_csv(str(path), Z)
+        back = read_assignment_csv(str(path), family=family)
+        assert back == Z and back.family is Z.family
+        assert back.arm_labels == Z.arm_labels
+        assert np.array_equal(back.matrix, Z.matrix)
+
+    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
+    def test_codes_match_the_per_unit_constructor(self, tmp_path, family):
+        arms = [pulse_arm(3, family), ALWAYS_CONTROL, pulse_arm(2, family), ALWAYS_TREATED,
+                pulse_arm(3, family), pulse_arm(4, family)]
+        path = tmp_path / "z.csv"
+        write_assignment_csv(str(path), AssignmentMatrix(arms, 4))
+        got = read_assignment_csv(str(path), family=family)
+        assert got == AssignmentMatrix(arms, 4) and got.family is family
+        assert got.codes.tolist() == [3, 0, 2, 1, 3, 4]
+
     def test_ambiguous_rows_take_the_default_family(self, tmp_path):
         # a pulse at the last period looks the same in both families
         Z = AssignmentMatrix([ALWAYS_CONTROL, pulse_arm(3)], 3)
@@ -428,66 +454,6 @@ class TestAssignmentCsv:
         with pytest.raises(ParseError) as info:
             read_assignment_csv(str(path))
         assert str(info.value).startswith(f"{path}, {error}")
-
-    def test_json_round_trip(self):
-        Z = draw_assignment(Allocation(1, 2, (2,)), Family.WEDGE, seed=9)
-        assert assignment_from_json(assignment_to_json(Z)) == Z
-
-
-class TestAssignmentJson:
-    @pytest.mark.parametrize("family", [Family.PULSE, Family.WEDGE])
-    def test_round_trip(self, family):
-        for alloc in (Allocation(3, 1, (2, 0, 4, 1)), Allocation(2, 3, (0, 0)),
-                      Allocation(5, 4, (3, 3, 2, 2, 1, 1))):
-            for seed in range(3):
-                Z = draw_assignment(alloc, family, seed)
-                back = assignment_from_json(assignment_to_json(Z))
-                assert back == Z and back.family is Z.family
-                assert back.arm_labels == Z.arm_labels
-                assert np.array_equal(back.matrix, Z.matrix)
-
-    @pytest.mark.parametrize("family", ["pulse", "wedge"])
-    def test_codes_match_the_per_unit_constructor(self, family):
-        labels = ["pulse_3", "always0", "pulse_02", "always1", "pulse_3", "pulse_4"]
-        text = f'{{"family":"{family}","labels":{labels!r},"t":4}}'.replace("'", '"')
-        fam = Family(family)
-        want = AssignmentMatrix([arm_from_label(lbl, fam) for lbl in labels], 4)
-        got = assignment_from_json(text)
-        assert got == want and got.codes.tolist() == [3, 0, 2, 1, 3, 4]
-
-    @pytest.mark.parametrize("doc,message", [
-        ('{"family":"pulse","labels":["always0","bogus"],"t":2}',
-         "unknown arm label 'bogus'"),
-        ('{"family":"pulse","labels":["pulse_x","bogus"],"t":2}',
-         "malformed arm label 'pulse_x'"),
-        ('{"family":"pulse","labels":["pulse_1"],"t":2}',
-         "pulse arm requires a time index >= 2, got 1"),
-        ('{"family":"pulse","labels":["always0","pulse_5","pulse_4"],"t":3}',
-         "ArmId(pulse_5) does not fit horizon T=3"),
-        ('{"family":"wedge","labels":["pulse_4","pulse_5","pulse_5"],"t":3}',
-         "ArmId(pulse_5, wedge) does not fit horizon T=3"),
-        ('{"family":"pulse","labels":{"always0":1,"pulse_5":2},"t":3}',
-         "field 'labels' must be a JSON list, got object"),
-        ('{"family":"pulse","labels":[],"t":3}',
-         "assignment needs at least one unit"),
-        ('{"family":"pulse","labels":["pulse_5"],"t":1}',
-         "horizon T must be >= 2, got 1"),
-        ('{"family":"diagonal","labels":["bogus"],"t":3}',
-         "'diagonal' is not a valid Family"),
-    ], ids=["unknown", "malformed", "pulse_1", "past_T", "past_T_wedge", "past_T_object",
-            "no_units", "horizon", "family"])
-    def test_error_messages(self, doc, message):
-        with pytest.raises(ValueError) as info:
-            assignment_from_json(doc)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("labels,shown", [
-        ("[5]", "5"), ("[null]", "None"), ("[[1]]", "[1]"), ('["always0",{"a":1}]', "{'a': 1}"),
-    ], ids=["int", "null", "list", "object"])
-    def test_non_string_label_is_a_parse_error(self, labels, shown):
-        with pytest.raises(ParseError) as info:
-            assignment_from_json(f'{{"family":"pulse","labels":{labels},"t":2}}')
-        assert str(info.value) == f"arm label must be a string, got {shown}"
 
 
 # sha256 of assignment_to_csv(draw_assignment(alloc, family, seed)) as
@@ -787,159 +753,6 @@ class TestCsvBlocks:
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive() and got.tobytes() == values.tobytes()
-
-
-class TestJsonShape:
-    """A document of the wrong shape is a ParseError naming the field."""
-
-    @pytest.mark.parametrize("doc,message", [
-        ('["always0","pulse_2"]', "JSON document must be an object, got list"),
-        ('"pulse"', "JSON document must be an object, got string"),
-        ('{"family":"pulse","labels":["always0"]}', "JSON document has no 't' field"),
-        ('{"labels":["always0"],"t":2}', "JSON document has no 'family' field"),
-        ('{"family":"pulse","t":2}', "JSON document has no 'labels' field"),
-        ('{"family":"pulse","labels":["always0"],"t":2.7}',
-         "field 't' must be a JSON integer, got number"),
-        ('{"family":"pulse","labels":["always0"],"t":2.0}',
-         "field 't' must be a JSON integer, got number"),
-        ('{"family":"pulse","labels":["always0"],"t":"3"}',
-         "field 't' must be a JSON integer, got string"),
-        ('{"family":"pulse","labels":["always0"],"t":true}',
-         "field 't' must be a JSON integer, got boolean"),
-        ('{"family":"pulse","labels":["always0"],"t":null}',
-         "field 't' must be a JSON integer, got null"),
-        ('{"family":"pulse","labels":5,"t":2}', "field 'labels' must be a JSON list, got integer"),
-        ('{"family":"pulse","labels":"always0","t":2}',
-         "field 'labels' must be a JSON list, got string"),
-    ], ids=["list", "string", "no_t", "no_family", "no_labels", "t_float", "t_integral_float",
-            "t_string", "t_bool", "t_null", "labels_int", "labels_string"])
-    def test_assignment(self, doc, message):
-        with pytest.raises(ParseError) as info:
-            assignment_from_json(doc)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("doc,message", [
-        ("[1, 2]", "JSON document must be an object, got list"),
-        ('{"n":1,"t":2}', "JSON document has no 'arms' field"),
-        ('{"arms":{},"t":2}', "JSON document has no 'n' field"),
-        ('{"arms":{},"n":1}', "JSON document has no 't' field"),
-        ('{"arms":{},"n":1.5,"t":2}', "field 'n' must be a JSON integer, got number"),
-        ('{"arms":{},"n":false,"t":2}', "field 'n' must be a JSON integer, got boolean"),
-        ('{"arms":{},"n":1,"t":"2"}', "field 't' must be a JSON integer, got string"),
-        ('{"arms":[],"n":1,"t":2}', "field 'arms' must be a JSON object, got list"),
-    ], ids=["list", "no_arms", "no_n", "no_t", "n_float", "n_bool", "t_string", "arms_list"])
-    def test_schedule(self, doc, message):
-        with pytest.raises(ParseError) as info:
-            schedule_from_json(doc)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("cell,got", [
-        ('{"a":1}', "object"),
-        ("null", "null"),
-        ("true", "boolean"),
-        ('"1"', "string"),
-        ("[1]", "list"),
-        ("NaN", "NaN"),
-        ("Infinity", "Infinity"),
-        ("-Infinity", "-Infinity"),
-        ("1e400", "Infinity"),
-        ("1" + "0" * 400, "integer beyond float range"),
-    ], ids=["object", "null", "bool", "string", "list", "nan", "inf", "neg_inf",
-            "overflowing_float", "overflowing_int"])
-    def test_schedule_cell(self, cell, got):
-        doc = ('{"arms":{"always0":[[0.5,1]],"always1":[[1,' + cell + ']],'
-               '"pulse_2":[[0.5,2]]},"n":1,"t":2}')
-        with pytest.raises(ParseError) as info:
-            schedule_from_json(doc)
-        assert str(info.value) == (
-            f"arm 'always1': matrix cell must be a finite JSON number, got {got}"
-        )
-
-    @pytest.mark.parametrize("matrix,message", [
-        ("[[1,2],[3]]", "row 1 is a list of length 1 but row 0 is a list of length 2"),
-        ("[[1,2],[3,4],[5,6,7]]",
-         "row 2 is a list of length 3 but row 0 is a list of length 2"),
-        ("[[1,2],3]", "row 1 is a number but row 0 is a list of length 2"),
-        ("[1,[2,3]]", "row 1 is a list of length 2 but row 0 is a number"),
-    ], ids=["short_row", "long_later_row", "scalar_row", "scalar_first_row"])
-    def test_schedule_ragged_matrix(self, matrix, message):
-        doc = ('{"arms":{"always0":' + matrix + ',"always1":[[1,2],[3,4]],'
-               '"pulse_2":[[1,2],[3,4]]},"n":2,"t":2}')
-        with pytest.raises(ParseError) as info:
-            schedule_from_json(doc)
-        assert str(info.value) == f"arm 'always0': {message}"
-
-    def test_schedule_matrix_as_object(self):
-        with pytest.raises(ParseError, match="arm 'always0': matrix cell must be a finite "
-                                             "JSON number, got object"):
-            schedule_from_json('{"arms":{"always0":{"a":1}},"n":1,"t":2}')
-
-    def test_schedule_numbers_still_read(self):
-        sched = schedule_from_json('{"arms":{"always0":[[0,1.5]],"always1":[[-2,1e-3]],'
-                                   '"pulse_2":[[0,7]]},"n":1,"t":2}')
-        assert sched.N == 1 and sched.T == 2
-        assert sched.matrix(ALWAYS_CONTROL).tolist() == [[0.0, 1.5]]
-
-    def test_integer_fields_still_read(self):
-        Z = assignment_from_json('{"family":"pulse","labels":["always0","pulse_3"],"t":3}')
-        assert Z.T == 3 and Z.codes.tolist() == [0, 3]
-
-
-class TestScheduleFormats:
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(5)
-        sched = random_schedule(rng, 5, 3)
-        back = schedule_from_json(schedule_to_json(sched))
-        assert back == sched
-
-    def test_json_is_canonical(self):
-        rng = np.random.default_rng(5)
-        sched = random_schedule(rng, 3, 2)
-        assert schedule_to_json(sched) == schedule_to_json(
-            schedule_from_json(schedule_to_json(sched))
-        )
-
-    def test_csv_directory_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        sched = random_schedule(rng, 4, 3)
-        paths = write_schedule_csv(str(tmp_path / "sched"), sched)
-        assert len(paths) == 4  # T+1 arms
-        assert read_schedule_csv(str(tmp_path / "sched")) == sched
-
-    def test_readers_store_equal_arms_once(self, tmp_path):
-        N, T = 2000, 20
-        sched = worst_case_schedule(N, T, 0.0, 1.0)
-        write_schedule_csv(str(tmp_path / "sched"), sched)
-        tracemalloc.start()
-        try:
-            back = read_schedule_csv(str(tmp_path / "sched"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one file's parse and two N x T matrices, not T+1 parsed arms and T+1 copies
-        assert peak < 10 * N * T * 8
-        assert len(back._stored) == 1 and back == sched
-        back = schedule_from_json(schedule_to_json(sched))
-        assert len(back._stored) == 1 and back == sched
-
-    def test_readers_keep_arms_that_differ_in_bits(self, tmp_path):
-        # -0.0 == 0.0, but the two are written differently, so they stay apart
-        m = np.zeros((2, 2))
-        arms = {arm: m for arm in arms_for_horizon(2)}
-        arms[ALWAYS_TREATED] = -m
-        sched = PotentialOutcomeSchedule(arms)
-        text = schedule_to_json(sched)
-        back = schedule_from_json(text)
-        assert len(back._stored) == 2 and schedule_to_json(back) == text
-        write_schedule_csv(str(tmp_path / "a"), sched)
-        write_schedule_csv(str(tmp_path / "b"), read_schedule_csv(str(tmp_path / "a")))
-        for name in ("always0", "always1", "pulse_2"):
-            assert (tmp_path / "a" / f"{name}.csv").read_bytes() == \
-                (tmp_path / "b" / f"{name}.csv").read_bytes()
-
-    def test_missing_directory_content(self, tmp_path):
-        with pytest.raises(ParseError, match="no arm CSV"):
-            read_schedule_csv(str(tmp_path))
 
 
 class TestRowTables:
