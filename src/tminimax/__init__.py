@@ -13,13 +13,11 @@ from .core import (
     ObservedOutcomes,
     PotentialOutcomeSchedule,
     RealAllocation,
-    augmented_controls,
     draw_assignment,
     enumerate_assignments,
     observe,
     permute_units,
     pulse_arm,
-    validate_schedule,
 )
 from .allocation import (
     ObjectiveMode,

@@ -54,7 +54,6 @@ from .core import Allocation, RealAllocation, _check_carryover, _check_horizon, 
 
 __all__ = [
     "ObjectiveMode",
-    "PulseCoefficients",
     "pulse_coefficients",
     "relaxed_basic",
     "relaxed_augmented",
@@ -208,50 +207,13 @@ def relaxed_basic(N: float, T: int) -> RealAllocation:
     return RealAllocation(n0, n0, (ne,) * (T - 1))
 
 
-@dataclass(frozen=True)
-class PulseCoefficients:
+def pulse_coefficients(T: int, scale: float) -> np.ndarray:
     """Backward-recursive coefficients linking pulse counts to the control
-    count in the augmented and weighted relaxations: the pulse arm at time
-    t receives ``scale * values[t - 2]`` times the always-control count.
-
-    ``values[i]`` is the coefficient for time t = i + 2; the final
-    coefficient is exactly 1.
-    """
-
-    values: np.ndarray
-    scale: float
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def T(self) -> int:
-        return len(self.values) + 1
-
-    def at(self, t: int) -> float:
-        if not 2 <= t <= self.T:
-            raise ValueError(f"time index {t} outside 2..{self.T}")
-        return float(self.values[t - 2])
-
-    def residuals(self) -> np.ndarray:
-        """Relative error of each coefficient against its defining
-        recursion (last entry: against the boundary value 1)."""
-        T, c = self.T, self.values
-        res = np.empty(T - 1)
-        res[T - 2] = abs(c[T - 2] - 1.0)
-        tail = 0.0  # sum of coefficients after t
-        for t in range(T - 1, 1, -1):
-            tail += c[t - 1]
-            rhs = 1.0 / sqrt(1.0 / c[t - 1] ** 2 + 1.0 / (1.0 + self.scale * tail) ** 2)
-            res[t - 2] = abs(c[t - 2] - rhs) / rhs
-        return res
-
-
-def pulse_coefficients(T: int, scale: float) -> PulseCoefficients:
-    """Compute the coefficient sequence for horizon T and pulse-to-control
-    scaling factor ``scale`` (sqrt(2) in the augmented design)."""
+    count in the augmented and weighted relaxations, for horizon T and
+    pulse-to-control scaling factor ``scale`` (sqrt(2) in the augmented
+    design): the pulse arm at time t receives ``scale * c[t - 2]`` times
+    the always-control count.  The read-only array's last entry is exactly
+    1."""
     _check_horizon(T)
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -261,7 +223,8 @@ def pulse_coefficients(T: int, scale: float) -> PulseCoefficients:
     for t in range(T - 1, 1, -1):
         tail += c[t - 1]
         c[t - 2] = 1.0 / sqrt(1.0 / c[t - 1] ** 2 + 1.0 / (1.0 + scale * tail) ** 2)
-    return PulseCoefficients(c, scale)
+    c.flags.writeable = False
+    return c
 
 
 def relaxed_augmented(N: float, T: int) -> RealAllocation:
@@ -270,7 +233,7 @@ def relaxed_augmented(N: float, T: int) -> RealAllocation:
     for more periods, so they earn more units."""
     _check_relax_args(N, T)
     root2 = sqrt(2.0)
-    c = pulse_coefficients(T, root2).values
+    c = pulse_coefficients(T, root2)
     c2 = c[0]
     denom = 1.0 + (sqrt(T - 1.0) + root2) * c2 + root2 * fsum(c[1:])
     n0 = N * (1.0 / denom)
@@ -297,7 +260,7 @@ def relaxed_weighted(N: float, T: int, rho: float) -> RealAllocation:
         ne = N / (root + (T - 1.0))
         return RealAllocation(0.0, n1, (ne,) * (T - 1))
     scale = 1.0 / sqrt(1.0 - rho)
-    c = pulse_coefficients(T, scale).values
+    c = pulse_coefficients(T, scale)
     c2 = c[0]
     denom = 1.0 + scale * (1.0 + sqrt(rho * (T - 1.0))) * c2 + scale * fsum(c[1:])
     n0 = N * (1.0 / denom)
@@ -402,8 +365,8 @@ def _scaled_allocation(x: np.ndarray, N: float) -> RealAllocation:
 
 
 def _check_relax_args(N: float, T: int) -> None:
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
+    if not 0 < N < math.inf:
+        raise ValueError(f"N must be positive and finite, got {N}")
     _check_horizon(T)
 
 

@@ -19,15 +19,16 @@ says which arms the pool holds:
 * ``recycling`` -- also every pulse at or before t - k (a pulse's effect
                    wears off after k periods).
 
-``validate_schedule`` and the pool rows of ``_risk_terms`` (the term table
-of the worst-case risk and the allocation objectives) come from it.
-``_picks`` says which units each estimate reads; the estimators, the loss,
-the confidence interval and ``augmented_controls`` take them from it.
+The pool rows of ``_risk_terms`` (the term table of the worst-case risk
+and the allocation objectives) come from it.  ``_picks`` says which units
+each estimate reads; the estimators, the loss and the confidence interval
+take them from it.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -47,15 +48,11 @@ __all__ = [
     "RealAllocation",
     "AssignmentMatrix",
     "draw_assignment",
-    "augmented_controls",
     "PotentialOutcomeSchedule",
     "ObservedOutcomes",
     "observe",
-    "ScheduleValidation",
-    "validate_schedule",
     "permute_units",
     "enumerate_assignments",
-    "assignment_count",
 ]
 
 
@@ -166,7 +163,14 @@ class Allocation:
     ne: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ne", tuple(int(v) for v in self.ne))
+        ne = tuple(self.ne)
+        for v in (self.n0, self.n1, *ne):
+            # int() would truncate 1.5 and parse "3"; a bool is no count.  The
+            # exact-int test first skips the slow abstract-class check.
+            if type(v) is not int and (isinstance(v, bool)
+                                       or not isinstance(v, numbers.Integral)):
+                raise ValueError(f"arm count must be an integer, got {v!r}")
+        object.__setattr__(self, "ne", tuple(map(int, ne)))
         object.__setattr__(self, "n0", int(self.n0))
         object.__setattr__(self, "n1", int(self.n1))
         if not self.ne:
@@ -187,16 +191,6 @@ class Allocation:
     @property
     def T(self) -> int:
         return len(self.ne) + 1
-
-    def count(self, arm: ArmId) -> int:
-        code = _arm_code(arm)
-        if code > self.T:
-            raise ValueError(f"{arm!r} does not fit horizon T={self.T}")
-        # counts are laid out (n0, n1, ne_2, ..., ne_T), so code t sits at t
-        return self.counts[code]
-
-    def as_real(self) -> "RealAllocation":
-        return RealAllocation(float(self.n0), float(self.n1), tuple(map(float, self.ne)))
 
 
 @dataclass(frozen=True)
@@ -408,20 +402,6 @@ def _check_carryover(k: int | None) -> None:
         raise ValueError(f"carryover order k must be >= 1, got {k}")
 
 
-def augmented_controls(Z: AssignmentMatrix, t: int, k: int | None = None) -> frozenset[int]:
-    """Units usable as controls at time t.
-
-    Without ``k``: always-control units plus units whose pulse comes after
-    t.  With ``k``: additionally units whose pulse happened at least k
-    periods before t (their treatment effect is assumed worn off).
-    """
-    if not 2 <= t <= Z.T:
-        raise ValueError(f"time index {t} outside 2..{Z.T}")
-    _check_carryover(k)
-    _, _, _, pool = next(_picks(Z.codes, Z.T, "augmented" if k is None else "recycling", k, t))
-    return frozenset(pool.tolist())
-
-
 class PotentialOutcomeSchedule:
     """Fixed ground truth: one N x T outcome matrix per arm, all T+1 arms.
 
@@ -591,6 +571,10 @@ class ObservedOutcomes:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError(f"observed outcomes must be N x T, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0].tolist()
+            raise ValueError(f"observed outcome at (row, column) ({i}, {j}) is not finite: "
+                             f"{v[i, j]}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -626,38 +610,6 @@ def observe(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule) -> ObservedOut
     matrix they are that matrix, not a copy."""
     _check_fits(Z, sched)
     return ObservedOutcomes._owned(sched._observed_rows(Z.codes))
-
-
-@dataclass(frozen=True)
-class ScheduleValidation:
-    """Per-cell consistency report; empty ``violations`` means valid."""
-
-    violations: tuple[tuple[ArmId, int, int], ...]  # (arm, unit, time)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_schedule(sched: PotentialOutcomeSchedule,
-                      k: int | None = None) -> ScheduleValidation:
-    """Check that pulse outcomes match control outcomes wherever the two
-    assignments are indistinguishable.
-
-    Before its pulse time a pulse unit's history equals always-control, so
-    those columns must agree; with ``k``, columns at least k periods after
-    the pulse must agree as well.  These are t = 1 and every t whose
-    control pool holds the pulse arm.
-    """
-    _check_carryover(k)
-    pools = _pool_arms(sched.T, "augmented" if k is None else "recycling", k)
-    violations: list[tuple[ArmId, int, int]] = []
-    for tp in range(2, sched.T + 1):
-        arm = pulse_arm(tp)
-        for t in [1, *(np.flatnonzero(pools[:, tp]) + 2).tolist()]:
-            bad = np.nonzero(sched._column(arm, t) != sched._column(ALWAYS_CONTROL, t))[0]
-            violations.extend((arm, int(i), t) for i in bad)
-    return ScheduleValidation(tuple(violations))
 
 
 def _check_permutation(perm: Sequence[int], N: int) -> np.ndarray:
@@ -712,14 +664,3 @@ def enumerate_assignments(alloc: Allocation,
     is equally likely under complete randomization."""
     for codes in _iter_code_arrangements(alloc.counts):
         yield AssignmentMatrix._from_codes(np.array(codes, dtype=np.int64), alloc.T, family)
-
-
-def assignment_count(alloc: Allocation) -> int:
-    """Number of distinct assignments with the given arm counts."""
-    from math import comb
-
-    total, result = alloc.N, 1
-    for c in alloc.counts:
-        result *= comb(total, c)
-        total -= c
-    return result

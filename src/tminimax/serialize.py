@@ -39,10 +39,8 @@ __all__ = [
     "format_float",
     "canonical_json",
     "atomic_write_text",
-    "matrix_to_csv",
     "read_matrix_csv",
     "write_matrix_csv",
-    "assignment_to_csv",
     "read_assignment_csv",
     "write_assignment_csv",
     "rows_to_csv",
@@ -125,10 +123,6 @@ def _matrix_blocks(values: np.ndarray) -> Iterator[str]:
         return "".join([line % (i, *row) for i, row in enumerate(rows, start=r0 + 1)])
 
     return itertools.chain([",".join(_header(T)) + "\n"], map(block, range(0, N, size)))
-
-
-def matrix_to_csv(values: np.ndarray) -> str:
-    return "".join(_matrix_blocks(values))
 
 
 def write_matrix_csv(path: str, values: np.ndarray) -> None:
@@ -301,10 +295,6 @@ def _assignment_blocks(Z: AssignmentMatrix) -> Iterator[str]:
         return "".join([f"{i},{rows[code]}" for i, code in enumerate(codes, start=r0 + 1)])
 
     return itertools.chain([",".join(_header(Z.T)) + "\n"], map(block, range(0, Z.N, size)))
-
-
-def assignment_to_csv(Z: AssignmentMatrix) -> str:
-    return "".join(_assignment_blocks(Z))
 
 
 def write_assignment_csv(path: str, Z: AssignmentMatrix) -> None:

@@ -29,6 +29,24 @@ def random_schedule(rng, N, T, k=None):
     return PotentialOutcomeSchedule(arms)
 
 
+def schedule_violations(sched, k=None):
+    """The (arm, unit, t) cells, t 1-based, where a schedule breaks
+    non-anticipation: a pulse-tp arm must match the control arm at t < tp
+    and, with k, at t >= tp + k.  Empty for a valid schedule."""
+    control = sched.matrix(ALWAYS_CONTROL)
+    violations = []
+    for tp in range(2, sched.T + 1):
+        arm = pulse_arm(tp)
+        m = sched.matrix(arm)
+        cols = list(range(0, tp - 1))
+        if k is not None:
+            cols.extend(range(tp - 1 + k, sched.T))
+        for c in cols:
+            bad = np.nonzero(m[:, c] != control[:, c])[0]
+            violations.extend((arm, int(i), c + 1) for i in bad)
+    return tuple(violations)
+
+
 def numpy_stack(recorded):
     """Message for a golden that pins numpy's ``Generator`` streams and
     pairwise sums, which NumPy does not promise to keep across versions

@@ -1,6 +1,7 @@
 """Tests for relaxed and integer allocation solvers."""
 
 import hashlib
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -362,24 +363,54 @@ class TestRelaxedBasic:
         with pytest.raises(ValueError):
             relaxed_basic(10, 1)
 
+    @pytest.mark.parametrize("N", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("relax", [
+        lambda N: relaxed_basic(N, 6),
+        lambda N: relaxed_augmented(N, 6),
+        lambda N: relaxed_weighted(N, 6, 0.3),
+        lambda N: relaxed_recycling(N, 6, 2),
+    ], ids=["basic", "augmented", "weighted", "recycling"])
+    def test_non_finite_n_rejected_before_any_arithmetic(self, relax, N):
+        # no RuntimeWarning first, and the message blames N, not an arm count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                relax(N)
+        assert str(info.value) == f"N must be positive and finite, got {N}"
+
 
 class TestPulseCoefficients:
+    @staticmethod
+    def _residuals(c, scale):
+        """Relative error of each coefficient against its defining
+        recursion (last entry: against the boundary value 1)."""
+        T = len(c) + 1
+        res = np.empty(T - 1)
+        res[T - 2] = abs(c[T - 2] - 1.0)
+        tail = 0.0  # sum of coefficients after t
+        for t in range(T - 1, 1, -1):
+            tail += c[t - 1]
+            rhs = 1.0 / sqrt(1.0 / c[t - 1] ** 2 + 1.0 / (1.0 + scale * tail) ** 2)
+            res[t - 2] = abs(c[t - 2] - rhs) / rhs
+        return res
+
     def test_boundary_is_one(self):
         c = pulse_coefficients(2, sqrt(2))
-        assert c.values.tolist() == [1.0]
+        assert c.tolist() == [1.0]
+        assert not c.flags.writeable
 
     def test_one_step_by_hand(self):
         c = pulse_coefficients(3, sqrt(2))
-        assert c.values[1] == 1.0
+        assert c[1] == 1.0
         expected = (1 + 1 / (1 + sqrt(2)) ** 2) ** -0.5
-        assert c.values[0] == pytest.approx(expected, rel=1e-15)
+        assert c[0] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("T,scale", [(10, sqrt(2)), (30, 1.0), (50, 3.0)])
     def test_range_monotonicity_and_residuals(self, T, scale):
         c = pulse_coefficients(T, scale)
-        assert np.all(c.values > 0) and np.all(c.values <= 1)
-        assert np.all(np.diff(c.values) >= 0)
-        assert np.max(c.residuals()) < 1e-12
+        assert np.all(c > 0) and np.all(c <= 1)
+        assert np.all(np.diff(c) >= 0)
+        assert np.max(self._residuals(c, scale)) < 1e-12
 
 
 class TestRelaxedAugmented:
@@ -638,7 +669,9 @@ class TestStationarity:
             assert stationarity_residual(alloc, T, ObjectiveMode.weighted(rho)) < 1e-8
 
     def test_off_optimum_is_not_stationary(self):
-        assert stationarity_residual(balanced(100, 5).as_real(), 5, ObjectiveMode.basic()) > 1e-2
+        b = balanced(100, 5)
+        off = RealAllocation(b.n0, b.n1, b.ne)
+        assert stationarity_residual(off, 5, ObjectiveMode.basic()) > 1e-2
 
     def test_dropped_arm_is_skipped(self):
         # rho = 1 never uses the control arm, whatever it holds

@@ -6,7 +6,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from conftest import constant_schedule, random_schedule, spread_allocation
+from conftest import constant_schedule, random_schedule, schedule_violations, spread_allocation
 from tminimax.core import (
     ALWAYS_CONTROL,
     ALWAYS_TREATED,
@@ -16,15 +16,12 @@ from tminimax.core import (
     ObservedOutcomes,
     PotentialOutcomeSchedule,
     arms_for_horizon,
-    assignment_count,
-    augmented_controls,
     draw_assignment,
     enumerate_assignments,
     make_arm_vector,
     observe,
     permute_units,
     pulse_arm,
-    validate_schedule,
 )
 from tminimax.risk import worst_case_schedule
 
@@ -68,7 +65,9 @@ class TestAllocation:
         alloc = Allocation(3, 4, (1, 2))
         assert alloc.counts == (3, 4, 1, 2)
         assert alloc.N == 10 and alloc.T == 3
-        assert alloc.count(pulse_arm(3)) == 2
+        # numpy integers are counts too, kept as Python ints
+        same = Allocation(np.int64(3), np.int32(4), (np.uint8(1), 2))
+        assert same.counts == alloc.counts and all(type(c) is int for c in same.counts)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +76,18 @@ class TestAllocation:
     def test_needs_a_pulse_arm(self):
         with pytest.raises(ValueError):
             Allocation(1, 1, ())
+
+    @pytest.mark.parametrize("counts,bad", [
+        ((1.5, 1, (1,)), "1.5"),
+        (("3", 1, (1,)), "'3'"),
+        ((3, True, (1,)), "True"),
+        ((3, 1, (np.float64(2.0),)), "np.float64(2.0)"),
+        ((3, 1, (2, 1.0)), "1.0"),
+    ], ids=["float", "str", "bool", "numpy_float", "float_pulse"])
+    def test_non_integer_count_rejected(self, counts, bad):
+        with pytest.raises(ValueError) as info:
+            Allocation(*counts)
+        assert str(info.value) == f"arm count must be an integer, got {bad}"
 
 
 class TestDrawAssignment:
@@ -110,7 +121,7 @@ class TestDrawAssignment:
         # the full enumeration
         alloc = Allocation(1, 2, (2,))
         cells = {tuple(Z.codes): 0 for Z in enumerate_assignments(alloc)}
-        assert len(cells) == assignment_count(alloc) == 30
+        assert len(cells) == 30
         draws = 6000
         for seed in range(draws):
             cells[tuple(draw_assignment(alloc, seed=seed).codes)] += 1
@@ -212,44 +223,6 @@ class TestErrorMessages:
         assert str(info.value) == message
 
 
-class TestAugmentedControls:
-    def _z(self, labels, T):
-        return AssignmentMatrix(labels, T)
-
-    def test_future_pulses_join_the_pool(self):
-        Z = self._z([ALWAYS_CONTROL, ALWAYS_TREATED, pulse_arm(2), pulse_arm(3)], 3)
-        assert augmented_controls(Z, 2) == {0, 3}
-
-    def test_no_future_pulse_leaves_pure_controls(self):
-        Z = self._z([ALWAYS_CONTROL, ALWAYS_TREATED, pulse_arm(2), pulse_arm(3)], 3)
-        assert augmented_controls(Z, 3) == {0}
-
-    def test_recycled_pulses_join_after_k(self):
-        Z = self._z([ALWAYS_CONTROL, pulse_arm(2), pulse_arm(5)], 5)
-        assert augmented_controls(Z, 4, k=2) == {0, 1, 2}
-
-    def test_recycled_pool_contains_augmented_pool(self):
-        rng = np.random.default_rng(0)
-        alloc = Allocation(2, 2, (1, 1, 2))
-        Z = draw_assignment(alloc, seed=1)
-        for t in range(2, Z.T + 1):
-            base = augmented_controls(Z, t)
-            for k in (1, 2, 3, 10):
-                assert augmented_controls(Z, t, k=k) >= base
-
-    def test_large_k_reduces_to_plain_pool(self):
-        Z = draw_assignment(Allocation(2, 2, (1, 1, 2)), seed=6)
-        for t in range(2, Z.T + 1):
-            assert augmented_controls(Z, t, k=Z.T - 1) == augmented_controls(Z, t)
-
-    def test_time_out_of_range(self):
-        Z = self._z([ALWAYS_CONTROL, pulse_arm(2)], 2)
-        with pytest.raises(ValueError):
-            augmented_controls(Z, 1)
-        with pytest.raises(ValueError):
-            augmented_controls(Z, 3)
-
-
 class TestObserve:
     def test_constant_schedule(self):
         sched = constant_schedule(4, 3, value=2.5)
@@ -288,40 +261,22 @@ class TestObserve:
         assert np.array_equal(values, expected)
         assert not values.flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_public_constructor_rejects_non_finite_values(self, bad):
+        values = np.zeros((3, 4))
+        values[1, 2] = bad
+        values[2, 0] = bad  # later in row order, so not the one named
+        with pytest.raises(ValueError) as info:
+            ObservedOutcomes(values)
+        assert str(info.value) == (f"observed outcome at (row, column) (1, 2) is not finite: "
+                                   f"{bad}")
+
     def test_public_constructor_copies(self):
         raw = np.zeros((2, 3))
         obs = ObservedOutcomes(raw)
         raw[0, 0] = 1.0
         assert obs.values[0, 0] == 0.0
         assert raw.flags.writeable and not obs.values.flags.writeable
-
-
-class TestValidateSchedule:
-    def test_random_nonanticipating_schedule_passes(self):
-        rng = np.random.default_rng(11)
-        assert validate_schedule(random_schedule(rng, 5, 4)).ok
-
-    def test_violation_located(self):
-        rng = np.random.default_rng(2)
-        sched = random_schedule(rng, 4, 3)
-        arms = {arm: sched.matrix(arm).copy() for arm in sched.arms}
-        arms[pulse_arm(3)][1, 1] += 1.0  # time 2 of a pulse-3 unit
-        report = validate_schedule(PotentialOutcomeSchedule(arms))
-        assert report.violations == ((pulse_arm(3), 1, 2),)
-
-    def test_constant_schedule_valid_for_any_k(self):
-        sched = constant_schedule(3, 4)
-        for k in (None, 1, 2, 3):
-            assert validate_schedule(sched, k=k).ok
-
-    def test_carryover_violation_only_with_k(self):
-        rng = np.random.default_rng(4)
-        sched = random_schedule(rng, 4, 4, k=2)
-        arms = {arm: sched.matrix(arm).copy() for arm in sched.arms}
-        arms[pulse_arm(2)][0, 3] += 1.0  # time 4 = pulse 2 + k for k=2
-        broken = PotentialOutcomeSchedule(arms)
-        assert validate_schedule(broken).ok
-        assert not validate_schedule(broken, k=2).ok
 
 
 class TestPermuteUnits:
@@ -364,7 +319,7 @@ class TestEnumeration:
     def test_count_and_distinctness(self):
         alloc = Allocation(2, 1, (1,))
         seen = {tuple(Z.codes) for Z in enumerate_assignments(alloc)}
-        assert len(seen) == assignment_count(alloc) == math.factorial(4) // 2
+        assert len(seen) == math.factorial(4) // 2
 
     def test_every_assignment_has_exact_counts(self):
         alloc = Allocation(1, 2, (2,))
@@ -461,9 +416,9 @@ class TestSharedStorage:
             assert got.tobytes() == cells[Z.codes, np.arange(N)].tobytes()
             assert not got.flags.writeable
         # pattern (0, 1) follows each pulse, so only k = 1 finds violations
-        assert validate_schedule(sched).ok and validate_schedule(sched, k=2).ok
-        report = validate_schedule(sched, k=1)
-        assert report == validate_schedule(twin, k=1) and not report.ok
+        assert not schedule_violations(sched) and not schedule_violations(sched, k=2)
+        report = schedule_violations(sched, k=1)
+        assert report == schedule_violations(twin, k=1) and report
 
     @pytest.mark.parametrize("kind", ["all_shared", "two_shared", "all_distinct", "owned"])
     def test_observed_rows_equal_the_per_arm_gather(self, kind):

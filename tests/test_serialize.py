@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tempfile
 import threading
 import tracemalloc
 
@@ -24,10 +25,8 @@ from tminimax.serialize import (
     _block_rows,
     _decode_row,
     _row_table,
-    assignment_to_csv,
     atomic_write_text,
     format_float,
-    matrix_to_csv,
     read_assignment_csv,
     read_matrix_csv,
     rows_to_csv,
@@ -36,6 +35,15 @@ from tminimax.serialize import (
     write_assignment_csv,
 )
 from tminimax.simulate import ModelParams, habituation_model
+
+
+def _written_text(write, data):
+    """The text ``write(path, data)`` puts in a file, line ends as written."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out.csv")
+        write(path, data)
+        with open(path, newline="") as handle:
+            return handle.read()
 
 
 class TestMatrixCsv:
@@ -47,7 +55,7 @@ class TestMatrixCsv:
         assert np.array_equal(read_matrix_csv(str(path)), values)
 
     def test_header_and_units(self):
-        text = matrix_to_csv(np.array([[1.5, 2.0]]))
+        text = _written_text(write_matrix_csv, np.array([[1.5, 2.0]]))
         lines = text.splitlines()
         assert lines[0] == "unit,t1,t2"
         assert lines[1].startswith("1,")
@@ -281,8 +289,8 @@ class TestMatrixCsvReaderEquivalence:
         assert got[2] == values.tobytes()
 
 
-# sha256 of matrix_to_csv(values) as written by the cell-by-cell
-# format_float implementation; the CSV bytes must not move.
+# sha256 of the text write_matrix_csv writes for values, as written by
+# the cell-by-cell format_float implementation; the CSV bytes must not move.
 MATRIX_CSV_GOLDEN = {
     "observed_20000_20": "96fbcf1bfb2df76122eaff113a670be836644572aed42c82349b03e113f2160b",
     "edge_float64": "fba75b6fa4f9e4907c1125cb1b482eaad5920ae3fda4f3356360212c5a8703f9",
@@ -320,7 +328,7 @@ def _golden_matrices():
 class TestMatrixCsvGolden:
     def test_bytes_match_golden_digest(self):
         for name, values in _golden_matrices().items():
-            digest = hashlib.sha256(matrix_to_csv(values).encode()).hexdigest()
+            digest = hashlib.sha256(_written_text(write_matrix_csv, values).encode()).hexdigest()
             assert digest == MATRIX_CSV_GOLDEN[name], name
 
     def test_rows_match_format_float_per_cell(self):
@@ -335,7 +343,7 @@ class TestMatrixCsvGolden:
         for name, values in {**_golden_matrices(), **extra}.items():
             if name == "observed_20000_20":
                 values = values[:50]
-            lines = matrix_to_csv(values).splitlines()[1:]
+            lines = _written_text(write_matrix_csv, values).splitlines()[1:]
             assert lines == [",".join([str(i)] + [format_float(v) for v in row])
                              for i, row in enumerate(values, start=1)], name
 
@@ -456,8 +464,9 @@ class TestAssignmentCsv:
         assert str(info.value).startswith(f"{path}, {error}")
 
 
-# sha256 of assignment_to_csv(draw_assignment(alloc, family, seed)) as
-# written by the per-unit ArmId implementation; the CSV bytes must not move.
+# sha256 of the text write_assignment_csv writes for
+# draw_assignment(alloc, family, seed), as written by the per-unit ArmId
+# implementation; the CSV bytes must not move.
 ASSIGNMENT_CSV_GOLDEN = {
     ("augmented_20000_20", "pulse", 0): "45102b21ded9ea0f6e72fec54712a5c41181cfe0d90a4ec53202d6835b1d351e",
     ("augmented_20000_20", "pulse", 7): "2617c065d3bf77d9f8825e8e281edc69669021b42b6257f4ae20a8282cae5198",
@@ -492,7 +501,7 @@ class TestAssignmentCsvGolden:
         alloc = GOLDEN_ALLOCATIONS[name]()
         for seed in (0, 7):
             Z = draw_assignment(alloc, family, seed)
-            digest = hashlib.sha256(assignment_to_csv(Z).encode()).hexdigest()
+            digest = hashlib.sha256(_written_text(write_assignment_csv, Z).encode()).hexdigest()
             assert digest == ASSIGNMENT_CSV_GOLDEN[(name, family.value, seed)]
             # with no unit in a pulse arm the family is pulse whatever was asked
             expected = Family.PULSE if name == "empty_pulse_arms" else family
@@ -530,7 +539,7 @@ def _block_sizes(T):
 
 
 def _valid_lines(rng, n, T):
-    return matrix_to_csv(rng.normal(size=(n, T))).splitlines()
+    return _written_text(write_matrix_csv, rng.normal(size=(n, T))).splitlines()
 
 
 def _set_cell(lines, ln, c, text):
@@ -584,7 +593,6 @@ class TestCsvBlocks:
                            rng.integers(-2**62, 2**62, size=(N, T)),
                            rng.normal(size=(N, T)).astype(str)):
                 want = _one_string_matrix_csv(values)
-                assert matrix_to_csv(values) == want, (N, values.dtype)
                 write_matrix_csv(str(tmp_path / "m.csv"), values)
                 assert (tmp_path / "m.csv").read_bytes() == want.encode(), (N, values.dtype)
 
@@ -596,7 +604,6 @@ class TestCsvBlocks:
         for N in _block_sizes(T):
             Z = AssignmentMatrix._from_codes(rng.integers(0, T + 1, size=N), T, family)
             want = _one_string_assignment_csv(Z)
-            assert assignment_to_csv(Z) == want, N
             write_assignment_csv(str(path), Z)
             assert path.read_bytes() == want.encode(), N
             back = read_assignment_csv(str(path), family)
@@ -661,7 +668,7 @@ class TestCsvBlocks:
                 "error", f"{path}, line {ln}, column {T + 1}: not a number: 'x'")
             Z = AssignmentMatrix._from_codes(rng.integers(0, T + 1, size=2 * B + 3), T,
                                              Family.PULSE)
-            zlines = assignment_to_csv(Z).splitlines()
+            zlines = _written_text(write_assignment_csv, Z).splitlines()
             ztext = "\n".join(zlines[:edge + 1]) + sep + "\n".join(zlines[edge + 1:])
             path.write_bytes(ztext.encode())
             assert read_assignment_csv(str(path)) == Z
@@ -676,7 +683,7 @@ class TestCsvBlocks:
         rng = np.random.default_rng(T)
         n = 3 * (1 << 14) // (2 * T + 4)
         Z = AssignmentMatrix._from_codes(rng.integers(0, T, size=n), T, Family.PULSE)
-        lines = assignment_to_csv(Z).splitlines()
+        lines = _written_text(write_assignment_csv, Z).splitlines()
         wedge = ",".join(["0"] * (T - 2) + ["1", "1"])  # the wedge arm at T - 1
         for ln in sorted(rng.choice(np.arange(1, n), size=6, replace=False).tolist()):
             if edit == "blank_lines":
@@ -745,8 +752,8 @@ class TestCsvBlocks:
         values = np.random.default_rng(7).normal(size=(3 * _block_rows(2), 2))
         fifo = tmp_path / "m.csv"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text,
-                                  args=("\n" + matrix_to_csv(values).replace("\n", "\r\n"),))
+        text = "\n" + _written_text(write_matrix_csv, values).replace("\n", "\r\n")
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
         writer.start()
         try:
             got = read_matrix_csv(str(fifo))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import schedule_violations
 from tminimax import (
     LossSpec,
     ModelParams,
@@ -13,7 +14,6 @@ from tminimax import (
     habituation_model,
     integer_solve,
     observe,
-    validate_schedule,
 )
 from tminimax.allocation import balanced, objective
 from tminimax.risk import max_risk
@@ -26,7 +26,7 @@ def test_design_run_estimate_cycle_recovers_effects():
     N, T = 2000, 6
     alloc = integer_solve(N, T, ObjectiveMode.augmented())
     sched = habituation_model(ModelParams(noise_sd=2.0), N, T, seed=5)
-    assert validate_schedule(sched).ok
+    assert not schedule_violations(sched)
     hab_true, inst_true, _ = estimands(sched)
     Z = draw_assignment(alloc, seed=99)
     obs = observe(Z, sched)
