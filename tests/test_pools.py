@@ -2,7 +2,8 @@
 
 The reference is a test-local copy of the separate encodings of the pool
 rule that the table replaced: the allocation objective's arm groups, the
-estimators' unit mask and the risk module's pool sizes.  Every consumer of
+estimators' unit mask, the augmented control set, the risk module's pool
+sizes and the non-anticipation check's column ranges.  Every consumer of
 the table must agree with them exactly.
 """
 
@@ -11,14 +12,18 @@ from math import fsum
 import numpy as np
 import pytest
 
-from conftest import random_schedule
+from conftest import random_schedule, schedule_violations
 from tminimax.allocation import ObjectiveMode, _term_matrix
 from tminimax.core import (
+    ALWAYS_CONTROL,
     Allocation,
     AssignmentMatrix,
     Family,
+    PotentialOutcomeSchedule,
+    _picks,
     _pool_arms,
     observe,
+    pulse_arm,
 )
 from tminimax.estimators import (
     augmented_instantaneous_estimate,
@@ -47,6 +52,13 @@ def _ref_control_mask(codes, t, estimator, k):
     if estimator == "recycling":
         mask |= (codes >= 2) & (codes <= t - k)
     return mask
+
+
+def _ref_augmented_controls(codes, t, k=None):
+    mask = (codes == 0) | (codes > t)
+    if k is not None:
+        mask |= (codes >= 2) & (codes <= t - k)
+    return frozenset(int(i) for i in np.nonzero(mask)[0])
 
 
 def _ref_control_count(alloc, t, estimator, k):
@@ -117,6 +129,19 @@ class TestUnitMasks:
                 want = _ref_control_mask(codes, t, estimator, k)
                 assert np.array_equal(table[t - 2][codes], want)
 
+    @pytest.mark.parametrize("T", range(2, 11))
+    def test_augmented_controls_match_the_reference(self, T):
+        # the pool of a pass started at t is the augmented control set at t
+        rng = np.random.default_rng(100 + T)
+        for _ in range(3):
+            codes = _codes(rng, T)
+            for t in range(2, T + 1):
+                _, _, _, pool = next(_picks(codes, T, "augmented", None, t))
+                assert frozenset(pool.tolist()) == _ref_augmented_controls(codes, t)
+                for k in range(1, T + 1):
+                    _, _, _, pool = next(_picks(codes, T, "recycling", k, t))
+                    assert frozenset(pool.tolist()) == _ref_augmented_controls(codes, t, k)
+
     @pytest.mark.parametrize("T", range(2, 9))
     def test_estimates_use_the_reference_pool(self, T):
         # each instantaneous estimate equals the pulse mean minus the mean
@@ -151,8 +176,6 @@ class TestPicks:
                                              ("recycling", 1), ("recycling", 3)])
     @pytest.mark.parametrize("N,T", [(12, 8), (60, 5), (700, 300)])
     def test_units_match_the_reference_masks(self, estimator, k, N, T):
-        from tminimax.core import _picks
-
         # N = 12 at T = 8 leaves arms empty; T = 300 sorts the codes as uint16
         rng = np.random.default_rng(700 + T)
         for _ in range(2):
@@ -211,3 +234,34 @@ class TestPoolSizes:
             want = vc.v0 / pool + vc.ve / ne - vc.v0e / alloc.N
             assert true_variances(alloc, sched, t, spec)[1] == want
 
+
+def _pool_violations(sched, k):
+    """Non-anticipation violations read off the pool table: a pulse arm must
+    match the control arm at t = 1 and at every t whose pool holds it."""
+    pools = _pool_arms(sched.T, "augmented" if k is None else "recycling", k)
+    violations = []
+    for tp in range(2, sched.T + 1):
+        arm = pulse_arm(tp)
+        for t in [1, *(np.flatnonzero(pools[:, tp]) + 2).tolist()]:
+            bad = np.nonzero(sched._column(arm, t) != sched._column(ALWAYS_CONTROL, t))[0]
+            violations.extend((arm, int(i), t) for i in bad)
+    return tuple(violations)
+
+
+class TestValidateSchedule:
+    @pytest.mark.parametrize("T", range(2, 9))
+    def test_violations_match_the_reference(self, T):
+        # the columns a valid schedule must share with control are the
+        # columns whose pool holds the pulse, so the test-side check and
+        # the pool table are one rule
+        rng = np.random.default_rng(600 + T)
+        for trial in range(6):
+            N = int(rng.integers(1, 5))
+            sched = random_schedule(rng, N, T, k=int(rng.integers(1, T + 1)) if trial % 2 else None)
+            arms = {arm: sched.matrix(arm).copy() for arm in sched.arms}
+            for arm in sched.arms[2:]:
+                arms[arm][rng.random((N, T)) < 0.3] += 1.0
+            broken = PotentialOutcomeSchedule(arms)
+            for k in [None, *range(1, T + 2)]:
+                for s in (sched, broken):
+                    assert _pool_violations(s, k) == schedule_violations(s, k)
