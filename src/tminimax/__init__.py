@@ -51,6 +51,7 @@ from .risk import (
     loss,
     max_risk,
     mc_risk,
+    mc_risks,
     true_variances,
     variance_components,
     worst_case_schedule,

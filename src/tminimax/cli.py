@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -33,7 +34,7 @@ from .risk import (
     _check_vstar,
     box_max_variance,
     max_risk,
-    mc_risk,
+    mc_risks,
     worst_case_schedule,
 )
 from .serialize import (
@@ -138,10 +139,11 @@ _DESIGN_MODES = {
 
 
 # The most --draws that `risk` accepts.  Monte-Carlo risk keeps every
-# draw's loss (8 bytes: 800 MB at the bound), and a draw took about 60 us
-# even at N=100, T=3 (2 vCPUs), so 10^8 draws per design already run for
-# hours; a larger count would fail in numpy only after the schedule and
-# the designs were built.
+# draw's loss for every design (8 bytes each: 2.4 GB at the bound with the
+# three designs), and a replicate, one shared permutation scored for each
+# design, took about 85 us for the three designs even at N=100, T=3 (2
+# vCPUs), so 10^8 draws already run for hours; a larger count would fail
+# in numpy only after the schedule and the designs were built.
 _MAX_DRAWS = 10**8
 
 
@@ -161,27 +163,37 @@ def _cmd_risk(args, argv: list[str]) -> int:
     if args.draws > 0:
         # a worst-case schedule over [0, u] chosen so its column variance
         # equals vstar; the Monte-Carlo risk should then sit on max_risk
-        u = (vstar / box_max_variance(args.n, 0.0, 1.0)) ** 0.5
-        sched = worst_case_schedule(args.n, args.t, 0.0, u)
-    rows = []
-    for name in args.designs.split(","):
-        name = name.strip()
+        unit = box_max_variance(args.n, 0.0, 1.0)
+        # every estimate is a mean over [0, u], so a draw's loss is at most
+        # 2 T u^2, and np.std sums the squares of `draws` such losses: the
+        # sum stays below a quarter of the float range (a T below 2 is
+        # rejected by the schedule)
+        most = unit * math.sqrt(sys.float_info.max / args.draws) / (4.0 * max(args.t, 1))
+        if vstar > most:
+            raise ValueError(f"--vstar must be <= {most} with --t {args.t} and "
+                             f"--draws {args.draws}, got {vstar}")
+        sched = worst_case_schedule(args.n, args.t, 0.0, (vstar / unit) ** 0.5)
+    names = [name.strip() for name in args.designs.split(",")]
+    for name in names:
         if name not in _DESIGN_MODES:
             raise ValueError(f"unknown design {name!r} (choose from {sorted(_DESIGN_MODES)})")
+    allocs, analytic = [], []
+    for name in names:
         mode = _DESIGN_MODES[name]
         alloc = balanced(args.n, args.t) if mode is None else integer_solve(args.n, args.t, mode)
-        analytic = max_risk(alloc, args.t, vstar, spec)
-        if args.draws > 0:
-            report = mc_risk(alloc, sched, spec, args.draws, args.seed)
-        else:
-            report = None
-        rows.append({
-            "design": name,
-            "max_risk": analytic,
-            "mc_risk": report.mc_risk if report else None,
-            "mc_se": report.mc_se if report else None,
-            "draws": args.draws,
-        })
+        allocs.append(alloc)
+        analytic.append(max_risk(alloc, args.t, vstar, spec))
+    if args.draws > 0:
+        reports = mc_risks(allocs, sched, spec, args.draws, args.seed)
+    else:
+        reports = [None] * len(allocs)
+    rows = [{
+        "design": name,
+        "max_risk": risk,
+        "mc_risk": report.mc_risk if report else None,
+        "mc_se": report.mc_se if report else None,
+        "draws": args.draws,
+    } for name, risk, report in zip(names, analytic, reports)]
     write_table(args.out, rows, args.format)
     if args.manifest:
         write_run_manifest(args.manifest, argv, args.seed, [],

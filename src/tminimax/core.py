@@ -324,17 +324,28 @@ class AssignmentMatrix:
         return f"AssignmentMatrix(N={self.N}, T={self.T}, family={self._family.value})"
 
 
+def _shuffle(x: np.ndarray, seed: int | np.random.SeedSequence) -> None:
+    """Shuffle ``x`` in place by the seeded Fisher-Yates rule behind every
+    draw.
+
+    Fisher-Yates picks its swaps from the generator alone, not from the
+    array, so one seed moves every length-N vector by one permutation p:
+    the shuffled ``x`` is ``x[p]``, with p the shuffled ``arange(N)``.  A
+    Monte-Carlo replicate shuffles ``arange(N)`` once and applies p to
+    every design it scores."""
+    np.random.default_rng(seed).shuffle(x)
+
+
 def draw_assignment(alloc: Allocation, family: Family = Family.PULSE,
                     seed: int | np.random.SeedSequence = 0) -> AssignmentMatrix:
     """Draw one completely randomized assignment with the given arm counts.
 
-    Uniform over all arrangements of the arm-code multiset (the code
-    vector is Fisher-Yates shuffled with a seeded generator), and
-    deterministic given the seed (a nonnegative integer or seed sequence).
+    Uniform over all arrangements of the arm-code multiset (the sorted
+    code vector shuffled by ``_shuffle``), and deterministic given the
+    seed (a nonnegative integer or seed sequence).
     """
     codes = np.repeat(np.arange(alloc.T + 1, dtype=np.int64), alloc.counts)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(codes)
+    _shuffle(codes, seed)
     return AssignmentMatrix._from_codes(codes, alloc.T, family)
 
 

@@ -11,7 +11,7 @@ the box's maximum sample variance times a sum of reciprocal arm (or
 control-pool) counts, the term table ``core._risk_terms``.  The
 allocation objectives are that table too (only basic merges its pools
 into one term), so ``max_risk`` is vstar times the matching objective.
-``loss``, ``mc_risk`` and ``exact_risk`` score assignments through one
+``loss``, ``mc_risks`` and ``exact_risk`` score assignments through one
 loss evaluator per call, which reads the schedule's estimands once.  Those
 are computed on first use and kept on the schedule (``estimands``), so
 every design scored against one schedule, as in Figure 3, reuses them.  Per
@@ -28,6 +28,9 @@ as ``worst_case_schedule`` builds in an integer box such as the default
 [0, 1].  Every sum of its cells, in any order, is then an exact integer,
 so one weighted ``bincount`` per assignment gives each arm's total, and
 each pool's, with the bits fsum and numpy's pairwise sum give.
+``mc_risks`` scores every design of a Monte-Carlo replicate on that
+replicate's one seeded permutation of the units: on such a schedule one
+prefix sum of the permuted column gives every design's arm totals.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, sqrt
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -57,8 +60,8 @@ from .core import (
     _picks,
     _pool_arms,
     _risk_terms,
+    _shuffle,
     arms_for_horizon,
-    draw_assignment,
     pulse_arm,
 )
 from .estimators import _check_inputs, _estimate_pass, estimands
@@ -69,6 +72,7 @@ __all__ = [
     "VarianceComponents",
     "loss",
     "mc_risk",
+    "mc_risks",
     "exact_risk",
     "worst_case_schedule",
     "box_max_variance",
@@ -151,51 +155,63 @@ def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
     return val
 
 
-def _loss_evaluator(sched: PotentialOutcomeSchedule, spec: LossSpec,
-                    exact: bool) -> Callable[[np.ndarray], float]:
-    """The loss of an arm-code vector against ``sched``, whose estimands are
+class _LossEvaluator:
+    """The loss of arm-code vectors against ``sched``, whose estimands are
     computed once.
 
-    The path is chosen here, once per call: a schedule with one integer
-    outcome column (``_counted_column``) scores each assignment by
-    counting, one weighted ``bincount`` of its units' outcomes by arm, and
-    every other schedule by ``_loss_from_codes``.  Both give the same bits,
-    for ``exact`` true or false.  An assignment that leaves an arm the
-    loss reads empty goes to ``_loss_from_codes``, which raises."""
-    hab, inst, _ = estimands(sched)
-    hab, inst = hab.values, inst.values
+    Called on a code vector, it picks the path once per call: a schedule
+    with one integer outcome column ``y`` (``_counted_column``) scores the
+    assignment by counting, one weighted ``bincount`` of its units'
+    outcomes by arm fed to ``from_sums``, and every other schedule by
+    ``general`` (``_loss_from_codes``).  Both give the same bits, for
+    ``exact`` true or false.  An assignment that leaves an arm the loss
+    reads empty goes to ``general``, which raises."""
 
-    def general(codes: np.ndarray) -> float:
-        return _loss_from_codes(codes, sched._observed_rows(codes), hab, inst, spec, exact)
+    def __init__(self, sched: PotentialOutcomeSchedule, spec: LossSpec, exact: bool) -> None:
+        hab, inst, _ = estimands(sched)
+        self._hab, self._inst = hab.values, inst.values
+        self._sched, self._spec, self._exact = sched, spec, exact
+        self.y = _counted_column(sched)
+        self._pools = _pool_arms(sched.T, spec.estimator, spec.k).astype(float)
 
-    y = _counted_column(sched)
-    if y is None:
-        return general
-    T = sched.T
-    pools = _pool_arms(T, spec.estimator, spec.k).astype(float)
+    def general(self, codes: np.ndarray) -> float:
+        return _loss_from_codes(codes, self._sched._observed_rows(codes), self._hab,
+                                self._inst, self._spec, self._exact)
 
-    def counted(codes: np.ndarray) -> float:
-        # every arm or pool total below is a sum of integers, each partial
-        # sum at most sum(|y|) < 2**53 in magnitude, so it is exact in any
-        # order: the value fsum or numpy's pairwise sum gives over the units
-        counts = np.bincount(codes, minlength=T + 1)
-        pool_counts = pools @ counts
-        if not (counts[2:].all() and (counts[1] or spec.rho == 0.0)
-                and (pool_counts.all() or spec.rho == 1.0)):
-            return general(codes)
-        sums = np.bincount(codes, weights=y, minlength=T + 1)
+    def countable(self, counts: np.ndarray) -> bool:
+        """Whether an assignment with these int64 arm counts is scored by
+        counting: the schedule has a counted column and every arm and pool
+        the loss reads has a unit."""
+        spec = self._spec
+        return self.y is not None and bool(
+            counts[2:].all() and (counts[1] or spec.rho == 0.0)
+            and ((self._pools @ counts).all() or spec.rho == 1.0))
+
+    def from_sums(self, counts: np.ndarray, sums: np.ndarray) -> float:
+        """The loss of an assignment with these ``countable`` arm counts and
+        arm totals of ``y``.  Every arm or pool total is a sum of integers,
+        each partial sum at most sum(|y|) < 2**53 in magnitude, so it is
+        exact in any order: the value fsum or numpy's pairwise sum gives
+        over the units."""
+        spec = self._spec
         pulse = sums[2:] / counts[2:]
         hab_sum = inst_sum = 0.0
         if spec.rho > 0.0:
-            err = (sums[1] / counts[1] - pulse) - hab
+            err = (sums[1] / counts[1] - pulse) - self._hab
             hab_sum = fsum((err * err).tolist())
         if spec.rho < 1.0:
-            err = (pulse - (pools @ sums) / pool_counts) - inst
+            err = (pulse - (self._pools @ sums) / (self._pools @ counts)) - self._inst
             inst_sum = fsum((err * err).tolist())
         val = spec.rho * hab_sum + (1.0 - spec.rho) * inst_sum
         return 2.0 * val if spec.unnormalized else val
 
-    return counted
+    def __call__(self, codes: np.ndarray) -> float:
+        if self.y is not None:
+            counts = np.bincount(codes, minlength=self._sched.T + 1)
+            if self.countable(counts):
+                return self.from_sums(counts, np.bincount(codes, weights=self.y,
+                                                          minlength=self._sched.T + 1))
+        return self.general(codes)
 
 
 def _counted_column(sched: PotentialOutcomeSchedule) -> np.ndarray | None:
@@ -229,31 +245,80 @@ def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -
     if spec.estimator == "recycling" and Z.family is Family.WEDGE:
         raise ValueError("recycling loss requires a pulse-family assignment")
     _check_fits(Z, sched)
-    return _loss_evaluator(sched, spec, exact=True)(Z.codes)
+    return _LossEvaluator(sched, spec, exact=True)(Z.codes)
 
 
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
             draws: int, seed: int) -> RiskReport:
     """Monte-Carlo risk of the completely randomized design with the given
-    arm counts.
+    arm counts: ``mc_risks`` for this one design.
 
     Replicate r draws its assignment from a generator seeded by (seed, r),
     and the replicate losses are reduced in index order, so one seed gives
     one result.  On a schedule with one integer outcome column each draw
-    is scored by counting (see ``_loss_evaluator``), with the same bits.
+    is scored by counting, with the same bits.
+    """
+    return mc_risks([alloc], sched, spec, draws, seed)[0]
+
+
+def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec: LossSpec,
+             draws: int, seed: int) -> list[RiskReport]:
+    """Monte-Carlo risk of each completely randomized design in ``allocs``
+    on one schedule, one report per design.
+
+    Replicate r draws one permutation of the units, ``arange(N)`` put
+    through ``core._shuffle`` with a generator seeded by (seed, r), and
+    scores every design on it, so design d's draw r is the assignment
+    ``draw_assignment(allocs[d], seed=SeedSequence((seed, r)))`` gives and
+    its report does not depend on which other designs are listed.  Each design's losses are kept (8
+    bytes per design and draw) and reduced in replicate order, so one seed
+    gives one result.
+
+    On a schedule with one integer outcome column y (``_counted_column``)
+    a replicate places y by its permutation once and takes one prefix sum;
+    each design's arm totals are differences of that at its count
+    boundaries, exact integers with the bits a weighted ``bincount`` gives.
+    Every other schedule, and a design that leaves an arm the loss reads
+    empty, is scored unit by unit (``_loss_from_codes``, which raises on
+    the empty arm at r = 0, in design order).
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    _check_sizes(alloc, sched)
+    for alloc in allocs:
+        _check_sizes(alloc, sched)
     _check_seed(seed)
-    evaluate = _loss_evaluator(sched, spec, exact=False)
-    losses = np.empty(draws)
+    evaluate = _LossEvaluator(sched, spec, exact=False)
+    designs = []
+    for alloc in allocs:
+        counts = np.array(alloc.counts, dtype=np.int64)
+        ends = np.cumsum(counts)
+        # a design that is not counted is drawn as its sorted codes permuted
+        codes = None if evaluate.countable(counts) else np.repeat(
+            np.arange(sched.T + 1, dtype=np.int64), counts)
+        designs.append((counts, ends - counts, ends, codes))
+    N = sched.N
+    placed = np.empty(N)
+    prefix = np.zeros(N + 1)
+    losses = np.empty((len(allocs), draws))
     for r in range(draws):
-        Z = draw_assignment(alloc, seed=np.random.SeedSequence((seed, r)))
-        losses[r] = evaluate(Z.codes)
-    mean = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
-    return RiskReport(mean, se, draws)
+        perm = np.arange(N)
+        _shuffle(perm, np.random.SeedSequence((seed, r)))
+        if evaluate.y is not None:
+            # unit i takes the sorted code at perm[i], so arm a's outcomes
+            # fill placed[starts[a]:ends[a]]
+            placed[perm] = evaluate.y
+            np.cumsum(placed, out=prefix[1:])
+        for d, (counts, starts, ends, codes) in enumerate(designs):
+            if codes is None:
+                losses[d, r] = evaluate.from_sums(counts, prefix[ends] - prefix[starts])
+            else:
+                losses[d, r] = evaluate.general(codes[perm])
+    reports = []
+    for row in losses:
+        mean = float(np.mean(row))
+        se = float(np.std(row, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
+        reports.append(RiskReport(mean, se, draws))
+    return reports
 
 
 def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
@@ -261,7 +326,7 @@ def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpe
     (each equally likely under complete randomization).  Only viable at
     enumeration scale; replaces Monte-Carlo sampling in oracle checks."""
     _check_sizes(alloc, sched)
-    evaluate = _loss_evaluator(sched, spec, exact=True)
+    evaluate = _LossEvaluator(sched, spec, exact=True)
     losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
     return fsum(losses) / len(losses)
 

@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tminimax.estimators import (
     instantaneous_estimate,
     recycling_instantaneous_estimate,
 )
+from tminimax.risk import RiskReport
 from tminimax.serialize import write_assignment_csv, write_matrix_csv
 from tminimax.simulate import ModelParams, standard_model
 
@@ -285,6 +288,33 @@ class TestRisk:
         assert code == 1 and out == ""
         assert f"vstar must be finite and >= 0, got {float(vstar)}" in err
 
+    @pytest.mark.parametrize("vstar", ["1e308", "1e300"])
+    def test_vstar_too_large_for_draws_names_the_flag(self, capsys, vstar):
+        # 1e308 made the worst-case box [0, inf]; 1e300 overflowed np.std's
+        # squares and wrote an infinite mc_se
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3",
+                                  "--vstar", vstar, "--draws", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --vstar must be <= ") and err.count("\n") == 1
+        assert err.endswith(f"with --t 3 and --draws 3, got {float(vstar)}\n")
+
+    @pytest.mark.parametrize("estimator", [("plugin",), ("augmented",), ("recycling", "--k", "2")],
+                             ids=lambda e: e[0])
+    def test_vstar_at_the_draws_bound_is_finite(self, capsys, estimator):
+        argv = ["risk", "--n", "100", "--t", "3", "--draws", "3", "--unnormalized",
+                "--estimator", *estimator]
+        _, _, err = _run(capsys, *argv, "--vstar", "1e300")
+        most = err.split("<= ")[1].split(" ")[0]
+        for rho in ("0", "0.5", "1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = _run(capsys, *argv, "--vstar", most, "--rho", rho)
+            assert code == 0
+            assert all(math.isfinite(r["mc_risk"]) and math.isfinite(r["mc_se"])
+                       for r in json.loads(out))
+
     def test_draws_need_a_positive_vstar(self, capsys):
         code, out, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--vstar", "0",
                               "--draws", "3")
@@ -325,8 +355,12 @@ class TestRisk:
 
     def test_draws_at_the_bound_are_accepted(self, capsys, monkeypatch):
         seen = []
-        monkeypatch.setattr("tminimax.cli.mc_risk",
-                            lambda alloc, sched, spec, draws, seed: seen.append(draws))
+
+        def record(allocs, sched, spec, draws, seed):
+            seen.append(draws)
+            return [RiskReport(0.0, 0.0, draws)] * len(allocs)
+
+        monkeypatch.setattr("tminimax.cli.mc_risks", record)
         monkeypatch.setattr("tminimax.cli.write_table", lambda *args: None)
         code, _, err = _run(capsys, "risk", "--n", "100", "--t", "3", "--draws", "100000000",
                             "--designs", "balanced")
@@ -368,6 +402,20 @@ class TestRisk:
         assert runs[0][1] == runs[1][1]
         mc = [[r["mc_risk"] for r in json.loads(out)] for _, out, _ in runs]
         assert mc[0] != mc[2]
+
+    @pytest.mark.parametrize("vstar", [(), ("--vstar", "0.3")], ids=["counted", "unit-by-unit"])
+    @pytest.mark.parametrize("estimator", [("plugin",), ("augmented",), ("recycling", "--k", "2")],
+                             ids=lambda e: e[0])
+    def test_a_design_row_does_not_depend_on_the_others(self, capsys, estimator, vstar):
+        argv = ["risk", "--n", "300", "--t", "5", "--draws", "15", "--seed", "7",
+                "--estimator", *estimator, *vstar]
+        outs = {designs: _run(capsys, *argv, "--designs", designs)[1]
+                for designs in ("minimax", "balanced,minimax,augmented", "minimax,minimax")}
+        alone = outs["minimax"].strip()
+        assert alone.startswith('[{"design":"minimax"') and alone.endswith("}]")
+        row = alone[1:-1]
+        assert outs["balanced,minimax,augmented"].strip().split("},{")[1] == row[1:-1]
+        assert outs["minimax,minimax"].strip() == f"[{row},{row}]"
 
     def test_thread_env_is_not_read(self, capsys, monkeypatch):
         argv = ["risk", "--n", "100", "--t", "3", "--draws", "2"]

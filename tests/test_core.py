@@ -130,6 +130,22 @@ class TestDrawAssignment:
         # 99.9th percentile of chi-square with 29 dof
         assert stat < 58.3
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("N", [2, 3, 5, 64, 1001, 4096, 20000])
+    def test_matches_an_in_place_shuffle(self, family, N):
+        # reference: the sorted code vector Fisher-Yates shuffled in place
+        rng = np.random.default_rng(N)
+        for T in (2, 5, 9):
+            counts = rng.multinomial(N, [1 / (T + 1)] * (T + 1)).tolist()
+            alloc = Allocation(counts[0], counts[1], tuple(counts[2:]))
+            for seed in (0, 7, 2**40, np.random.SeedSequence((3, 0)),
+                         np.random.SeedSequence((2**31, 99))):
+                want = np.repeat(np.arange(T + 1, dtype=np.int64), counts)
+                np.random.default_rng(seed).shuffle(want)
+                Z = draw_assignment(alloc, family, seed=seed)
+                assert Z.codes.dtype == np.int64 and np.array_equal(Z.codes, want)
+                assert Z.family is (family if (want >= 2).any() else Family.PULSE)
+
 
 def _per_unit(codes, T, family):
     """Reference: the assignment built one ArmId per unit."""

@@ -32,6 +32,7 @@ from tminimax.risk import (
     loss,
     max_risk,
     mc_risk,
+    mc_risks,
     true_variances,
     variance_components,
     worst_case_schedule,
@@ -293,7 +294,7 @@ class TestCountedLoss:
                                              ("recycling", 1), ("recycling", 2)],
                              ids=["plugin", "augmented", "recycling-1", "recycling-2"])
     def test_matches_the_general_loss_bitwise(self, name, sched, estimator, k):
-        from tminimax.risk import _loss_evaluator, _loss_from_codes
+        from tminimax.risk import _LossEvaluator, _loss_from_codes
 
         N, T = sched.N, sched.T
         hab, inst, _ = estimands(sched)
@@ -310,7 +311,7 @@ class TestCountedLoss:
         for rho, unnormalized, exact in itertools.product((0.0, 0.3, 0.5, 1.0), (False, True),
                                                           (True, False)):
             spec = LossSpec(estimator, rho, k, unnormalized)
-            evaluate = _loss_evaluator(sched, spec, exact)
+            evaluate = _LossEvaluator(sched, spec, exact)
             for codes in codes_list:
                 values = sched._observed_rows(codes)
                 want = _loss_or_error(lambda: _loss_from_codes(codes, values, hab.values,
@@ -342,8 +343,44 @@ class TestCountedLoss:
         mc_risk(alloc, sched, LossSpec("augmented", 0.5), draws=3, seed=1)
         assert len(general_calls) == 3
 
+    @pytest.mark.parametrize("name,sched", [
+        *_counted_schedules(), *_general_schedules(),
+        ("sum-below-2**53", _broadcast_schedule([2.0 ** 52, 2.0 ** 52 - 20] + [0.0, 1.0] * 19, 5)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_mc_risks_is_the_per_design_replicate_loop(self, name, sched):
+        # each design's draw r is draw_assignment's, scored by the evaluator
+        # that loss uses, whichever designs share the permutation
+        from tminimax.risk import _LossEvaluator
+
+        N, T = sched.N, sched.T
+        allocs = [spread_allocation(N, T), balanced(N, T), spread_allocation(N, T)]
+        for spec in SPECS:
+            evaluate = _LossEvaluator(sched, spec, exact=False)
+            got = mc_risks(allocs, sched, spec, draws=4, seed=6)
+            for alloc, report in zip(allocs, got):
+                losses = np.array([evaluate(draw_assignment(
+                    alloc, seed=np.random.SeedSequence((6, r))).codes) for r in range(4)])
+                want = (float(np.mean(losses)).hex(), float(np.std(losses, ddof=1) / 2.0).hex())
+                assert (report.mc_risk.hex(), report.mc_se.hex()) == want
+                assert report.draws == 4
+
+    @pytest.mark.parametrize("bad,message", [
+        ([Allocation(3, 0, (1, 2)), Allocation(3, 1, (0, 2))], "always-treated"),
+        ([Allocation(3, 1, (0, 2)), Allocation(3, 0, (1, 2))], "pulse"),
+    ], ids=["treated-first", "pulse-first"])
+    def test_mc_risks_raise_on_the_first_empty_arm_at_the_first_draw(self, general_calls,
+                                                                     bad, message):
+        from tminimax.estimators import EstimatorUndefinedError
+
+        sched = worst_case_schedule(6, 3, 0.0, 1.0)
+        with pytest.raises(EstimatorUndefinedError, match=message):
+            mc_risks([Allocation(2, 2, (1, 1)), *bad], sched, LossSpec("plugin", 0.5),
+                     draws=50, seed=0)
+        # the full design is counted; only the first empty one reaches the general loss
+        assert len(general_calls) == 1
+
     def test_sum_just_below_2_53_is_counted(self, general_calls):
-        from tminimax.risk import _loss_evaluator, _loss_from_codes
+        from tminimax.risk import _LossEvaluator, _loss_from_codes
 
         y = [2.0 ** 52, 2.0 ** 52 - 20] + [0.0, 1.0] * 19
         assert sum(map(int, y)) == 2 ** 53 - 1
@@ -352,7 +389,7 @@ class TestCountedLoss:
         alloc = spread_allocation(sched.N, sched.T)
         for spec in SPECS:
             for exact in (True, False):
-                evaluate = _loss_evaluator(sched, spec, exact)
+                evaluate = _LossEvaluator(sched, spec, exact)
                 for seed in range(5):
                     codes = draw_assignment(alloc, seed=seed).codes
                     got = evaluate(codes).hex()
@@ -715,11 +752,11 @@ class TestExactAndMcRisk:
     def test_mc_risk_is_the_replicate_loop(self, spec, draws):
         # replicate r draws from SeedSequence((seed, r)) whatever the draw
         # count, and the losses are reduced in replicate order
-        from tminimax.risk import _loss_evaluator
+        from tminimax.risk import _LossEvaluator
 
         sched = random_schedule(np.random.default_rng(21), 9, 3, k=1)
         alloc = spread_allocation(9, 3)
-        evaluate = _loss_evaluator(sched, spec, exact=False)
+        evaluate = _LossEvaluator(sched, spec, exact=False)
         losses = np.array([evaluate(draw_assignment(alloc, seed=np.random.SeedSequence((4, r))).codes)
                            for r in range(draws)])
         se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
