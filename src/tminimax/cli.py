@@ -140,9 +140,10 @@ _DESIGN_MODES = {
 
 # The most --draws that `risk` accepts.  Monte-Carlo risk keeps every
 # draw's loss for every design (8 bytes each: 2.4 GB at the bound with the
-# three designs), and a replicate, one shared permutation scored for each
-# design, took about 85 us for the three designs even at N=100, T=3 (2
-# vCPUs), so 10^8 draws already run for hours; a larger count would fail
+# three designs) and one chunk of arm totals per design (8 x 256 x (T + 1)
+# bytes), and a replicate, one shared permutation scored for each design,
+# took about 20 us for the three designs even at N=100, T=3 (2 vCPUs), so
+# 10^8 draws already run for over half an hour; a larger count would fail
 # in numpy only after the schedule and the designs were built.
 _MAX_DRAWS = 10**8
 
@@ -183,6 +184,9 @@ def _cmd_risk(args, argv: list[str]) -> int:
         alloc = balanced(args.n, args.t) if mode is None else integer_solve(args.n, args.t, mode)
         allocs.append(alloc)
         analytic.append(max_risk(alloc, args.t, vstar, spec))
+        if math.isinf(analytic[-1]):
+            raise ValueError(f"--vstar {vstar} is too large: the {name} design's "
+                             f"maximum risk overflows")
     if args.draws > 0:
         reports = mc_risks(allocs, sched, spec, args.draws, args.seed)
     else:

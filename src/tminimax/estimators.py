@@ -5,7 +5,7 @@ schedule: the habituation effect (always-treated minus pulse-t outcomes at
 t, the part of the effect owed to treatment history) and the instantaneous
 effect (pulse-t minus always-control outcomes at t, the part owed to the
 current period's treatment).  Their sum is the average treatment effect
-at t.
+at t; ``estimands`` reports the two effects.
 
 The estimators see only one realized experiment (assignment plus observed
 outcomes).  The habituation effect always uses the plug-in difference in
@@ -63,7 +63,6 @@ class EstimatorUndefinedError(ValueError):
 class EffectKind(enum.Enum):
     HABITUATION = "habituation"
     INSTANTANEOUS = "instantaneous"
-    ATE = "ate"
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,8 @@ class EffectSeries:
         return float(self.values[t - 2])
 
 
-def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeries, EffectSeries]:
-    """Population habituation, instantaneous, and average treatment effects
-    of a schedule.  The first two sum to the third, up to float rounding.
+def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeries]:
+    """Population habituation and instantaneous effects of a schedule.
 
     A schedule is frozen, so they are computed on first use and kept on it:
     later calls return the same tuple of read-only series."""
@@ -110,20 +108,18 @@ def estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeri
 _BLOCK_CELLS = 1 << 14
 
 
-def _compute_estimands(
-    sched: PotentialOutcomeSchedule,
-) -> tuple[EffectSeries, EffectSeries, EffectSeries]:
+def _compute_estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, EffectSeries]:
     """Each effect at t is ``math.fsum`` of its N cell differences over N.
     The always-treated, pulse-t and always-control columns of a block of
     periods (at most ``_BLOCK_CELLS`` cells, and at least one period) are
-    gathered through the slot table as one row per period, and the three
+    gathered through the slot table as one row per period, and the two
     difference blocks are summed together by ``_exact_sums``, in the rows'
-    (t, effect) order: habituation, instantaneous, ate at t, then t + 1.
+    (t, effect) order: habituation, instantaneous at t, then t + 1.
     So a schedule that makes ``fsum`` raise raises the same exception, at
     the same (t, effect), as summing each difference with ``fsum``.
 
     A period whose three arms read one stored column that is finite, as
-    every period of ``worst_case_schedule`` does, has three differences
+    every period of ``worst_case_schedule`` does, has two differences
     x - x = +0.0, so its effects are 0.0 and nothing is gathered for it."""
     N, T = sched.N, sched.T
     slots = sched._slots
@@ -133,23 +129,19 @@ def _compute_estimands(
                      if not (slots[1, j] == slots[j + 1, j] == slots[0, j]
                              and np.isfinite(sched._stored[slots[0, j], :, j]).all())],
                     dtype=np.intp)
-    sums = np.zeros((T - 1, 3))
+    sums = np.zeros((T - 1, 2))
     size = max(1, _BLOCK_CELLS // N)
     for b in range(0, len(rest), size):
         block = rest[b:b + size]
         treated, pulse, control = (sched._stored[slots[codes, block], :, block]
                                    for codes in (1, block + 1, 0))
-        diffs = np.empty((len(block), 3, N))
+        diffs = np.empty((len(block), 2, N))
         np.subtract(treated, pulse, out=diffs[:, 0])
         np.subtract(pulse, control, out=diffs[:, 1])
-        np.subtract(treated, control, out=diffs[:, 2])
-        sums[block - 1] = _exact_sums(diffs.reshape(-1, N)).reshape(-1, 3)
+        sums[block - 1] = _exact_sums(diffs.reshape(-1, N)).reshape(-1, 2)
     sums /= N
-    return (
-        EffectSeries(sums[:, 0], EffectKind.HABITUATION),
-        EffectSeries(sums[:, 1], EffectKind.INSTANTANEOUS),
-        EffectSeries(sums[:, 2], EffectKind.ATE),
-    )
+    return (EffectSeries(sums[:, 0], EffectKind.HABITUATION),
+            EffectSeries(sums[:, 1], EffectKind.INSTANTANEOUS))
 
 
 def _exact_sums(rows: np.ndarray) -> np.ndarray:

@@ -29,8 +29,10 @@ as ``worst_case_schedule`` builds in an integer box such as the default
 so one weighted ``bincount`` per assignment gives each arm's total, and
 each pool's, with the bits fsum and numpy's pairwise sum give.
 ``mc_risks`` scores every design of a Monte-Carlo replicate on that
-replicate's one seeded permutation of the units: on such a schedule one
-prefix sum of the permuted column gives every design's arm totals.
+replicate's one seeded permutation of the units.  On such a schedule one
+``bincount`` of the nonzero units, by the cut interval each is permuted
+into, gives every design's arm totals, and the losses are scored for a
+chunk of replicates at a time.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -162,13 +164,13 @@ class _LossEvaluator:
     Called on a code vector, it picks the path once per call: a schedule
     with one integer outcome column ``y`` (``_counted_column``) scores the
     assignment by counting, one weighted ``bincount`` of its units'
-    outcomes by arm fed to ``from_sums``, and every other schedule by
-    ``general`` (``_loss_from_codes``).  Both give the same bits, for
-    ``exact`` true or false.  An assignment that leaves an arm the loss
-    reads empty goes to ``general``, which raises."""
+    outcomes by arm fed to ``from_sums`` as a one-row array, and every
+    other schedule by ``general`` (``_loss_from_codes``).  Both give the
+    same bits, for ``exact`` true or false.  An assignment that leaves an
+    arm the loss reads empty goes to ``general``, which raises."""
 
     def __init__(self, sched: PotentialOutcomeSchedule, spec: LossSpec, exact: bool) -> None:
-        hab, inst, _ = estimands(sched)
+        hab, inst = estimands(sched)
         self._hab, self._inst = hab.values, inst.values
         self._sched, self._spec, self._exact = sched, spec, exact
         self.y = _counted_column(sched)
@@ -187,21 +189,22 @@ class _LossEvaluator:
             counts[2:].all() and (counts[1] or spec.rho == 0.0)
             and ((self._pools @ counts).all() or spec.rho == 1.0))
 
-    def from_sums(self, counts: np.ndarray, sums: np.ndarray) -> float:
-        """The loss of an assignment with these ``countable`` arm counts and
-        arm totals of ``y``.  Every arm or pool total is a sum of integers,
-        each partial sum at most sum(|y|) < 2**53 in magnitude, so it is
-        exact in any order: the value fsum or numpy's pairwise sum gives
-        over the units."""
+    def from_sums(self, counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """The losses of assignments with these ``countable`` arm counts,
+        one per row of ``sums``, the arm totals of ``y``.  Every arm or pool
+        total is a sum of integers, each partial sum at most sum(|y|) <
+        2**53 in magnitude, so it is exact in any order: the value fsum or
+        numpy's pairwise sum gives over the units.  A row's loss is the
+        fsum of its squared errors, as ``_loss_from_codes`` forms it."""
         spec = self._spec
-        pulse = sums[2:] / counts[2:]
+        pulse = sums[:, 2:] / counts[2:]
         hab_sum = inst_sum = 0.0
         if spec.rho > 0.0:
-            err = (sums[1] / counts[1] - pulse) - self._hab
-            hab_sum = fsum((err * err).tolist())
+            err = (sums[:, 1:2] / counts[1] - pulse) - self._hab
+            hab_sum = np.array([fsum(row) for row in (err * err).tolist()])
         if spec.rho < 1.0:
-            err = (pulse - (self._pools @ sums) / (self._pools @ counts)) - self._inst
-            inst_sum = fsum((err * err).tolist())
+            err = (pulse - (sums @ self._pools.T) / (self._pools @ counts)) - self._inst
+            inst_sum = np.array([fsum(row) for row in (err * err).tolist()])
         val = spec.rho * hab_sum + (1.0 - spec.rho) * inst_sum
         return 2.0 * val if spec.unnormalized else val
 
@@ -209,8 +212,8 @@ class _LossEvaluator:
         if self.y is not None:
             counts = np.bincount(codes, minlength=self._sched.T + 1)
             if self.countable(counts):
-                return self.from_sums(counts, np.bincount(codes, weights=self.y,
-                                                          minlength=self._sched.T + 1))
+                sums = np.bincount(codes, weights=self.y, minlength=self._sched.T + 1)
+                return float(self.from_sums(counts, sums[None])[0])
         return self.general(codes)
 
 
@@ -261,6 +264,11 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
     return mc_risks([alloc], sched, spec, draws, seed)[0]
 
 
+# Replicates whose counted losses ``mc_risks`` scores in one ``from_sums``
+# call: their arm totals take 8 x designs x _CHUNK x (T + 1) bytes.
+_CHUNK = 256
+
+
 def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec: LossSpec,
              draws: int, seed: int) -> list[RiskReport]:
     """Monte-Carlo risk of each completely randomized design in ``allocs``
@@ -270,17 +278,22 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
     through ``core._shuffle`` with a generator seeded by (seed, r), and
     scores every design on it, so design d's draw r is the assignment
     ``draw_assignment(allocs[d], seed=SeedSequence((seed, r)))`` gives and
-    its report does not depend on which other designs are listed.  Each design's losses are kept (8
-    bytes per design and draw) and reduced in replicate order, so one seed
-    gives one result.
+    its report does not depend on which other designs are listed.  Each
+    design's losses are kept (8 bytes per design and draw) and reduced in
+    replicate order, so one seed gives one result.
 
     On a schedule with one integer outcome column y (``_counted_column``)
-    a replicate places y by its permutation once and takes one prefix sum;
-    each design's arm totals are differences of that at its count
-    boundaries, exact integers with the bits a weighted ``bincount`` gives.
-    Every other schedule, and a design that leaves an arm the loss reads
-    empty, is scored unit by unit (``_loss_from_codes``, which raises on
-    the empty arm at r = 0, in design order).
+    the sorted positions 0..N are cut once, at every counted design's arm
+    boundaries.  A replicate bins the units with a nonzero y by the cut
+    interval their permuted position falls in, one weighted ``bincount``,
+    and each design's arm totals are differences of the bins' prefix sums
+    at two cuts: integers below sum(|y|) < 2**53 in magnitude, so exact,
+    with the bits a weighted ``bincount`` by arm gives.  Each design's
+    totals are kept for ``_CHUNK`` replicates (8 x (T + 1) bytes each) and
+    scored by one ``from_sums`` call.  Every other schedule, and a design
+    that leaves an arm the loss reads empty, is scored unit by unit inside
+    the replicate loop (``_loss_from_codes``, which raises on the empty arm
+    at r = 0, in design order).
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -288,31 +301,41 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
         _check_sizes(alloc, sched)
     _check_seed(seed)
     evaluate = _LossEvaluator(sched, spec, exact=False)
-    designs = []
-    for alloc in allocs:
-        counts = np.array(alloc.counts, dtype=np.int64)
-        ends = np.cumsum(counts)
-        # a design that is not counted is drawn as its sorted codes permuted
-        codes = None if evaluate.countable(counts) else np.repeat(
-            np.arange(sched.T + 1, dtype=np.int64), counts)
-        designs.append((counts, ends - counts, ends, codes))
-    N = sched.N
-    placed = np.empty(N)
-    prefix = np.zeros(N + 1)
+    N, T = sched.N, sched.T
+    all_counts = [np.array(alloc.counts, dtype=np.int64) for alloc in allocs]
+    counted = [d for d, counts in enumerate(all_counts) if evaluate.countable(counts)]
+    # a design that is not counted is drawn as its sorted codes permuted
+    general = [(d, np.repeat(np.arange(T + 1, dtype=np.int64), all_counts[d]))
+               for d in range(len(allocs)) if d not in counted]
+    if counted:
+        # unit i takes sorted position perm[i], and the intervals between
+        # the cuts refine every counted design's arms, so an arm's total
+        # is the difference of the permuted column's prefix sums at two cuts
+        counted_counts = np.array([all_counts[d] for d in counted])
+        ends = np.cumsum(counted_counts, axis=1)
+        starts = ends - counted_counts
+        cuts = np.array(sorted({0, N, *ends.ravel().tolist()}))
+        interval = np.searchsorted(cuts, np.arange(N), "right") - 1
+        lo, hi = np.searchsorted(cuts, starts), np.searchsorted(cuts, ends)
+        units = np.flatnonzero(evaluate.y)
+        weights = evaluate.y[units]
+        cum = np.zeros(len(cuts))
+        totals = np.empty((len(counted), min(_CHUNK, draws), T + 1))
     losses = np.empty((len(allocs), draws))
     for r in range(draws):
         perm = np.arange(N)
         _shuffle(perm, np.random.SeedSequence((seed, r)))
-        if evaluate.y is not None:
-            # unit i takes the sorted code at perm[i], so arm a's outcomes
-            # fill placed[starts[a]:ends[a]]
-            placed[perm] = evaluate.y
-            np.cumsum(placed, out=prefix[1:])
-        for d, (counts, starts, ends, codes) in enumerate(designs):
-            if codes is None:
-                losses[d, r] = evaluate.from_sums(counts, prefix[ends] - prefix[starts])
-            else:
-                losses[d, r] = evaluate.general(codes[perm])
+        if counted:
+            np.cumsum(np.bincount(interval[perm[units]], weights=weights,
+                                  minlength=len(cuts) - 1), out=cum[1:])
+            np.subtract(cum[hi], cum[lo], out=totals[:, r % _CHUNK])
+            if r % _CHUNK == _CHUNK - 1 or r == draws - 1:
+                first = r - r % _CHUNK
+                for j, d in enumerate(counted):
+                    losses[d, first:r + 1] = evaluate.from_sums(all_counts[d],
+                                                                totals[j, :r + 1 - first])
+        for d, codes in general:
+            losses[d, r] = evaluate.general(codes[perm])
     reports = []
     for row in losses:
         mean = float(np.mean(row))
@@ -379,9 +402,10 @@ def worst_case_schedule(N: int, T: int, lower: float, upper: float) -> Potential
     variance-maximizing vector.  All its estimands are zero, so the risk
     there is purely estimator variance.  Every arm is given as one array
     object, so the schedule stores a single N x T matrix."""
+    arms = arms_for_horizon(T)  # checks T before the broadcast needs it
     y = _extreme_vector(N, lower, upper)
     matrix = np.broadcast_to(y[:, None], (N, T))  # a view: the schedule makes the one copy
-    return PotentialOutcomeSchedule({arm: matrix for arm in arms_for_horizon(T)})
+    return PotentialOutcomeSchedule({arm: matrix for arm in arms})
 
 
 def _check_vstar(vstar: float) -> None:

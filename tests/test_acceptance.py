@@ -185,7 +185,7 @@ def test_criterion_05_estimators_unbiased_over_all_assignments():
             rng = np.random.default_rng(1000 + 17 * rep + N + T)
             sched = random_schedule(rng, N, T, k=1)
             alloc = spread_allocation(N, T)
-            hab, inst, _ = estimands(sched)
+            hab, inst = estimands(sched)
             schedules += 1
             acc = {name: {t: [] for t in range(2, T + 1)}
                    for name in ("hab", "plug", "aug", "rec")}
@@ -314,7 +314,7 @@ def test_criterion_10_conservative_interval_coverage():
         m[:, tp:] += 0.3 * gain[:, None]
         arms[pulse_arm(tp)] = m
     sched = PotentialOutcomeSchedule(arms)
-    _, inst, _ = estimands(sched)
+    _, inst = estimands(sched)
     alloc = integer_solve(N, T, ObjectiveMode.basic())
     spec = LossSpec("plugin", 0.5)
     covered = {t: 0 for t in range(2, T + 1)}

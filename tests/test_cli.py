@@ -300,6 +300,25 @@ class TestRisk:
         assert err.startswith("error: --vstar must be <= ") and err.count("\n") == 1
         assert err.endswith(f"with --t 3 and --draws 3, got {float(vstar)}\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_vstar_too_large_for_the_risk_names_the_flag(self, capsys, tmp_path, fmt):
+        # without --draws the maximum risk overflowed to inf: the JSON writer
+        # refused it and the CSV writer wrote "minimax,inf,,,0"
+        out_path = tmp_path / f"risk.{fmt}"
+        for extra in ((), ("--out", str(out_path))):
+            code, out, err = _run(capsys, "risk", "--n", "100", "--t", "20", "--vstar", "1e308",
+                                  "--designs", "minimax", "--format", fmt, *extra)
+            assert code == 1 and out == ""
+            assert err == ("error: --vstar 1e+308 is too large: the minimax design's "
+                           "maximum risk overflows\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("draws", [(), ("--draws", "3")], ids=["analytic", "draws"])
+    def test_a_short_horizon_is_named_with_or_without_draws(self, capsys, draws):
+        code, out, err = _run(capsys, "risk", "--n", "100", "--t", "-3", *draws)
+        assert code == 1 and out == ""
+        assert err == "error: horizon T must be >= 2, got -3\n"
+
     @pytest.mark.parametrize("estimator", [("plugin",), ("augmented",), ("recycling", "--k", "2")],
                              ids=lambda e: e[0])
     def test_vstar_at_the_draws_bound_is_finite(self, capsys, estimator):

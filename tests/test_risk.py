@@ -147,7 +147,7 @@ class TestLoss:
         rng = np.random.default_rng(14)
         N, T = 9, 4
         sched = random_schedule(rng, N, T, k=1)
-        hab, inst, _ = estimands(sched)
+        hab, inst = estimands(sched)
         for spec in SPECS:
             for seed in range(5):
                 Z = draw_assignment(spread_allocation(N, T), seed=seed)
@@ -297,7 +297,7 @@ class TestCountedLoss:
         from tminimax.risk import _LossEvaluator, _loss_from_codes
 
         N, T = sched.N, sched.T
-        hab, inst, _ = estimands(sched)
+        hab, inst = estimands(sched)
         rng = np.random.default_rng(N * T)
         codes_list = [rng.integers(0, T + 1, size=N) for _ in range(3)]
         full = draw_assignment(spread_allocation(N, T), seed=N).codes
@@ -385,7 +385,7 @@ class TestCountedLoss:
         y = [2.0 ** 52, 2.0 ** 52 - 20] + [0.0, 1.0] * 19
         assert sum(map(int, y)) == 2 ** 53 - 1
         sched = _broadcast_schedule(y, 5)
-        hab, inst, _ = estimands(sched)
+        hab, inst = estimands(sched)
         alloc = spread_allocation(sched.N, sched.T)
         for spec in SPECS:
             for exact in (True, False):
@@ -398,6 +398,83 @@ class TestCountedLoss:
                                             inst.values, spec, exact).hex()
                     general_calls.clear()
                     assert got == want
+
+
+class TestChunkedReplicates:
+    """On a counted schedule ``mc_risks`` bins each replicate's nonzero
+    units into the cut intervals and scores the losses ``_CHUNK``
+    replicates at a time; every report must keep the bits of the
+    per-replicate, unit-by-unit loop, wherever a chunk ends."""
+
+    @pytest.mark.parametrize("chunk,draws", [(1, 5), (3, 7), (None, 300)],
+                             ids=["chunk-1", "chunk-3", "default"])
+    @pytest.mark.parametrize("box", [(0.0, 1.0), (0.0, 2.0), (-2.0, 3.0)],
+                             ids=["0-1", "0-2", "minus2-3"])
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 1), ("recycling", 2)],
+                             ids=["plugin", "augmented", "recycling-1", "recycling-2"])
+    def test_reports_match_the_per_replicate_loop(self, monkeypatch, chunk, draws, box,
+                                                  estimator, k):
+        from tminimax import risk
+
+        if chunk is not None:
+            monkeypatch.setattr(risk, "_CHUNK", chunk)
+        assert risk._CHUNK == 1 or draws % risk._CHUNK  # the last chunk is cut short
+        N, T = 37, 5
+        sched = worst_case_schedule(N, T, *box)
+        designs = [balanced(N, T), integer_solve(N, T, ObjectiveMode.basic()),
+                   integer_solve(N, T, ObjectiveMode.augmented())]
+        for rho in (0.0, 0.5, 1.0):
+            spec = LossSpec(estimator, rho, k)
+            # at rho = 0 a design without an always-treated arm is counted too
+            allocs = designs + [integer_solve(N, T, ObjectiveMode.weighted(0.0))] * (rho == 0.0)
+            evaluate = risk._LossEvaluator(sched, spec, exact=False)
+            assert evaluate.y is not None
+            for alloc, report in zip(allocs, mc_risks(allocs, sched, spec, draws, seed=8)):
+                assert evaluate.countable(np.array(alloc.counts))
+                losses = np.array([evaluate.general(draw_assignment(
+                    alloc, seed=np.random.SeedSequence((8, r))).codes) for r in range(draws)])
+                want = (float(np.mean(losses)).hex(),
+                        float(np.std(losses, ddof=1) / sqrt(draws)).hex())
+                assert (report.mc_risk.hex(), report.mc_se.hex()) == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "default"])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_an_uncounted_design_beside_counted_ones_raises_at_the_first_draw(
+            self, monkeypatch, chunk, rho):
+        from tminimax import risk
+        from tminimax.estimators import EstimatorUndefinedError
+
+        if chunk is not None:
+            monkeypatch.setattr(risk, "_CHUNK", chunk)
+        calls = []
+        general = risk._loss_from_codes
+        monkeypatch.setattr(risk, "_loss_from_codes",
+                            lambda *args: calls.append(args[0]) or general(*args))
+        N, T = 37, 5
+        sched = worst_case_schedule(N, T, 0.0, 1.0)
+        allocs = [balanced(N, T), integer_solve(N, T, ObjectiveMode.weighted(0.0)),
+                  integer_solve(N, T, ObjectiveMode.basic())]
+        with pytest.raises(EstimatorUndefinedError, match="always-treated"):
+            mc_risks(allocs, sched, LossSpec("augmented", rho), draws=10, seed=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", [*SPECS, LossSpec("recycling", 0.5, k=2)],
+                             ids=lambda s: f"{s.estimator}-rho{s.rho}")
+    def test_from_sums_scores_each_row_as_a_one_row_call(self, spec):
+        from tminimax.risk import _LossEvaluator
+
+        N, T = 50, 6
+        sched = worst_case_schedule(N, T, -2.0, 3.0)
+        evaluate = _LossEvaluator(sched, spec, exact=False)
+        alloc = spread_allocation(N, T)
+        counts = np.array(alloc.counts)
+        sums = np.array([np.bincount(draw_assignment(alloc, seed=s).codes, weights=evaluate.y,
+                                     minlength=T + 1) for s in range(9)])
+        got = evaluate.from_sums(counts, sums)
+        assert got.shape == (9,)
+        want = [evaluate.from_sums(counts, row[None])[0].hex() for row in sums]
+        assert [v.hex() for v in got.tolist()] == want
 
 
 # The numpy version that MC_RISK_GOLDEN, MC_RISK_N2000_GOLDEN,
@@ -536,7 +613,7 @@ class TestGoldenBits:
         from tminimax.risk import _loss_from_codes
 
         sched = random_schedule(np.random.default_rng(2024), 400, 5, k=2)
-        hab, inst, _ = estimands(sched)
+        hab, inst = estimands(sched)
         alloc = Allocation(60, 70, (70, 60, 70, 70))
         digest = hashlib.sha256()
         for seed in range(20):
@@ -559,8 +636,8 @@ class TestWorstCaseSchedule:
         assert box_max_variance(2, 0.0, 1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_estimands_vanish(self):
-        hab, inst, ate = estimands(worst_case_schedule(5, 4, -2.0, 3.0))
-        assert np.all(hab.values == 0) and np.all(inst.values == 0) and np.all(ate.values == 0)
+        hab, inst = estimands(worst_case_schedule(5, 4, -2.0, 3.0))
+        assert np.all(hab.values == 0) and np.all(inst.values == 0)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
     def test_split_maximizes_over_all_corner_vectors(self, N):
@@ -576,6 +653,12 @@ class TestWorstCaseSchedule:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             worst_case_schedule(4, 3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("T", [-3, 0, 1])
+    def test_short_horizon_is_named_before_the_broadcast(self, T):
+        # a negative T reached np.broadcast_to, whose message names no horizon
+        with pytest.raises(ValueError, match=f"^horizon T must be >= 2, got {T}$"):
+            worst_case_schedule(100, T, 0.0, 1.0)
 
     def test_stores_one_matrix(self):
         N, T = 20000, 50

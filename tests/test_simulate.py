@@ -108,7 +108,7 @@ class TestStandardModel:
 class TestHabituationModel:
     def test_noise_free_estimands(self):
         p = ModelParams(noise_sd=0.0, decay=0.3, effect=2.0)
-        hab, inst, _ = estimands(habituation_model(p, 4, 5, 0))
+        hab, inst = estimands(habituation_model(p, 4, 5, 0))
         assert np.allclose(hab.values, -0.3 * 2.0, atol=1e-12)
         assert np.allclose(inst.values, 2.0, atol=1e-12)
 
@@ -215,12 +215,11 @@ class TestInPlaceModel:
         stacked = sched.stacked()
         for got, want in zip(estimands(sched), estimands(twin)):
             assert got.values.tobytes() == want.values.tobytes()
-        hab, inst, ate = (e.values for e in estimands(sched))
+        hab, inst = (e.values for e in estimands(sched))
         for t in range(2, T + 1):
             control, treated, pulse = stacked[[0, 1, t], :, t - 1]
             assert hab[t - 2] == math.fsum((treated - pulse).tolist()) / N
             assert inst[t - 2] == math.fsum((pulse - control).tolist()) / N
-            assert ate[t - 2] == math.fsum((treated - control).tolist()) / N
 
     def test_pattern_schedule_permutes_in_place(self):
         sched = habituation_model(ModelParams(), 11, 5, 2)

@@ -27,7 +27,7 @@ def test_design_run_estimate_cycle_recovers_effects():
     alloc = integer_solve(N, T, ObjectiveMode.augmented())
     sched = habituation_model(ModelParams(noise_sd=2.0), N, T, seed=5)
     assert not schedule_violations(sched)
-    hab_true, inst_true, _ = estimands(sched)
+    hab_true, inst_true = estimands(sched)
     Z = draw_assignment(alloc, seed=99)
     obs = observe(Z, sched)
     spec = LossSpec("augmented", 0.5)
@@ -64,7 +64,7 @@ def test_habituation_interval_coverage():
     N, T, reps = 120, 4, 400
     rng = np.random.default_rng(77)
     sched = habituation_model(ModelParams(noise_sd=3.0), N, T, seed=13)
-    hab_true, _, _ = estimands(sched)
+    hab_true, _ = estimands(sched)
     alloc = integer_solve(N, T, ObjectiveMode.basic())
     spec = LossSpec("plugin", 0.5)
     hits = 0
