@@ -43,6 +43,7 @@ from .estimators import (
 )
 from .risk import (
     LossSpec,
+    RiskOverflowError,
     RiskReport,
     VarianceComponents,
     box_max_variance,

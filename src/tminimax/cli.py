@@ -31,6 +31,7 @@ from .core import arms_for_horizon, ObservedOutcomes
 from .estimators import _check_inputs, _estimate_pass
 from .risk import (
     LossSpec,
+    RiskOverflowError,
     _check_vstar,
     box_max_variance,
     max_risk,
@@ -183,10 +184,11 @@ def _cmd_risk(args, argv: list[str]) -> int:
         mode = _DESIGN_MODES[name]
         alloc = balanced(args.n, args.t) if mode is None else integer_solve(args.n, args.t, mode)
         allocs.append(alloc)
-        analytic.append(max_risk(alloc, args.t, vstar, spec))
-        if math.isinf(analytic[-1]):
+        try:
+            analytic.append(max_risk(alloc, args.t, vstar, spec))
+        except RiskOverflowError:
             raise ValueError(f"--vstar {vstar} is too large: the {name} design's "
-                             f"maximum risk overflows")
+                             f"maximum risk overflows") from None
     if args.draws > 0:
         reports = mc_risks(allocs, sched, spec, args.draws, args.seed)
     else:

@@ -226,9 +226,10 @@ class RealAllocation:
         return len(self.ne) + 1
 
 
+@lru_cache(maxsize=None)
 def _arm_vectors(T: int, family: Family) -> np.ndarray:
     """(T+1) x T read-only table whose row c is the assignment vector of
-    arm code c."""
+    arm code c, built once per (T, family)."""
     table = np.stack([make_arm_vector(arm, T) for arm in arms_for_horizon(T, family)])
     table.flags.writeable = False
     return table
@@ -367,18 +368,27 @@ def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
     return pool
 
 
+def _arm_order(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(by_arm, bounds)``: the units grouped by arm code, so that
+    ``by_arm[bounds[c]:bounds[c + 1]]`` are the units of arm code c,
+    ascending, from one bincount and one stable argsort."""
+    # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
+    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
+    bounds = np.zeros(T + 2, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=T + 1), out=bounds[1:])
+    return by_arm, bounds
+
+
 def _picks(codes: np.ndarray, T: int, estimator: str, k: int | None = None,
            start: int = 2) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yields ``(t, treated, pulse, pool)`` for t = start..T: the units of
     the always-treated arm, of the pulse-t arm and of the ``_pool_arms``
     pool at t, each ascending, as a boolean mask over ``codes`` gives them.
-    One bincount and one stable argsort group the units by arm; the pool
-    is updated only for the arms that join or leave it, so one step costs
-    O(N)."""
+    The units are grouped by arm once (``_arm_order``); the pool is updated
+    only for the arms that join or leave it, so one step costs O(N)."""
     pools = _pool_arms(T, estimator, k)
-    # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
-    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(codes, minlength=T + 1)).tolist()]
+    by_arm, bounds = _arm_order(codes, T)
+    bounds = bounds.tolist()
     treated = by_arm[bounds[1]:bounds[2]]
     pooled = np.zeros(T + 1, dtype=bool)  # the arms ``in_pool`` marks
     in_pool = np.zeros(len(codes), dtype=bool)

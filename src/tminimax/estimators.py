@@ -19,17 +19,22 @@ each t.  A per-t estimator takes one step of it; ``tminimax estimate``,
 the loss in ``risk`` and ``conservative_ci`` read it as well.
 
 All sums are exact, which makes every estimator invariant under unit
-relabeling, bit for bit.  The estimators use ``math.fsum``.  The
-estimands are summed in blocks of periods by ``_exact_sums``, which gives
-``fsum``'s bits from a few vectorised error-free extraction passes and a
-bounded pass count, and hands a row with a nan, an inf or a cell near
-overflow to ``fsum`` itself.
+relabeling, bit for bit: each is the float ``math.fsum`` gives.  One
+kernel, ``_extract``, computes them by a few vectorised error-free
+extraction passes with a bounded pass count.  The estimands are summed in
+blocks of periods by ``_exact_sums``, one scale group per (t, effect)
+row; an estimate pass gathers a block of periods' arm cells and extracts
+each period on one grid.  A row or block that holds a nan, an inf, a
+cell near overflow or a -0.0 (whose ``fsum`` sign extraction cannot
+tell) is summed by ``fsum`` itself, in unit order, so it gives the value
+or raises the exception ``fsum`` would.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
 from typing import Iterator
 
@@ -40,8 +45,10 @@ from .core import (
     Family,
     ObservedOutcomes,
     PotentialOutcomeSchedule,
+    _arm_order,
     _check_carryover,
     _picks,
+    _pool_arms,
 )
 
 __all__ = [
@@ -145,29 +152,16 @@ def _compute_estimands(sched: PotentialOutcomeSchedule) -> tuple[EffectSeries, E
 
 
 def _exact_sums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-D float64 array, bit for bit.
+    """``math.fsum`` of each row of a 2-D float64 array, bit for bit: each
+    row is one scale group and one segment of ``_extract``, and its few
+    per-pass sums are rounded once (``_rounded``).
 
-    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
-    floating-point summation"): with sigma a power of two at least
-    2 n max|x| for a row of n cells, q = (sigma + x) - sigma is x rounded
-    to a grid of sigma 2**-53 and r = x - q is exact, so x = q + r, and
-    the row sum of q is exact in any order, every partial sum being a
-    multiple of the grid no larger than sigma.  Extraction repeats on r
-    until it is all zero, and ``fsum`` of each row's few exact partial
-    sums rounds their total as ``fsum`` of the row would.
-
-    Each pass shrinks sigma by at least 2**(52 - c), c = ceil(log2 2n),
-    and a pass at sigma <= 2**-1022 leaves r = 0 (sigma + x is then exact
-    on the 2**-1074 grid), so a row ends within 2 + 2045 // (52 - c)
-    passes: 53 at n = 2000, 62 at n = 10**5, met only by rows that hold
-    a cell at nearly every scale.  A row of one scale ends in two or
-    three, and a row of subnormals (|x| < 2**-1022) in two while
-    n <= 2**25.  Past the bound this raises ``RuntimeError`` rather than
-    loop.  A row that holds a nan or an inf, or whose max|x| is at
-    least 2**(1023 - c) (where sigma could overflow), is summed by
-    ``fsum(row.tolist())`` instead, in row order, so it gives the value or
-    raises the exception ``fsum`` would.  So does a row of -0.0 only,
-    whose ``fsum`` sign the extraction cannot tell."""
+    A row that holds a nan or an inf, or whose max|x| is at least
+    2**(1023 - c), c = ceil(log2 2n) for rows of n cells (where sigma
+    could overflow), is summed by ``fsum(row.tolist())`` instead, in row
+    order, so it gives the value or raises the exception ``fsum`` would.
+    So does a row of -0.0 only, whose ``fsum`` sign the extraction cannot
+    tell."""
     m, n = rows.shape
     c = (2 * n - 1).bit_length()  # 2**c >= 2n
     top = np.abs(rows).max(axis=1)
@@ -178,25 +172,64 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(slow).tolist():
         out[i] = fsum(rows[i].tolist())
     fast = np.flatnonzero(~slow)
-    live, x, top = fast, rows[fast], top[fast]
+    starts = np.arange(0, len(fast) * n, n)
+    out[fast] = _rounded(_extract(rows[fast].reshape(-1), top[fast], starts, starts, c),
+                         len(fast))
+    return out
+
+
+def _extract(x: np.ndarray, top: np.ndarray, groups: np.ndarray, segments: np.ndarray,
+             c: int) -> list[np.ndarray]:
+    """Exact per-pass sums of the segments of ``x``, a fresh 1-D float64
+    array of finite cells that this overwrites.
+
+    The cells come in scale groups, group g being ``x[groups[g]:
+    groups[g + 1]]`` (the last runs to the end), with ``top[g]`` its
+    max|x|, below 2**(1023 - c), and at most 2**(c - 1) cells.  The
+    segments, ``x[segments[s]:segments[s + 1]]``, refine the groups; no
+    group or segment is empty.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
+    floating-point summation"): with sigma a power of two at least
+    2 n max|x| for a group of n cells, q = (sigma + x) - sigma is x
+    rounded to a grid of sigma 2**-53 and r = x - q is exact, so x = q + r,
+    and any sum of the group's q is exact in any order, every partial sum
+    being a multiple of the grid no larger than sigma.  So each segment's
+    sum of q is exact, and so is a sum of such segment sums within one
+    group.  Extraction repeats on r until it is all zero; the list holds
+    one array of segment sums per pass, whose exact column totals are the
+    segments' exact sums.
+
+    Each pass shrinks sigma by at least 2**(52 - c), and a pass at
+    sigma <= 2**-1022 leaves r = 0 (sigma + x is then exact on the 2**-1074
+    grid), so a group ends within 2 + 2045 // (52 - c) passes: 53 at
+    n = 2000, 62 at n = 10**5, met only by groups that hold a cell at
+    nearly every scale.  A group of one scale ends in two or three, and a
+    group of subnormals (|x| < 2**-1022) in two while n <= 2**25.  Past
+    the bound this raises ``RuntimeError`` rather than loop."""
+    lengths = np.diff(groups, append=len(x))
+    q = np.empty_like(x)
     partials = []
-    while len(live):
+    while top.any():
         if len(partials) == 2 + 2045 // (52 - c):
             raise RuntimeError(f"exact sum did not end within {len(partials)} passes")
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
-        q = x + sigma
+        sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + c), lengths)
+        np.add(x, sigma, out=q)
         q -= sigma
         x -= q
-        partial = np.zeros(m)
-        partial[live] = q.sum(axis=1)
-        partials.append(partial)
-        top = np.abs(x, out=q).max(axis=1)
-        more = top > 0
-        if not more.all():
-            live, x, top = live[more], x[more], top[more]
-    for i, column in zip(fast.tolist(), np.array(partials).T[fast].tolist()):
-        out[i] = fsum(column)
-    return out
+        partials.append(np.add.reduceat(q, segments))
+        top = np.maximum.reduceat(np.abs(x, out=q), groups)
+    return partials
+
+
+def _rounded(partials: list[np.ndarray], m: int) -> np.ndarray:
+    """The exact total of each of the m columns of ``_extract``'s per-pass
+    sums, rounded once: ``fsum`` of the column, or with at most two passes
+    their float sum, which IEEE rounds to the same nearest float.  No
+    per-pass sum is -0.0, so neither is a zero total."""
+    if len(partials) <= 2:
+        return sum(partials, np.zeros(m))
+    return np.array([fsum(column) for column in np.array(partials).T.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +239,9 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
 
 def _picked_mean(picked: np.ndarray, exact: bool = True) -> float:
     """Mean of one nonempty pool's outcomes, ``picked`` in unit order:
-    summed with fsum, or with numpy's pairwise sum when not ``exact``."""
+    summed with fsum, or with numpy's pairwise sum when not ``exact``.
+    The unit-by-unit pass (``_pick_pass``) uses it; an exact pass takes
+    it only for a block the extraction cannot sum."""
     return (fsum(picked.tolist()) if exact else picked.sum()) / len(picked)
 
 
@@ -245,23 +280,136 @@ def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
             raise ValueError("recycling estimator requires a pulse-family assignment")
 
 
-def _estimate_pass(codes: np.ndarray, values: np.ndarray, estimator: str,
-                   k: int | None = None, exact: bool = True, hab: bool = True,
-                   inst: bool = True, start: int = 2
+def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSchedule,
+                   estimator: str, k: int | None = None, exact: bool = True,
+                   hab: bool = True, inst: bool = True, start: int = 2,
+                   stop: int | None = None
                    ) -> Iterator[tuple[int, float | None, float | None]]:
-    """Yields ``(t, habituation, instantaneous)`` for t = start..T from one
-    pass of ``core._picks`` over the arm ``codes``, reading column t of the
-    observed N x T ``values``: treated mean minus pulse mean, and pulse mean
-    minus pool mean, the pulse mean computed once.  An effect not asked for
-    (``hab`` or ``inst`` false) is None and its arm is never read; without
-    ``inst`` the plugin pool is picked, the cheapest.  An empty arm raises
-    in the order always-treated, pulse, pool.  ``exact`` picks fsum over
-    numpy's pairwise sum (see ``_picked_mean``)."""
-    for t, treated, pulse, pool in _picks(codes, values.shape[1],
-                                          estimator if inst else "plugin", k, start):
+    """Yields ``(t, habituation, instantaneous)`` for t = start..stop - 1
+    (by default through T): treated mean minus pulse mean, and pulse mean
+    minus pool mean, the pulse mean computed once, over the units that
+    ``core._picks`` lists.  Unit i observes row i of ``values``, an N x T
+    array, or of the schedule matrix of its arm ``codes[i]`` when
+    ``values`` is a schedule.  An effect not asked for (``hab`` or
+    ``inst`` false) is None and its arm is never read; without ``inst``
+    the plugin pool is picked, the cheapest.  An empty arm raises in the
+    order always-treated, pulse, pool.
+
+    ``exact`` sums each arm with fsum's bits, else with numpy's pairwise
+    sum unit by unit (``_pick_pass``).  The exact pass works a block of
+    periods at a time, at most ``_BLOCK_CELLS`` cells and at least one
+    period: it gathers the cells each period reads, grouped by (period,
+    role), and sums them by ``_extract`` with one scale group per period,
+    then rounds each treated, pulse and pool sum once.  That is the float
+    ``fsum`` of the arm's cells gives: both are its exact sum correctly
+    rounded.  A block that needs an empty arm, or reads a cell that is
+    non-finite, -0.0 or at least 2**(1023 - c) (see ``_extract``), is
+    summed by ``_pick_pass`` with fsum instead, so it yields and raises
+    in unit order exactly as summing each arm with fsum does."""
+    cells, slots = _cell_table(values)
+    N, T = len(codes), slots.shape[1]
+    stop = T + 1 if stop is None else stop
+    picked = estimator if inst else "plugin"
+    if not exact:
+        yield from _pick_pass(codes, cells, slots, picked, k, exact, hab, inst, start, stop)
+        return
+    by_arm, bounds = _arm_order(codes, T)
+    counts = np.diff(bounds)
+    read = _read_arms(T, picked, k, hab, inst)[start - 2:stop - 2]
+    filled = counts > 0
+    roles = [r for r, on in enumerate((hab, True, inst)) if on]
+    # einsum casts the bools in buffers, where matmul would copy them all
+    sizes = np.einsum("prc,c->pr", read, counts)[:, roles]
+    ends = np.cumsum(sizes.sum(axis=1))
+    offset = by_arm * T  # offset[j]: the first cell of unit by_arm[j]'s row
+    c = (2 * N - 1).bit_length()
+    first = 0
+    while first < len(ends):
+        # the block: periods first..last - 1 of the pass
+        limit = (ends[first - 1] if first else 0) + _BLOCK_CELLS
+        last = max(first + 1, int(np.searchsorted(ends, limit, "right")))
+        t0, block = start + first, sizes[first:last]
+        means = None
+        if block.all():
+            # one piece per read arm that has units
+            p, role, arm = np.nonzero(read[first:last] & filled)
+            lengths = counts[arm]
+            piece_ends = np.cumsum(lengths)
+            at = np.repeat(bounds[arm] - piece_ends + lengths, lengths)
+            at += np.arange(piece_ends[-1])
+            column = t0 - 1 + p
+            x = cells.take(offset[at] + np.repeat(slots[arm, column] * (N * T) + column,
+                                                  lengths))
+            segments = np.cumsum(block.ravel()) - block.ravel()
+            groups = segments[::len(roles)]
+            top = np.maximum.reduceat(np.abs(x), groups)
+            # -0.0 is the only float whose bits are those of int64's minimum
+            if (top < 2.0 ** (1023 - c)).all() and not (
+                    x.view(np.int64) == np.iinfo(np.int64).min).any():
+                sums = _rounded(_extract(x, top, groups, segments, c), len(segments))
+                means = sums.reshape(block.shape) / block
+        if means is None:
+            yield from _pick_pass(codes, cells, slots, picked, k, exact, hab, inst, t0,
+                                  start + last)
+        else:
+            pulse = means[:, roles.index(1)]
+            h = (means[:, 0] - pulse).tolist() if hab else [None] * len(means)
+            i = (pulse - means[:, -1]).tolist() if inst else [None] * len(means)
+            yield from zip(range(t0, start + last), h, i)
+        first = last
+
+
+def _cell_table(values: np.ndarray | PotentialOutcomeSchedule
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(cells, slots)``: a flat view of the N x T matrices behind
+    ``values`` and a (T+1) x T slot table, so that unit i of arm code c
+    observes ``cells[(slots[c, t - 1] * N + i) * T + t - 1]`` at period t.
+    An N x T array is the one matrix every arm reads; a schedule is read
+    from its stored matrices through its own slot table, with no N x T
+    copy."""
+    if isinstance(values, PotentialOutcomeSchedule):
+        return values._stored.reshape(-1), values._slots
+    return (np.ascontiguousarray(values).reshape(-1),
+            np.broadcast_to(np.intp(0), (values.shape[1] + 1, values.shape[1])))
+
+
+@lru_cache(maxsize=None)
+def _read_arms(T: int, picked: str, k: int | None, hab: bool, inst: bool) -> np.ndarray:
+    """(T-1) x 3 x (T+1) read-only bool table of the arms a pass reads:
+    entry [t-2, r, c] marks arm code c as read at t in role r, 0 the
+    always-treated arm (with ``hab``), 1 the pulse arm at t, 2 the
+    ``core._pool_arms`` pool of ``picked`` (with ``inst``).  The three
+    roles never share an arm."""
+    table = np.zeros((T - 1, 3, T + 1), dtype=bool)
+    table[:, 0, 1] = hab
+    table[np.arange(T - 1), 1, np.arange(2, T + 1)] = True
+    if inst:
+        table[:, 2] = _pool_arms(T, picked, k)
+    table.flags.writeable = False
+    return table
+
+
+def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: str,
+               k: int | None, exact: bool, hab: bool, inst: bool, start: int, stop: int
+               ) -> Iterator[tuple[int, float | None, float | None]]:
+    """``_estimate_pass`` for t = start..stop - 1 unit by unit: each step
+    of ``core._picks`` over the ``picked`` pools sums the arms it reads
+    with ``_picked_mean``, the units in ascending order, reading column t
+    of the observed outcomes from ``_cell_table``'s ``cells`` and ``slots``.
+    ``picked`` also names the pool in the error for an empty one, which is
+    read only when ``inst`` is true and ``picked`` is the estimator."""
+    N, T = len(codes), slots.shape[1]
+    for t, treated, pulse, pool in _picks(codes, T, picked, k, start):
+        if t == stop:
+            return
         if not (len(pulse) and (len(treated) or not hab) and (len(pool) or not inst)):
-            raise _undefined(estimator, t, hab and not len(treated), not len(pulse))
-        col = values[:, t - 1]
+            raise _undefined(picked, t, hab and not len(treated), not len(pulse))
+        slot = slots[:, t - 1]
+        if (slot == slot[0]).all():  # every arm observes one stored column
+            first = slot[0] * N * T + t - 1
+            col = cells[first:first + N * T:T]
+        else:
+            col = cells.take((slot[codes] * N + np.arange(N)) * T + t - 1)
         treated_mean = _picked_mean(col[treated], exact) if hab else None
         pulse_mean = _picked_mean(col[pulse], exact)
         pool_mean = _picked_mean(col[pool], exact) if inst else None
@@ -272,7 +420,8 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray, estimator: str,
 def _instantaneous_at(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
                       estimator: str, k: int | None = None) -> float:
     _check_inputs(Z, obs, t, estimator, k)
-    return next(_estimate_pass(Z.codes, obs.values, estimator, k, hab=False, start=t))[2]
+    return next(_estimate_pass(Z.codes, obs.values, estimator, k, hab=False, start=t,
+                               stop=t + 1))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +433,8 @@ def habituation_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> 
     """Mean observed outcome at t of always-treated units minus that of
     pulse-t units."""
     _check_inputs(Z, obs, t)
-    return next(_estimate_pass(Z.codes, obs.values, "plugin", inst=False, start=t))[1]
+    return next(_estimate_pass(Z.codes, obs.values, "plugin", inst=False, start=t,
+                               stop=t + 1))[1]
 
 
 def instantaneous_estimate(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int) -> float:

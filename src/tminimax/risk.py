@@ -15,10 +15,12 @@ into one term), so ``max_risk`` is vstar times the matching objective.
 loss evaluator per call, which reads the schedule's estimands once.  Those
 are computed on first use and kept on the schedule (``estimands``), so
 every design scored against one schedule, as in Figure 3, reuses them.  Per
-assignment it gathers the observed rows and forms the estimates with one
-pass of ``estimators._estimate_pass``, the code that ``tminimax estimate``
-and the per-t estimators run, so the loss scores exactly the estimates a
-user gets.  ``conservative_ci`` takes its estimate from one step of that
+assignment it forms the estimates with one pass of
+``estimators._estimate_pass``, the code that ``tminimax estimate`` and the
+per-t estimators run, so the loss scores exactly the estimates a user
+gets; the pass reads each unit's cells from the schedule's stored
+matrices through its slot table, with no N x T copy of the observed
+rows.  ``conservative_ci`` takes its estimate from one step of that
 pass and its two pools' units from one step of ``core._picks``.  The
 picked arrays are exactly those a boolean mask over the column gives, so
 numpy's pairwise sums and fsum over them, and every risk, keep their bits.
@@ -70,6 +72,7 @@ from .estimators import _check_inputs, _estimate_pass, estimands
 
 __all__ = [
     "LossSpec",
+    "RiskOverflowError",
     "RiskReport",
     "VarianceComponents",
     "loss",
@@ -115,6 +118,11 @@ class LossSpec:
             raise ValueError(f"{self.estimator} loss does not take k")
 
 
+class RiskOverflowError(ValueError):
+    """A finite variance bound whose maximum risk overflows the float
+    range."""
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """A design's Monte-Carlo risk, its standard error and the number of
@@ -131,15 +139,17 @@ class RiskReport:
             raise ValueError("mc_se must be >= 0")
 
 
-def _loss_from_codes(codes: np.ndarray, values: np.ndarray, hab: np.ndarray,
+def _loss_from_codes(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSchedule,
+                     hab: np.ndarray,
                      inst: np.ndarray, spec: LossSpec, exact: bool) -> float:
-    """Loss of one assignment given its observed N x T ``values`` and
+    """Loss of one assignment given its observed ``values`` (an N x T
+    array, or the schedule whose arm matrices the units observe) and
     precomputed estimand arrays: the squared errors of one estimator pass
     (``estimators._estimate_pass``), which skips an effect of weight zero.
 
-    ``exact=True`` sums each pool with fsum (bit-stable under unit
-    relabeling); ``exact=False`` sums it with numpy, the fast path used by
-    Monte-Carlo loops, identical up to last-bit rounding.
+    ``exact=True`` sums each pool with fsum's bits (bit-stable under unit
+    relabeling); ``exact=False`` sums it with numpy, unit by unit, the
+    path Monte-Carlo loops use, identical up to last-bit rounding.
     """
     hab_terms = []
     inst_terms = []
@@ -174,11 +184,12 @@ class _LossEvaluator:
         self._hab, self._inst = hab.values, inst.values
         self._sched, self._spec, self._exact = sched, spec, exact
         self.y = _counted_column(sched)
-        self._pools = _pool_arms(sched.T, spec.estimator, spec.k).astype(float)
+        if self.y is not None:  # only counting reads the pools as a float table
+            self._pools = _pool_arms(sched.T, spec.estimator, spec.k).astype(float)
 
     def general(self, codes: np.ndarray) -> float:
-        return _loss_from_codes(codes, self._sched._observed_rows(codes), self._hab,
-                                self._inst, self._spec, self._exact)
+        return _loss_from_codes(codes, self._sched, self._hab, self._inst, self._spec,
+                                self._exact)
 
     def countable(self, counts: np.ndarray) -> bool:
         """Whether an assignment with these int64 arm counts is scored by
@@ -420,7 +431,11 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
     these counts, over all schedules with column sample variance at most
     ``vstar``.  Equals ``vstar`` times the matching allocation objective
     (up to the loss normalization), which is what makes the minimax
-    allocations optimal."""
+    allocations optimal.
+
+    A finite ``vstar`` whose risk exceeds the float range raises
+    ``RiskOverflowError``, a ``ValueError`` that names ``vstar``, rather
+    than return inf."""
     if alloc.T != T:
         raise ValueError(f"allocation horizon {alloc.T} does not match T={T}")
     _check_vstar(vstar)
@@ -437,7 +452,11 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
                 raise ValueError(f"empty control pool at t={t}")
     # + 0.0 turns a -0.0 bound into +0.0 and leaves every other float as it is
     val = (vstar + 0.0) * fsum((w / sizes).tolist())
-    return 2.0 * val if spec.unnormalized else val
+    if spec.unnormalized:
+        val *= 2.0
+    if math.isinf(val):
+        raise RiskOverflowError(f"vstar {vstar} is too large: the maximum risk overflows")
+    return val
 
 
 @dataclass(frozen=True)
@@ -498,7 +517,12 @@ def true_variances(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSc
 
 def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: LossSpec,
                     level: float, target: str = "instantaneous") -> tuple[float, float]:
-    """Normal-approximation confidence interval for one effect at time t.
+    """Normal-approximation confidence interval for one effect at time t,
+    returned as ``(estimate, half_width)``: the interval is estimate plus
+    or minus half_width, the ``target`` effect's estimate (the
+    habituation estimate, or the ``spec`` estimator's instantaneous one)
+    and the normal quantile of ``level`` times the estimated standard
+    error.
 
     The variance estimate sums each pool's sample variance over its size;
     dropping the negative contrast-variance term (unknowable from one
@@ -514,7 +538,7 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
         raise ValueError(f"unknown target {target!r}")
     hab = target == "habituation"
     _, h, i = next(_estimate_pass(Z.codes, obs.values, estimator, spec.k,
-                                  hab=hab, inst=not hab, start=t))
+                                  hab=hab, inst=not hab, start=t, stop=t + 1))
     _, treated, pulse, pool = next(_picks(Z.codes, Z.T, estimator, spec.k, t))
     estimate, a, b = (h, treated, pulse) if hab else (i, pulse, pool)
     col = obs.values[:, t - 1]

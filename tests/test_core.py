@@ -59,6 +59,19 @@ class TestArmVectors:
         assert pulse_arm(3) == pulse_arm(3, Family.WEDGE)
         assert hash(pulse_arm(3)) == hash(pulse_arm(3, Family.WEDGE))
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("T", [2, 5, 30])
+    def test_arm_vector_table_is_kept_read_only(self, family, T):
+        from tminimax.core import _arm_vectors
+
+        table = _arm_vectors(T, family)
+        assert _arm_vectors(T, family) is table  # built once per (T, family)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        fresh = np.stack([make_arm_vector(arm, T) for arm in arms_for_horizon(T, family)])
+        assert table.dtype == fresh.dtype and np.array_equal(table, fresh)
+
 
 class TestAllocation:
     def test_counts_layout(self):

@@ -581,3 +581,161 @@ class TestEstimatePass:
                     assert bits(step) == bits(row)
                     if isinstance(row, Exception):
                         break  # the full pass ends at its first empty arm
+
+
+def _pass_rows(run):
+    """The rows a pass yields, each value as its hex (None for an effect
+    not asked for), then the type and message of what it raises, if it
+    raises."""
+    rows = []
+    try:
+        for t, h, i in run():
+            rows.append((t, None if h is None else h.hex(), None if i is None else i.hex()))
+    except (ValueError, OverflowError) as exc:  # EstimatorUndefinedError is a ValueError
+        rows.append((type(exc), str(exc)))
+    return rows
+
+
+def _owned_schedule(rng, N, T):
+    """A ``_owned`` schedule of three stored matrices on scales 1, 2**40
+    and 2**-40 behind a random slot table, so a pool's arms read cells of
+    different scales at one period."""
+    stored = rng.normal(size=(3, N, T)) * np.ldexp(1.0, [0, 40, -40])[:, None, None]
+    return stored, rng.integers(0, 3, size=(T + 1, T))
+
+
+def _special(kind, stored, slots, codes, t):
+    """Sets the cells of ``kind`` at period t (every stored matrix's
+    column t - 1 and the slot table are changed in place)."""
+    j = t - 1
+    treated = np.flatnonzero(codes == 1)
+    if kind in ("all_minus_zero", "underflow"):
+        # zeros everywhere at t; the always-treated arm alone reads matrix 0
+        stored[:, :, j] = 0.0
+        slots[:, j] = 1
+        slots[1, j] = 0
+        if kind == "all_minus_zero":  # an arm of -0.0 only
+            stored[0, :, j] = -0.0
+        elif len(treated):  # a treated mean of -5e-324 / n, which rounds to -0.0
+            stored[0, treated[0], j] = -5e-324
+    elif kind == "minus_zero":
+        stored[0, ::3, j] = -0.0
+    elif kind == "huge":  # one arm overflows fsum, the others are near overflow
+        stored[:, ::2, j] = 1e308
+    elif kind == "nan":
+        stored[1, 1, j] = np.nan
+    elif kind == "inf":
+        stored[:, 0, j] = np.inf
+    elif kind == "inf_minus_inf":
+        stored[:, 0, j] = np.inf
+        stored[:, 1:, j] = -np.inf
+    else:
+        assert kind == "none", kind
+
+
+def _emptied(codes, T, estimator, k, case):
+    """``codes`` with the arms of ``case`` emptied: ("treated", None),
+    ("pulse", t), ("pool", t) or ("none", None); their units join the
+    control arm, or for a pool the pulse arm at t."""
+    codes = codes.copy()
+    what, t = case
+    if what == "treated":
+        codes[codes == 1] = 0
+    elif what == "pulse":
+        codes[codes == t] = 0
+    elif what == "pool":
+        from tminimax.core import _pool_arms
+
+        codes[_pool_arms(T, estimator, k)[t - 2][codes]] = t
+    return codes
+
+
+_PASS_ESTIMATORS = [("plugin", None), ("augmented", None), ("recycling", 1), ("recycling", 2),
+                    ("recycling", 3)]
+
+
+class TestExactPassMatchesThePerPickLoop:
+    """The exact pass sums a block of periods by extraction; the oracle is
+    the per-pick ``fsum`` loop (``_pick_pass``), which the exact pass keeps
+    as its fallback.  Every row's bits, and every exception's type, text
+    and (t, effect), must agree, for full passes and single steps."""
+
+    KINDS = ["none", "minus_zero", "all_minus_zero", "underflow", "huge", "nan", "inf",
+             "inf_minus_inf"]
+
+    @pytest.mark.parametrize("estimator,k", _PASS_ESTIMATORS,
+                             ids=[f"{e}-{k}" if k else e for e, k in _PASS_ESTIMATORS])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("block", [None, 1, 50], ids=["all", "one-period", "two-periods"])
+    def test_rows_and_errors_match(self, monkeypatch, estimator, k, rho, block):
+        from tminimax.estimators import _cell_table, _estimate_pass, _pick_pass
+
+        if block is not None:  # N = 30 cells at most per period
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
+        rng = np.random.default_rng([7, int(rho * 2), block or 0, k or 0, len(estimator)])
+        hab, inst = rho > 0.0, rho < 1.0
+        picked = estimator if inst else "plugin"
+        N, T = 30, 6
+        # every arm has a unit and the always-treated arm two
+        base = np.concatenate([np.arange(T + 1), [1], rng.integers(0, T + 1, size=N - T - 2)])
+        cases = [("none", None), ("treated", None)]
+        cases += [(what, t) for what in ("pulse", "pool") for t in range(2, T + 1)]
+        minus_zero_estimate = False
+        for kind in self.KINDS:
+            for case in cases:
+                codes = _emptied(rng.permutation(base), T, estimator, k, case)
+                stored, slots = _owned_schedule(rng, N, T)
+                _special(kind, stored, slots, codes, int(rng.integers(2, T + 1)))
+                sched = PotentialOutcomeSchedule._owned(stored, slots)
+                observed = sched._observed_rows(codes)
+                cells, table = _cell_table(observed)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    for start, stop in [(2, None)] + [(t, t + 1) for t in range(2, T + 1)]:
+                        want = _pass_rows(lambda: _pick_pass(
+                            codes, cells, table, picked, k, True, hab, inst, start,
+                            T + 1 if stop is None else stop))
+                        for values in (sched, observed):
+                            got = _pass_rows(lambda: _estimate_pass(
+                                codes, values, estimator, k, hab=hab, inst=inst, start=start,
+                                stop=stop))
+                            assert got == want, (kind, case, start)
+                        if stop is not None:  # a step without a stop is the same row
+                            got = _pass_rows(lambda: _estimate_pass(
+                                codes, sched, estimator, k, hab=hab, inst=inst, start=start))
+                            assert got[:1] == want
+                        minus_zero_estimate |= any(
+                            "-0x0.0p+0" in row for row in want if isinstance(row[0], int))
+        # the treated mean -5e-324 / n rounds to -0.0, whatever fsum gives for -0.0
+        assert minus_zero_estimate == hab
+
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None)])
+    @pytest.mark.parametrize("block", [None, 1], ids=["all", "one-period"])
+    def test_a_wedge_loss_is_the_per_pick_loss(self, monkeypatch, estimator, k, block):
+        from tminimax.estimators import _cell_table, _pick_pass
+        from tminimax.risk import LossSpec, loss
+
+        if block is not None:
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
+        rng = np.random.default_rng(12)
+        N, T = 40, 7
+        stored, slots = _owned_schedule(rng, N, T)
+        sched = PotentialOutcomeSchedule._owned(stored, slots)
+        hab, inst = (e.values for e in estimands(sched))
+        for seed in range(5):
+            pulse = draw_assignment(spread_allocation(N, T), seed=seed)
+            wedge = draw_assignment(spread_allocation(N, T), Family.WEDGE, seed=seed)
+            assert wedge.family is Family.WEDGE and np.array_equal(wedge.codes, pulse.codes)
+            for rho in (0.0, 0.5, 1.0):
+                spec = LossSpec(estimator, rho, k)
+                cells, table = _cell_table(sched._observed_rows(wedge.codes))
+                h_sq, i_sq = [], []
+                for t, h, i in _pick_pass(wedge.codes, cells, table,
+                                          estimator if rho < 1.0 else "plugin", k, True,
+                                          rho > 0.0, rho < 1.0, 2, T + 1):
+                    if h is not None:
+                        h_sq.append((h - hab[t - 2]) ** 2)
+                    if i is not None:
+                        i_sq.append((i - inst[t - 2]) ** 2)
+                want = rho * fsum(h_sq) + (1.0 - rho) * fsum(i_sq)
+                assert loss(wedge, sched, spec).hex() == want.hex()
+                assert loss(pulse, sched, spec).hex() == want.hex()

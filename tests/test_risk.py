@@ -660,6 +660,33 @@ class TestWorstCaseSchedule:
         with pytest.raises(ValueError, match=f"^horizon T must be >= 2, got {T}$"):
             worst_case_schedule(100, T, 0.0, 1.0)
 
+    @pytest.mark.parametrize("shifted", [False, True], ids=["shared", "treated-shifted"])
+    @pytest.mark.parametrize("estimator", ["plugin", "augmented"])
+    @pytest.mark.parametrize("T", [20, 200])
+    def test_exact_loss_memory_does_not_grow_with_the_horizon(self, T, estimator, shifted):
+        # a non-integer box is scored by the exact pass, not by counting; it
+        # holds one block of periods' cells (2**14, under two periods here),
+        # where the N x T observed rows of a two-matrix schedule would take
+        # 8 N T bytes
+        N = 10000
+        sched = worst_case_schedule(N, T, 0.0, 0.7)
+        if shifted:
+            y = sched.matrix(ALWAYS_CONTROL)
+            arms = {arm: y for arm in sched.arms}
+            arms[ALWAYS_TREATED] = y + 1.0
+            sched = PotentialOutcomeSchedule(arms)
+            del y, arms
+        spec = LossSpec(estimator, 0.5)
+        Z = draw_assignment(integer_solve(N, T, ObjectiveMode.augmented()), seed=3)
+        loss(Z, sched, spec)  # the estimands and the cached tables
+        tracemalloc.start()
+        try:
+            loss(Z, sched, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * N
+
     def test_stores_one_matrix(self):
         N, T = 20000, 50
         tracemalloc.start()
@@ -762,6 +789,29 @@ class TestMaxRisk:
     def test_vstar_must_be_finite_and_nonnegative(self, vstar):
         with pytest.raises(ValueError, match="vstar must be finite and >= 0"):
             max_risk(Allocation(2, 2, (2,)), 2, vstar, LossSpec("plugin", 0.5))
+
+    @pytest.mark.parametrize("unnormalized", [False, True])
+    def test_overflowing_risk_names_vstar(self, unnormalized):
+        from tminimax.risk import RiskOverflowError
+
+        alloc = integer_solve(100, 20, ObjectiveMode.basic())
+        spec = LossSpec(unnormalized=unnormalized)
+        with pytest.raises(RiskOverflowError, match=r"^vstar 1e\+308 is too large: "
+                                                    r"the maximum risk overflows$"):
+            max_risk(alloc, 20, 1e308, spec)
+        assert issubclass(RiskOverflowError, ValueError)
+        # the largest finite risk is still returned
+        unit = max_risk(alloc, 20, 1.0, spec)
+        assert max_risk(alloc, 20, 1e300, spec) == 1e300 * unit
+
+    def test_doubling_that_overflows_names_vstar(self):
+        from tminimax.risk import RiskOverflowError
+
+        alloc = Allocation(2, 2, (2,))
+        vstar = float.fromhex("0x1.8p1023") / max_risk(alloc, 2, 1.0, LossSpec())
+        assert max_risk(alloc, 2, vstar, LossSpec()) < float("inf")
+        with pytest.raises(RiskOverflowError, match="^vstar .* is too large"):
+            max_risk(alloc, 2, vstar, LossSpec(unnormalized=True))
 
     @pytest.mark.parametrize("vstar", [0.0, -0.0])
     @pytest.mark.parametrize("unnormalized", [False, True])
