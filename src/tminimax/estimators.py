@@ -280,6 +280,15 @@ def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
             raise ValueError("recycling estimator requires a pulse-family assignment")
 
 
+# Below this many unit-periods (N times the periods) a pass is summed unit
+# by unit, whose fsum calls cost less than the exact pass's set-up.  On a
+# 2-vCPU x86-64 VM (numpy 2.4) one period at N = 8 took about 15 us unit by
+# unit against 85 us exact, and the crossover lay between 2000 and 4000
+# unit-periods; 256 keeps a wide margin, and a period at the N of every
+# benchmarked command (2000 and up) is above it.
+_PICK_CELLS = 256
+
+
 def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSchedule,
                    estimator: str, k: int | None = None, exact: bool = True,
                    hab: bool = True, inst: bool = True, start: int = 2,
@@ -296,9 +305,12 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSched
     order always-treated, pulse, pool.
 
     ``exact`` sums each arm with fsum's bits, else with numpy's pairwise
-    sum unit by unit (``_pick_pass``).  The exact pass works a block of
-    periods at a time, at most ``_BLOCK_CELLS`` cells and at least one
-    period: it gathers the cells each period reads, grouped by (period,
+    sum unit by unit (``_pick_pass``).  An exact pass of fewer than
+    ``_PICK_CELLS`` unit-periods (N times its periods, a bound on the cells
+    it reads) is summed by ``_pick_pass`` with fsum too, which gives the
+    same bits, each arm's exact sum rounded once.  A larger one works a
+    block of periods at a time, at most ``_BLOCK_CELLS`` cells and at least
+    one period: it gathers the cells each period reads, grouped by (period,
     role), and sums them by ``_extract`` with one scale group per period,
     then rounds each treated, pulse and pool sum once.  That is the float
     ``fsum`` of the arm's cells gives: both are its exact sum correctly
@@ -310,7 +322,7 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSched
     N, T = len(codes), slots.shape[1]
     stop = T + 1 if stop is None else stop
     picked = estimator if inst else "plugin"
-    if not exact:
+    if not exact or N * (stop - start) < _PICK_CELLS:
         yield from _pick_pass(codes, cells, slots, picked, k, exact, hab, inst, start, stop)
         return
     by_arm, bounds = _arm_order(codes, T)

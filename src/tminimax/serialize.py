@@ -1,24 +1,45 @@
 """File formats: matrix/assignment CSV and the row tables.
 
 CSV matrices carry a ``unit,t1..tT`` header and 17-significant-digit
-decimal floats, which round-trip float64 exactly; each row is written
-with one ``%d,%.17g,...`` template.  The matrix reader accepts a cell
-exactly when Python's ``float()`` accepts it and rejects nan and inf.  It
-reports the first error in file order among, in turn, the cell counts,
-then the unit numbers and non-numbers, then the non-finite values.  Errors
-name the physical line: its 1-based position in ``text.splitlines()``,
-blank lines included.  Both CSV families are read in two passes over the
-open file: one checks the header and every row's cell count, and one
-parses the rows into the preallocated result, the matrix reader a block
-of ``_BLOCK_CELLS`` cells at a time and the assignment reader a run of
-lines read at once, rescanning a block row by row only to locate an
-error.  Both are written a block of rows at a time.  So
-reading an N x T matrix needs about 8 N T bytes plus one block, never the
-file's text or one Python string per cell.  JSON output is canonical (sorted keys,
-compact separators, shortest round-trip floats), so identical inputs
-always produce identical bytes.  All writes go through a temp file and
-rename, never a partial file, and the file gets the mode ``open()`` would
-give it under the process umask.
+decimal floats, the text ``format_float`` (``%.17g``) gives, which
+round-trips float64 exactly.  The matrix writer makes that text for a
+block of cells at a time in numpy (``_cells_text``), byte for byte:
+
+- A cell in the band 1e-4 <= |x| < 1e16, which ``%.17g`` writes in fixed
+  notation, has E = floor(log10 |x|) in -4..15, so 10**k with k = 16 - E
+  is an exact double (k <= 20, and 10**22 is the largest exact one).
+  Dekker's two-product (Dekker 1971, "A floating-point technique for
+  extending the available precision") splits |x| 10**k into hi + lo
+  exactly, as no product in it can overflow or underflow in the band.
+- When 10**16 <= hi + lo and D = hi + rint(lo) < 10**17, D is the 17-digit
+  integer of |x| correctly rounded, ties to even, as CPython's dtoa rounds:
+  hi is an integer above 2**53 and so even, |lo| is at most half its ulp,
+  and rint breaks a tie in lo to even, which makes D even.  The range
+  check also catches an E that ``log10`` made one off near a power of ten.
+- The digits of D come four at a time from a table, its trailing zeros are
+  dropped, and a template keyed by (E, digit count, sign) places the sign,
+  the point and a leading "0.000"; pad bytes are then removed.
+- Every other cell is written by ``format_float`` itself: 0 and -0.0,
+  subnormals, |x| < 1e-4 or >= 1e16, nan, inf, and a cell whose D fails
+  the range check.
+
+The matrix reader accepts a cell exactly when Python's ``float()``
+accepts it and rejects nan and inf.  It reports the first error in file
+order among, in turn, the cell counts, then the unit numbers and
+non-numbers, then the non-finite values.  Errors name the physical line:
+its 1-based position in ``text.splitlines()``, blank lines included.
+Both CSV families are read in two passes over the open file: one checks
+the header and every row's cell count, and one parses the rows into the
+preallocated result, the matrix reader a block of ``_BLOCK_CELLS`` cells
+at a time and the assignment reader a run of lines read at once,
+rescanning a block row by row only to locate an error.  Both are written
+a block of rows at a time.  So reading an N x T matrix needs about 8 N T
+bytes plus one block, never the file's text or one Python string per
+cell.  JSON output is canonical (sorted keys, compact separators,
+shortest round-trip floats), so identical inputs always produce
+identical bytes.  All writes go through a temp file and rename, never a
+partial file, and the file gets the mode ``open()`` would give it under
+the process umask.
 """
 
 from __future__ import annotations
@@ -27,6 +48,7 @@ import io
 import itertools
 import json
 import os
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -89,9 +111,12 @@ def _write_chunks(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-# Cells formatted or parsed at a time: the CSV readers and writers hold one
-# block of cell strings, never the whole file's.
+# Cells parsed or formatted at a time: the CSV readers and the assignment
+# writer hold one block of cell strings, never the whole file's.
 _BLOCK_CELLS = 1 << 14
+# Cells the matrix writer formats at a time, unit numbers included: the
+# temporaries of ``_cells_text`` stay near 500 bytes per cell.
+_WRITE_CELLS = 1 << 12
 
 
 def _block_rows(T: int) -> int:
@@ -104,25 +129,133 @@ def _header(T: int) -> list[str]:
 
 
 def _matrix_blocks(values: np.ndarray) -> Iterator[str]:
-    """The CSV text of a matrix: its header line, then its rows in blocks.
-    The shape is checked before any text is made."""
+    """The CSV text of a matrix: its header line, then its rows in blocks
+    of at most ``_WRITE_CELLS`` cells, or one row split into such blocks,
+    each written by ``_cells_text``.  The unit numbers go through it as the
+    first column: a unit number up to 2**53 is an exact float whose
+    ``format_float`` text is its ``%d`` text.  The shape is checked before
+    any text is made."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {values.shape}")
     N, T = values.shape
-    # "%.17g" formats float() of a Python number, as format_float does, so
-    # one template per row writes the same bytes as formatting cell by cell;
-    # other cells (strings, complex) need the explicit float() first
+    # a numeric cell cast to float64 is float() of it, as format_float takes;
+    # other cells (strings, complex) are passed through float() one by one
     numeric = values.dtype.kind in "biuf"
-    line = ",".join(["%d"] + ["%.17g"] * T) + "\n"
-    size = _block_rows(T)
+    size = max(1, _WRITE_CELLS // (T + 1))
 
-    def block(r0: int) -> str:
-        cells = values[r0:r0 + size]
-        rows = cells.tolist() if numeric else ([float(v) for v in row] for row in cells)
-        return "".join([line % (i, *row) for i, row in enumerate(rows, start=r0 + 1)])
+    def blocks(r0: int) -> Iterator[str]:
+        rows = values[r0:r0 + size]
+        cells = np.empty((len(rows), T + 1))
+        cells[:, 0] = np.arange(r0 + 1, r0 + len(rows) + 1)
+        cells[:, 1:] = rows if numeric else np.fromiter(
+            map(float, rows.flat), float, count=rows.size).reshape(rows.shape)
+        flat = cells.reshape(-1)
+        for i in range(0, flat.size, _WRITE_CELLS):
+            yield _cells_text(flat[i:i + _WRITE_CELLS], i, T + 1)
 
-    return itertools.chain([",".join(_header(T)) + "\n"], map(block, range(0, N, size)))
+    rows = itertools.chain.from_iterable(map(blocks, range(0, N, size)))
+    return itertools.chain([",".join(_header(T)) + "\n"], rows)
+
+
+# Bytes per cell of the kernel's text: the longest format_float text (24,
+# as in -1.2345678901234567e-308) and a separator.
+_SLOT = 25
+# A template names, for each byte of a cell's text, a column of the cell's
+# source row: its 17 digits, then these.
+_MINUS, _POINT, _ZERO, _SEP, _PAD = range(17, 22)
+
+
+@lru_cache(maxsize=None)
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """The 4 ASCII digits of each number 0..9999, as a 10000 x 4 uint8
+    array, and the count of its trailing zero digits (4 for 0)."""
+    texts = [f"{g:04d}" for g in range(10000)]
+    digits = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(10000, 4)
+    trailing = np.array([4 - len(text.rstrip("0")) for text in texts], np.int8)
+    return digits, trailing
+
+
+@lru_cache(maxsize=None)
+def _templates() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of the band exponents E = -4..15: 10**(16 - E) with its
+    Veltkamp halves (high 26 bits and the rest), and a 20 x 17 x 2 x
+    ``_SLOT`` table of the source columns of the text of a cell with
+    exponent E, n significant digits and the sign bit s, flattened to one
+    row per key ((E + 4) * 17 + n - 1) * 2 + s.  The text is fixed notation
+    with trailing zeros dropped, as ``%.17g`` writes it: a minus sign, then
+    "0." and -E - 1 zeros before the digits when E < 0, else the first
+    max(n, E + 1) digits with a point after digit E when n > E + 1; then the
+    separator, and pads to the end of the slot."""
+    scale = np.array([float(10 ** (16 - E)) for E in range(-4, 16)])
+    c = scale * 134217729.0  # 2**27 + 1
+    scale_hi = c - (c - scale)
+    table = np.full((20, 17, 2, _SLOT), _PAD, np.int32)
+    for E, n, s in itertools.product(range(-4, 16), range(1, 18), (0, 1)):
+        cols = [_MINUS] if s else []
+        if E < 0:
+            cols += [_ZERO, _POINT] + [_ZERO] * (-E - 1) + list(range(n))
+        else:
+            cols += list(range(E + 1))
+            if n > E + 1:
+                cols += [_POINT] + list(range(E + 1, n))
+        cols.append(_SEP)
+        table[E + 4, n - 1, s, :len(cols)] = cols
+    return scale, scale_hi, scale - scale_hi, table.reshape(-1, _SLOT)
+
+
+def _cells_text(x: np.ndarray, first: int, C: int) -> str:
+    """The text of cells first..first + len(x) - 1 of a flattened block of
+    rows of C cells: each cell's ``format_float`` text and a comma, or a
+    line break after the last cell of a row.  A cell in the band 1e-4 <=
+    |x| < 1e16 is formatted in numpy from its 17 correctly rounded digits,
+    any other cell, and any whose digits fail the range check, by
+    ``format_float`` itself (see the module docstring)."""
+    scale, scale_hi, scale_lo, templates = _templates()
+    four, trailing = _digit_table()
+    m = len(x)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = np.floor(np.log10(a))  # may be one off near a power of ten
+    band = (E >= -4) & (E <= 15)
+    e = np.where(band, E + 4, 4).astype(np.intp)
+    a[~band] = 1.0
+    # Dekker's two-product: hi + lo == a * 10**(16 - E) exactly
+    s_hi, s_lo = scale_hi.take(e), scale_lo.take(e)
+    hi = a * scale.take(e)
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # 10**16 <= hi + lo, so E is not too high, and D < 10**17, so E is not
+    # too low and the rounding did not carry to 10**(E + 1)
+    fast = band & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (D < 10 ** 17)
+    D[~fast] = 10 ** 16  # placeholder digits: format_float writes these cells
+    top, low = np.divmod(D, 10 ** 8)
+    d0, rest = np.divmod(top.astype(np.int32), 10 ** 8)
+    groups = np.empty((m, 4), np.int32)  # digits 1-4, 5-8, 9-12, 13-16
+    np.divmod(rest, 10 ** 4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(low.astype(np.int32), 10 ** 4, out=(groups[:, 2], groups[:, 3]))
+    # D's trailing zeros: a group of four zeros adds the previous group's
+    z = trailing.take(groups)
+    zeros = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (
+        z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
+    key = (e * 17 + 16 - zeros) * 2 + np.signbit(x)
+    source = np.empty((m, _PAD + 1), np.uint8)
+    source[:, 0] = d0 + ord("0")
+    source[:, 1:17].reshape(m, 4, 4)[:] = four.take(groups, axis=0)
+    source[:, _MINUS:] = np.frombuffer(b"-.0,\0", np.uint8)
+    source[(C - 1 - first) % C::C, _SEP] = ord("\n")
+    at = templates.take(key, axis=0)
+    at += np.arange(0, m * (_PAD + 1), _PAD + 1, dtype=np.int32)[:, None]
+    text = source.reshape(-1).take(at)
+    for i in np.flatnonzero(~fast).tolist():
+        slow = (format_float(x[i]) + ("," if (first + i + 1) % C else "\n")).encode("ascii")
+        text[i] = 0
+        text[i, :len(slow)] = np.frombuffer(slow, np.uint8)
+    text = text.reshape(-1)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def write_matrix_csv(path: str, values: np.ndarray) -> None:

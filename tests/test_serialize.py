@@ -1,14 +1,19 @@
 """Tests for CSV round-trips, parse errors and the row tables."""
 
 import hashlib
+import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tminimax
 from tminimax.allocation import ObjectiveMode, integer_solve
 from tminimax.core import (
     ALWAYS_CONTROL,
@@ -21,6 +26,7 @@ from tminimax.core import (
     pulse_arm,
 )
 from tminimax.serialize import (
+    _WRITE_CELLS,
     ParseError,
     _block_rows,
     _decode_row,
@@ -346,6 +352,97 @@ class TestMatrixCsvGolden:
             lines = _written_text(write_matrix_csv, values).splitlines()[1:]
             assert lines == [",".join([str(i)] + [format_float(v) for v in row])
                              for i, row in enumerate(values, start=1)], name
+
+
+def _format_float_csv(values):
+    """The CSV text of values with each cell written by ``format_float``."""
+    T = values.shape[1]
+    lines = [",".join(["unit"] + [f"t{t}" for t in range(1, T + 1)])]
+    lines.extend(",".join([str(i)] + [format_float(v) for v in row])
+                 for i, row in enumerate(values.tolist(), start=1))
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixWriterKernel:
+    """The writer formats a cell in the band 1e-4 <= |x| < 1e16 from its
+    digits in numpy, and any other cell with ``format_float``; either way
+    it writes the bytes ``format_float`` writes."""
+
+    @staticmethod
+    def _check(x, T=7):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        values = np.resize(x, (-(-len(x) // T), T))  # whole rows, the last padded from the top
+        assert _written_text(write_matrix_csv, values) == _format_float_csv(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        self._check(rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64))
+
+    def test_random_scales(self):
+        rng = np.random.default_rng(12)
+        self._check(rng.normal(size=20000) * 10.0 ** rng.uniform(-8, 20, size=20000))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # 10**j moved by up to 4 ulp, both signs
+        x = np.array([10.0 ** j for j in range(-5, 18)])
+        x = (x.view(np.int64)[:, None] + np.arange(-4, 5)).view(np.float64)
+        self._check(np.concatenate([x, -x]))
+
+    def test_seventeen_digit_ties_round_both_ways(self):
+        # m * 2**(E - 17) with m odd is a tie at 17 digits: times
+        # 10**(16 - E) it is m * 5**(16 - E) / 2
+        rng = np.random.default_rng(13)
+        x, kept = [], set()
+        for E in range(-4, 16):
+            low = math.ceil(Fraction(10) ** E * 2 ** (17 - E))
+            high = min(math.ceil(Fraction(10) ** (E + 1) * 2 ** (17 - E)), 2 ** 53) - 1
+            for m in rng.integers(low, high, size=60).tolist():
+                v = math.ldexp(m | 1, E - 17)
+                scaled = Fraction(v) * 10 ** (16 - E)
+                assert scaled.denominator == 2 and f"{v:e}".endswith(f"e{E:+03d}")
+                kept.add(math.floor(scaled) % 2)  # even: rounds down; odd: up
+                x.append(v)
+        assert kept == {0, 1}
+        self._check(np.concatenate([x, np.negative(x)]))
+
+    def test_values_that_round_up_to_a_power_of_ten(self):
+        # the largest double below each 10**p; some carry to 10**p at 17 digits
+        below = []
+        for p in range(-307, 309):
+            v = float(Fraction(10) ** p)
+            below.append(math.nextafter(v, 0) if Fraction(v) >= Fraction(10) ** p else v)
+        assert any(format_float(v).startswith("1e") for v in below)
+        self._check(np.concatenate([below, np.negative(below)]))
+
+    def test_zeros_subnormals_and_non_finite(self):
+        f = np.finfo(float)
+        self._check([0.0, -0.0, 5e-324, -5e-324, f.tiny, -f.tiny, f.tiny / 3, f.max, -f.max,
+                     np.nan, np.inf, -np.inf, 1e-4, 9.9999999999999991e-05, 1e16,
+                     9999999999999998.0, 2.0 ** 53, 2.0 ** 53 + 2], T=4)
+
+    @pytest.mark.parametrize("T", [1, 3, 20])
+    def test_band_values_across_block_edges(self, T):
+        rng = np.random.default_rng(T)
+        B = _WRITE_CELLS // (T + 1)
+        for N in (B - 1, B, B + 1, 2 * B + 3):
+            values = rng.normal(size=(N, T)) * 10.0 ** rng.uniform(-4, 16, size=(N, T))
+            values[N // 2] = 0.0  # a row of fallback cells in the middle
+            assert _written_text(write_matrix_csv, values) == _format_float_csv(values), N
+
+    def test_rows_wider_than_a_block(self):
+        rng = np.random.default_rng(15)
+        T = 2 * _WRITE_CELLS + 5
+        values = rng.normal(size=(3, T)) * 10.0 ** rng.uniform(-6, 18, size=(3, T))
+        values[1, _WRITE_CELLS - 2:_WRITE_CELLS + 2] = 0.0  # fallback cells at a block edge
+        assert _written_text(write_matrix_csv, values) == _format_float_csv(values)
+
+    def test_import_builds_no_table(self):
+        code = ("import tminimax.cli; from tminimax import serialize; "
+                "assert serialize._digit_table.cache_info().currsize == 0; "
+                "assert serialize._templates.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(tminimax.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestAssignmentCsv:
