@@ -237,12 +237,10 @@ def _rounded(partials: list[np.ndarray], m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _picked_mean(picked: np.ndarray, exact: bool = True) -> float:
-    """Mean of one nonempty pool's outcomes, ``picked`` in unit order:
-    summed with fsum, or with numpy's pairwise sum when not ``exact``.
-    The unit-by-unit pass (``_pick_pass``) uses it; an exact pass takes
-    it only for a block the extraction cannot sum."""
-    return (fsum(picked.tolist()) if exact else picked.sum()) / len(picked)
+def _picked_mean(picked: np.ndarray) -> float:
+    """Mean of one nonempty pool's outcomes, ``picked`` in unit order,
+    summed with fsum.  The unit-by-unit pass (``_pick_pass``) uses it."""
+    return fsum(picked.tolist()) / len(picked)
 
 
 def _pool_name(estimator: str, t: int) -> str:
@@ -281,18 +279,17 @@ def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
 
 
 # Below this many unit-periods (N times the periods) a pass is summed unit
-# by unit, whose fsum calls cost less than the exact pass's set-up.  On a
+# by unit, whose fsum calls cost less than the extraction's set-up.  On a
 # 2-vCPU x86-64 VM (numpy 2.4) one period at N = 8 took about 15 us unit by
-# unit against 85 us exact, and the crossover lay between 2000 and 4000
-# unit-periods; 256 keeps a wide margin, and a period at the N of every
-# benchmarked command (2000 and up) is above it.
+# unit against 85 us by extraction, and the crossover lay between 2000 and
+# 4000 unit-periods; 256 keeps a wide margin, and a period at the N of
+# every benchmarked command (2000 and up) is above it.
 _PICK_CELLS = 256
 
 
 def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSchedule,
-                   estimator: str, k: int | None = None, exact: bool = True,
-                   hab: bool = True, inst: bool = True, start: int = 2,
-                   stop: int | None = None
+                   estimator: str, k: int | None = None, hab: bool = True,
+                   inst: bool = True, start: int = 2, stop: int | None = None
                    ) -> Iterator[tuple[int, float | None, float | None]]:
     """Yields ``(t, habituation, instantaneous)`` for t = start..stop - 1
     (by default through T): treated mean minus pulse mean, and pulse mean
@@ -304,26 +301,23 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSched
     the plugin pool is picked, the cheapest.  An empty arm raises in the
     order always-treated, pulse, pool.
 
-    ``exact`` sums each arm with fsum's bits, else with numpy's pairwise
-    sum unit by unit (``_pick_pass``).  An exact pass of fewer than
-    ``_PICK_CELLS`` unit-periods (N times its periods, a bound on the cells
-    it reads) is summed by ``_pick_pass`` with fsum too, which gives the
-    same bits, each arm's exact sum rounded once.  A larger one works a
-    block of periods at a time, at most ``_BLOCK_CELLS`` cells and at least
-    one period: it gathers the cells each period reads, grouped by (period,
-    role), and sums them by ``_extract`` with one scale group per period,
-    then rounds each treated, pulse and pool sum once.  That is the float
-    ``fsum`` of the arm's cells gives: both are its exact sum correctly
-    rounded.  A block that needs an empty arm, or reads a cell that is
-    non-finite, -0.0 or at least 2**(1023 - c) (see ``_extract``), is
-    summed by ``_pick_pass`` with fsum instead, so it yields and raises
-    in unit order exactly as summing each arm with fsum does."""
+    Every arm is summed with fsum's bits, its exact sum rounded once.  A
+    pass of fewer than ``_PICK_CELLS`` unit-periods (N times its periods, a
+    bound on the cells it reads) is summed unit by unit, by ``_pick_pass``.
+    A larger one works a block of periods at a time, at most
+    ``_BLOCK_CELLS`` cells and at least one period: it gathers the cells
+    each period reads, grouped by (period, role), and sums them by
+    ``_extract`` with one scale group per period, then rounds each
+    treated, pulse and pool sum once.  A block that needs an empty arm, or
+    reads a cell that is non-finite, -0.0 or at least 2**(1023 - c) (see
+    ``_extract``), is summed by ``_pick_pass`` instead, so it yields and
+    raises in unit order exactly as summing each arm with fsum does."""
     cells, slots = _cell_table(values)
     N, T = len(codes), slots.shape[1]
     stop = T + 1 if stop is None else stop
     picked = estimator if inst else "plugin"
-    if not exact or N * (stop - start) < _PICK_CELLS:
-        yield from _pick_pass(codes, cells, slots, picked, k, exact, hab, inst, start, stop)
+    if N * (stop - start) < _PICK_CELLS:
+        yield from _pick_pass(codes, cells, slots, picked, k, hab, inst, start, stop)
         return
     by_arm, bounds = _arm_order(codes, T)
     counts = np.diff(bounds)
@@ -361,8 +355,7 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSched
                 sums = _rounded(_extract(x, top, groups, segments, c), len(segments))
                 means = sums.reshape(block.shape) / block
         if means is None:
-            yield from _pick_pass(codes, cells, slots, picked, k, exact, hab, inst, t0,
-                                  start + last)
+            yield from _pick_pass(codes, cells, slots, picked, k, hab, inst, t0, start + last)
         else:
             pulse = means[:, roles.index(1)]
             h = (means[:, 0] - pulse).tolist() if hab else [None] * len(means)
@@ -402,7 +395,7 @@ def _read_arms(T: int, picked: str, k: int | None, hab: bool, inst: bool) -> np.
 
 
 def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: str,
-               k: int | None, exact: bool, hab: bool, inst: bool, start: int, stop: int
+               k: int | None, hab: bool, inst: bool, start: int, stop: int
                ) -> Iterator[tuple[int, float | None, float | None]]:
     """``_estimate_pass`` for t = start..stop - 1 unit by unit: each step
     of ``core._picks`` over the ``picked`` pools sums the arms it reads
@@ -422,9 +415,9 @@ def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: 
             col = cells[first:first + N * T:T]
         else:
             col = cells.take((slot[codes] * N + np.arange(N)) * T + t - 1)
-        treated_mean = _picked_mean(col[treated], exact) if hab else None
-        pulse_mean = _picked_mean(col[pulse], exact)
-        pool_mean = _picked_mean(col[pool], exact) if inst else None
+        treated_mean = _picked_mean(col[treated]) if hab else None
+        pulse_mean = _picked_mean(col[pulse])
+        pool_mean = _picked_mean(col[pool]) if inst else None
         yield (t, treated_mean - pulse_mean if hab else None,
                pulse_mean - pool_mean if inst else None)
 

@@ -21,20 +21,17 @@ per-t estimators run, so the loss scores exactly the estimates a user
 gets; the pass reads each unit's cells from the schedule's stored
 matrices through its slot table, with no N x T copy of the observed
 rows.  ``conservative_ci`` takes its estimate from one step of that
-pass and its two pools' units from one step of ``core._picks``.  The
-picked arrays are exactly those a boolean mask over the column gives, so
-numpy's pairwise sums and fsum over them, and every risk, keep their bits.
-One kind of schedule is scored by counting instead: one whose arms and
-periods all share one outcome column y of integers with sum(|y|) < 2**53,
-as ``worst_case_schedule`` builds in an integer box such as the default
-[0, 1].  Every sum of its cells, in any order, is then an exact integer,
-so one weighted ``bincount`` per assignment gives each arm's total, and
-each pool's, with the bits fsum and numpy's pairwise sum give.
-``mc_risks`` scores every design of a Monte-Carlo replicate on that
-replicate's one seeded permutation of the units.  On such a schedule one
-``bincount`` of the nonzero units, by the cut interval each is permuted
-into, gives every design's arm totals, and the losses are scored for a
-chunk of replicates at a time.
+pass and its two pools' units from one step of ``core._picks``.  Every
+loss sums each arm and pool by one rule: fsum's bits, the exact sum
+rounded once.  A schedule whose arms and periods all share one outcome
+column y = c * b, for one float c and integers b with sum(|b|) < 2**53
+(as ``worst_case_schedule`` builds in a box [0, u], [-u, u] or [-2, 3]),
+is scored by counting: one weighted ``bincount`` of b per assignment
+gives each arm's exact integer total K, and one rounded product c * K is
+the cells' exact sum rounded once.  ``mc_risks`` scores every design of
+a replicate on its one seeded permutation of the units; on such a
+schedule one ``bincount`` of the nonzero units, by the cut interval each
+is permuted into, gives every design's arm totals.
 
 scipy is loaded only when a confidence interval is computed
 (``conservative_ci``); importing this module loads numpy alone.
@@ -140,20 +137,16 @@ class RiskReport:
 
 
 def _loss_from_codes(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSchedule,
-                     hab: np.ndarray,
-                     inst: np.ndarray, spec: LossSpec, exact: bool) -> float:
+                     hab: np.ndarray, inst: np.ndarray, spec: LossSpec) -> float:
     """Loss of one assignment given its observed ``values`` (an N x T
     array, or the schedule whose arm matrices the units observe) and
     precomputed estimand arrays: the squared errors of one estimator pass
-    (``estimators._estimate_pass``), which skips an effect of weight zero.
-
-    ``exact=True`` sums each pool with fsum's bits (bit-stable under unit
-    relabeling); ``exact=False`` sums it with numpy, unit by unit, the
-    path Monte-Carlo loops use, identical up to last-bit rounding.
+    (``estimators._estimate_pass``, which sums each pool with fsum's bits),
+    skipping an effect of weight zero.
     """
     hab_terms = []
     inst_terms = []
-    for t, h, i in _estimate_pass(codes, values, spec.estimator, spec.k, exact,
+    for t, h, i in _estimate_pass(codes, values, spec.estimator, spec.k,
                                   hab=spec.rho > 0.0, inst=spec.rho < 1.0):
         if h is not None:
             err = h - hab[t - 2]
@@ -172,71 +165,74 @@ class _LossEvaluator:
     computed once.
 
     Called on a code vector, it picks the path once per call: a schedule
-    with one integer outcome column ``y`` (``_counted_column``) scores the
-    assignment by counting, one weighted ``bincount`` of its units'
-    outcomes by arm fed to ``from_sums`` as a one-row array, and every
-    other schedule by ``general`` (``_loss_from_codes``).  Both give the
-    same bits, for ``exact`` true or false.  An assignment that leaves an
-    arm the loss reads empty goes to ``general``, which raises."""
+    with one counted outcome column y = c * b (``_counted_column``) scores
+    the assignment by counting, one weighted ``bincount`` of its units' b
+    by arm fed to ``from_sums`` as a one-row array, and every other
+    schedule by ``general`` (``_loss_from_codes``).  Both give the same
+    bits.  An assignment that leaves an arm the loss reads empty goes to
+    ``general``, which raises."""
 
-    def __init__(self, sched: PotentialOutcomeSchedule, spec: LossSpec, exact: bool) -> None:
+    def __init__(self, sched: PotentialOutcomeSchedule, spec: LossSpec) -> None:
         hab, inst = estimands(sched)
         self._hab, self._inst = hab.values, inst.values
-        self._sched, self._spec, self._exact = sched, spec, exact
-        self.y = _counted_column(sched)
-        if self.y is not None:  # only counting reads the pools as a float table
+        self._sched, self._spec = sched, spec
+        self.b, self.c = _counted_column(sched) or (None, 1.0)
+        if self.b is not None:  # only counting reads the pools as a float table
             self._pools = _pool_arms(sched.T, spec.estimator, spec.k).astype(float)
 
     def general(self, codes: np.ndarray) -> float:
-        return _loss_from_codes(codes, self._sched, self._hab, self._inst, self._spec,
-                                self._exact)
+        return _loss_from_codes(codes, self._sched, self._hab, self._inst, self._spec)
 
     def countable(self, counts: np.ndarray) -> bool:
         """Whether an assignment with these int64 arm counts is scored by
         counting: the schedule has a counted column and every arm and pool
         the loss reads has a unit."""
         spec = self._spec
-        return self.y is not None and bool(
+        return self.b is not None and bool(
             counts[2:].all() and (counts[1] or spec.rho == 0.0)
             and ((self._pools @ counts).all() or spec.rho == 1.0))
 
     def from_sums(self, counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """The losses of assignments with these ``countable`` arm counts,
-        one per row of ``sums``, the arm totals of ``y``.  Every arm or pool
-        total is a sum of integers, each partial sum at most sum(|y|) <
-        2**53 in magnitude, so it is exact in any order: the value fsum or
-        numpy's pairwise sum gives over the units.  A row's loss is the
-        fsum of its squared errors, as ``_loss_from_codes`` forms it."""
-        spec = self._spec
-        pulse = sums[:, 2:] / counts[2:]
+        one per row of ``sums``, the arm totals K of ``b``.  Every arm or
+        pool total K is a sum of integers below sum(|b|) < 2**53, so exact
+        in any order, and ``c * K`` rounds the cells' exact sum once, as
+        fsum does.  A pool is scaled after its arms' K are added: the
+        rounded products of the arms need not add up to that of their sum.
+        A row's loss is the fsum of its squared errors."""
+        spec, c = self._spec, self.c
+        pulse = c * sums[:, 2:] / counts[2:]
         hab_sum = inst_sum = 0.0
         if spec.rho > 0.0:
-            err = (sums[:, 1:2] / counts[1] - pulse) - self._hab
+            err = (c * sums[:, 1:2] / counts[1] - pulse) - self._hab
             hab_sum = np.array([fsum(row) for row in (err * err).tolist()])
         if spec.rho < 1.0:
-            err = (pulse - (sums @ self._pools.T) / (self._pools @ counts)) - self._inst
+            err = (pulse - c * (sums @ self._pools.T) / (self._pools @ counts)) - self._inst
             inst_sum = np.array([fsum(row) for row in (err * err).tolist()])
         val = spec.rho * hab_sum + (1.0 - spec.rho) * inst_sum
         return 2.0 * val if spec.unnormalized else val
 
     def __call__(self, codes: np.ndarray) -> float:
-        if self.y is not None:
+        if self.b is not None:
             counts = np.bincount(codes, minlength=self._sched.T + 1)
             if self.countable(counts):
-                sums = np.bincount(codes, weights=self.y, minlength=self._sched.T + 1)
+                sums = np.bincount(codes, weights=self.b, minlength=self._sched.T + 1)
                 return float(self.from_sums(counts, sums[None])[0])
         return self.general(codes)
 
 
-def _counted_column(sched: PotentialOutcomeSchedule) -> np.ndarray | None:
-    """The outcome column y shared by every arm and period of ``sched``,
-    when draws against it can be scored by counting, else None.
+def _counted_column(sched: PotentialOutcomeSchedule) -> tuple[np.ndarray, float] | None:
+    """``(b, c)`` for the outcome column y shared by every arm and period
+    of ``sched``, y = c * b exactly with b integer-valued, when draws
+    against it can be scored by counting, else None.
 
     That needs one stored matrix (so every arm observes the same rows),
-    columns that are bitwise equal, and a y that is finite,
-    integer-valued, free of -0.0 (whose fsum sign a count cannot tell)
-    and has sum(|y|) < 2**53.  The checks cost O(N) memory beyond the
-    schedule."""
+    columns that are bitwise equal, and a y that is finite and free of
+    -0.0 (whose fsum sign a count cannot tell).  An integer-valued y has
+    c = 1; any other has c its smallest nonzero |y_i|, which must divide
+    every y_i exactly.  Either needs sum(|b|) < 2**53, so no c * K
+    overflows: c is 1 or below 2**52 (every float above is an integer).
+    The checks cost O(N) memory beyond the schedule."""
     if len(sched._stored) != 1:
         return None
     matrix = sched._stored[0]
@@ -244,12 +240,20 @@ def _counted_column(sched: PotentialOutcomeSchedule) -> np.ndarray | None:
     if not all(np.array_equal(bits[:, 0], bits[:, j]) for j in range(1, sched.T)):
         return None
     y = np.ascontiguousarray(matrix[:, 0])
-    # |y| holds integers, so its float sum is exact below 2**53 and at
-    # least 2**53 when the exact sum is
-    if not (np.isfinite(y).all() and (np.trunc(y) == y).all()
-            and not np.signbit(y[y == 0.0]).any() and np.abs(y).sum() < 2.0 ** 53):
+    if not np.isfinite(y).all() or np.signbit(y[y == 0.0]).any():
         return None
-    return y
+    b, c = y, 1.0
+    if not (np.trunc(y) == y).all():
+        size = np.abs(y)
+        c = float(size[y != 0.0].min())
+        # fmod is exact: a zero remainder makes y_i an integer multiple of
+        # c, and y_i / c that integer, below 2**53 so a float
+        if np.fmod(y, c).any() or not size.max() < 2.0 ** 53 * c:
+            return None
+        b = y / c
+    # |b| holds integers, so its float sum is exact below 2**53 and at
+    # least 2**53 when the exact sum is
+    return (b, c) if np.abs(b).sum() < 2.0 ** 53 else None
 
 
 def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
@@ -259,7 +263,7 @@ def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -
     if spec.estimator == "recycling" and Z.family is Family.WEDGE:
         raise ValueError("recycling loss requires a pulse-family assignment")
     _check_fits(Z, sched)
-    return _LossEvaluator(sched, spec, exact=True)(Z.codes)
+    return _LossEvaluator(sched, spec)(Z.codes)
 
 
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
@@ -269,7 +273,7 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
 
     Replicate r draws its assignment from a generator seeded by (seed, r),
     and the replicate losses are reduced in index order, so one seed gives
-    one result.  On a schedule with one integer outcome column each draw
+    one result.  On a schedule with one counted outcome column each draw
     is scored by counting, with the same bits.
     """
     return mc_risks([alloc], sched, spec, draws, seed)[0]
@@ -289,29 +293,30 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
     through ``core._shuffle`` with a generator seeded by (seed, r), and
     scores every design on it, so design d's draw r is the assignment
     ``draw_assignment(allocs[d], seed=SeedSequence((seed, r)))`` gives and
-    its report does not depend on which other designs are listed.  Each
-    design's losses are kept (8 bytes per design and draw) and reduced in
-    replicate order, so one seed gives one result.
+    its report does not depend on which other designs are listed; its
+    loss is ``loss`` of that assignment, bit for bit.  Each design's
+    losses are kept (8 bytes per design and draw) and reduced in replicate
+    order, so one seed gives one result.
 
-    On a schedule with one integer outcome column y (``_counted_column``)
-    the sorted positions 0..N are cut once, at every counted design's arm
-    boundaries.  A replicate bins the units with a nonzero y by the cut
-    interval their permuted position falls in, one weighted ``bincount``,
-    and each design's arm totals are differences of the bins' prefix sums
-    at two cuts: integers below sum(|y|) < 2**53 in magnitude, so exact,
-    with the bits a weighted ``bincount`` by arm gives.  Each design's
+    On a schedule with one counted outcome column y = c * b
+    (``_counted_column``) the sorted positions 0..N are cut once, at every
+    counted design's arm boundaries.  A replicate bins the units with a
+    nonzero b by the cut interval their permuted position falls in, one
+    weighted ``bincount``, and each design's arm totals K are differences
+    of the bins' prefix sums at two cuts: exact integers, the bits a
+    weighted ``bincount`` by arm gives.  Each design's
     totals are kept for ``_CHUNK`` replicates (8 x (T + 1) bytes each) and
     scored by one ``from_sums`` call.  Every other schedule, and a design
-    that leaves an arm the loss reads empty, is scored unit by unit inside
-    the replicate loop (``_loss_from_codes``, which raises on the empty arm
-    at r = 0, in design order).
+    that leaves an arm the loss reads empty, is scored inside the
+    replicate loop (``_loss_from_codes``, which raises on the empty arm at
+    r = 0, in design order).
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     for alloc in allocs:
         _check_sizes(alloc, sched)
     _check_seed(seed)
-    evaluate = _LossEvaluator(sched, spec, exact=False)
+    evaluate = _LossEvaluator(sched, spec)
     N, T = sched.N, sched.T
     all_counts = [np.array(alloc.counts, dtype=np.int64) for alloc in allocs]
     counted = [d for d, counts in enumerate(all_counts) if evaluate.countable(counts)]
@@ -328,8 +333,8 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
         cuts = np.array(sorted({0, N, *ends.ravel().tolist()}))
         interval = np.searchsorted(cuts, np.arange(N), "right") - 1
         lo, hi = np.searchsorted(cuts, starts), np.searchsorted(cuts, ends)
-        units = np.flatnonzero(evaluate.y)
-        weights = evaluate.y[units]
+        units = np.flatnonzero(evaluate.b)
+        weights = evaluate.b[units]
         cum = np.zeros(len(cuts))
         totals = np.empty((len(counted), min(_CHUNK, draws), T + 1))
     losses = np.empty((len(allocs), draws))
@@ -360,7 +365,7 @@ def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpe
     (each equally likely under complete randomization).  Only viable at
     enumeration scale; replaces Monte-Carlo sampling in oracle checks."""
     _check_sizes(alloc, sched)
-    evaluate = _LossEvaluator(sched, spec, exact=True)
+    evaluate = _LossEvaluator(sched, spec)
     losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
     return fsum(losses) / len(losses)
 

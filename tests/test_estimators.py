@@ -551,8 +551,7 @@ class TestEstimatePass:
                                              ("recycling", 1), ("recycling", 3)],
                              ids=["plugin", "augmented", "recycling-1", "recycling-3"])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
-    def test_a_step_is_the_row_of_the_full_pass(self, estimator, k, rho, exact):
+    def test_a_step_is_the_row_of_the_full_pass(self, estimator, k, rho):
         from tminimax.estimators import _estimate_pass
 
         def bits(row_or_error):
@@ -561,7 +560,7 @@ class TestEstimatePass:
             return tuple(None if v is None else float(v).hex() for v in row_or_error)
 
         rng = np.random.default_rng(23)
-        flags = {"exact": exact, "hab": rho > 0.0, "inst": rho < 1.0}
+        flags = {"hab": rho > 0.0, "inst": rho < 1.0}
         # N = 6 at T = 7 leaves arms empty; T = 260 sorts the codes as uint16
         for N, T in ((6, 7), (40, 5), (1000, 260)):
             values = rng.normal(size=(N, T))
@@ -692,7 +691,7 @@ class TestExactPassMatchesThePerPickLoop:
                 with np.errstate(invalid="ignore", over="ignore"):
                     for start, stop in [(2, None)] + [(t, t + 1) for t in range(2, T + 1)]:
                         want = _pass_rows(lambda: _pick_pass(
-                            codes, cells, table, picked, k, True, hab, inst, start,
+                            codes, cells, table, picked, k, hab, inst, start,
                             T + 1 if stop is None else stop))
                         for values in (sched, observed):
                             got = _pass_rows(lambda: _estimate_pass(
@@ -730,7 +729,7 @@ class TestExactPassMatchesThePerPickLoop:
                 cells, table = _cell_table(sched._observed_rows(wedge.codes))
                 h_sq, i_sq = [], []
                 for t, h, i in _pick_pass(wedge.codes, cells, table,
-                                          estimator if rho < 1.0 else "plugin", k, True,
+                                          estimator if rho < 1.0 else "plugin", k,
                                           rho > 0.0, rho < 1.0, 2, T + 1):
                     if h is not None:
                         h_sq.append((h - hab[t - 2]) ** 2)

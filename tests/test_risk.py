@@ -70,7 +70,7 @@ class TestLossSpec:
             LossSpec("huber", 0.5)
 
 
-def _naive_loss(codes, values, hab, inst, spec, exact):
+def _naive_loss(codes, values, hab, inst, spec):
     """The loss as a boolean mask over each column picks each pool: the
     reference ``_loss_from_codes`` must match bit for bit."""
     from tminimax.core import _pool_arms
@@ -81,7 +81,7 @@ def _naive_loss(codes, values, hab, inst, spec, exact):
         if n == 0:
             raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
         picked = values[:, col][mask]
-        return (fsum(picked.tolist()) if exact else picked.sum()) / n
+        return fsum(picked.tolist()) / n
 
     T = values.shape[1]
     pools = _pool_arms(T, spec.estimator, spec.k)
@@ -141,23 +141,6 @@ class TestLoss:
                     loss(Z, sched, spec)
                 )
 
-    def test_fast_and_exact_summation_paths_agree(self):
-        from tminimax.risk import _loss_from_codes
-
-        rng = np.random.default_rng(14)
-        N, T = 9, 4
-        sched = random_schedule(rng, N, T, k=1)
-        hab, inst = estimands(sched)
-        for spec in SPECS:
-            for seed in range(5):
-                Z = draw_assignment(spread_allocation(N, T), seed=seed)
-                values = observe(Z, sched).values
-                exact = _loss_from_codes(Z.codes, values, hab.values, inst.values,
-                                         spec, exact=True)
-                fast = _loss_from_codes(Z.codes, values, hab.values, inst.values,
-                                        spec, exact=False)
-                assert fast == pytest.approx(exact, rel=1e-12, abs=1e-15)
-
     @pytest.mark.parametrize("codes,spec,message", [
         ([0, 2, 3], LossSpec("plugin", 0.5), "no units in the always-treated arm"),
         ([0, 1, 2], LossSpec("plugin", 0.5), "no units in the pulse arm at t=3"),
@@ -179,24 +162,22 @@ class TestLoss:
             "augmented-pool", "recycled-pool", "all-but-control-empty",
             "all-but-control-empty-rho-0", "only-last-pulse", "pool-before-later-pulse",
             "augmented-pool-before-later-pulse", "later-pulse-at-rho-1"])
-    def test_both_paths_raise_the_same_message(self, codes, spec, message):
+    def test_an_empty_arm_raises_its_message(self, codes, spec, message):
         from tminimax.estimators import EstimatorUndefinedError
         from tminimax.risk import _loss_from_codes
 
         codes = np.array(codes)
         values = np.zeros((len(codes), 3))
-        for exact in (True, False):
-            with pytest.raises(EstimatorUndefinedError) as info:
-                _loss_from_codes(codes, values, np.zeros(2), np.zeros(2), spec, exact)
-            assert str(info.value) == "estimator undefined: " + message
+        with pytest.raises(EstimatorUndefinedError) as info:
+            _loss_from_codes(codes, values, np.zeros(2), np.zeros(2), spec)
+        assert str(info.value) == "estimator undefined: " + message
 
     @pytest.mark.parametrize("spec", [
         LossSpec("plugin", 0.5), LossSpec("plugin", 0.0), LossSpec("plugin", 1.0),
         LossSpec("augmented", 0.3, unnormalized=True), LossSpec("augmented", 0.0),
         LossSpec("recycling", 0.5, k=1), LossSpec("recycling", 0.3, k=3),
     ], ids=lambda s: f"{s.estimator}-{s.rho}")
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
-    def test_matches_the_boolean_mask_loss_bitwise(self, spec, exact):
+    def test_matches_the_boolean_mask_loss_bitwise(self, spec):
         from tminimax.estimators import EstimatorUndefinedError
         from tminimax.risk import _loss_from_codes
 
@@ -208,11 +189,11 @@ class TestLoss:
             for _ in range(3):
                 codes = rng.integers(0, T + 1, size=N)
                 try:
-                    want = _naive_loss(codes, values, hab, inst, spec, exact).hex()
+                    want = _naive_loss(codes, values, hab, inst, spec).hex()
                 except EstimatorUndefinedError as exc:
                     want = str(exc)
                 try:
-                    got = _loss_from_codes(codes, values, hab, inst, spec, exact).hex()
+                    got = _loss_from_codes(codes, values, hab, inst, spec).hex()
                 except EstimatorUndefinedError as exc:
                     got = str(exc)
                 assert got == want
@@ -235,24 +216,38 @@ def _broadcast_schedule(y, T):
 
 
 def _counted_schedules():
+    """Integer boxes and columns (c = 1), and boxes [0, u] and [-u, u] of a
+    u that ``tminimax risk --vstar`` gives, or a random one (c = u)."""
     rng = np.random.default_rng(43)
     for N, T in ((37, 4), (12, 8), (1500, 20)):
         yield f"unit-{N}x{T}", worst_case_schedule(N, T, 0.0, 1.0)
         yield f"minus3-5-{N}x{T}", worst_case_schedule(N, T, -3.0, 5.0)
+        yield f"minus2-3-{N}x{T}", worst_case_schedule(N, T, -2.0, 3.0)
         yield f"two-40-{N}x{T}", worst_case_schedule(N, T, 0.0, 2.0 ** 40)
         yield f"dict-{N}x{T}", _broadcast_schedule(rng.integers(-9, 10, size=N), T)
+        unit = box_max_variance(N, 0.0, 1.0)
+        for name, u in [("vstar-0.3", (0.3 / unit) ** 0.5), ("vstar-1", (1.0 / unit) ** 0.5),
+                        ("vstar-1e-320", (1e-320 / unit) ** 0.5),
+                        ("random", float(rng.uniform(0.01, 30.0)))]:
+            yield f"{name}-u-{N}x{T}", worst_case_schedule(N, T, 0.0, u)
+            yield f"{name}-pm-u-{N}x{T}", worst_case_schedule(N, T, -u, u)
 
 
 def _general_schedules():
-    """Schedules one column short of counting: non-integer, a -0.0 cell, one
-    cell off, more than one stored matrix, sum(|y|) = 2**53."""
+    """Schedules one column short of counting: cells that are no exact
+    integer multiple of the smallest, a -0.0 cell (in an integer column and
+    in a scaled one), one cell off, more than one stored matrix,
+    sum(|y|) = 2**53."""
     N, T = 40, 5
     y = np.arange(N, dtype=float) % 3
-    yield "non-integer-u", worst_case_schedule(N, T, 0.0, 0.1)
-    yield "vstar-1-u", worst_case_schedule(N, T, 0.0, (1.0 / box_max_variance(N, 0.0, 1.0)) ** 0.5)
+    yield "ratio-0.1-0.3", _broadcast_schedule(np.where(y > 0, 0.3, 0.1), T)
+    # fl(30 c) / c rounds to 30 and 30.0 * c to fl(30 c), but 30 c is no float
+    c = float.fromhex("0x1.8306bdf37922ep-1")
+    yield "inexact-multiple", _broadcast_schedule(np.where(y > 0, 30 * c, c), T)
     negative_zero = y.copy()
     negative_zero[3] = -0.0
     yield "negative-zero", _broadcast_schedule(negative_zero, T)
+    yield "negative-zero-scaled", _broadcast_schedule(0.3 * negative_zero, T)
     one_cell = np.repeat(y[:, None], T, axis=1)
     one_cell[7, 3] += 1.0
     yield "one-cell", PotentialOutcomeSchedule({arm: one_cell for arm in arms_for_horizon(T)})
@@ -270,9 +265,10 @@ def _loss_or_error(call):
 
 
 class TestCountedLoss:
-    """A schedule with one integer outcome column scores each assignment by
-    counting; its losses must be those of ``_loss_from_codes``, bit for
-    bit, and every other schedule must keep ``_loss_from_codes``."""
+    """A schedule with one outcome column y = c * b, b integer-valued,
+    scores each assignment by counting; its losses must be those of
+    ``_loss_from_codes``, bit for bit, and every other schedule must keep
+    ``_loss_from_codes``."""
 
     @pytest.fixture
     def general_calls(self, monkeypatch):
@@ -308,19 +304,27 @@ class TestCountedLoss:
             codes_list.append(codes)
         # only treated and pulse-2 units: every pool at t = 2 is empty
         codes_list.append(np.where((full > 2) | (full == 0), 1, full))
-        for rho, unnormalized, exact in itertools.product((0.0, 0.3, 0.5, 1.0), (False, True),
-                                                          (True, False)):
+        for rho, unnormalized in itertools.product((0.0, 0.3, 0.5, 1.0), (False, True)):
             spec = LossSpec(estimator, rho, k, unnormalized)
-            evaluate = _LossEvaluator(sched, spec, exact)
+            evaluate = _LossEvaluator(sched, spec)
+            assert evaluate.b is not None
             for codes in codes_list:
                 values = sched._observed_rows(codes)
                 want = _loss_or_error(lambda: _loss_from_codes(codes, values, hab.values,
-                                                               inst.values, spec, exact))
+                                                               inst.values, spec))
                 assert _loss_or_error(lambda: evaluate(codes)) == want
 
     @pytest.mark.parametrize("name,sched", list(_counted_schedules()),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_qualifying_schedules_are_counted(self, general_calls, name, sched):
+        from tminimax.risk import _counted_column
+
+        # an integer column keeps c = 1, and any other is scaled by its
+        # smallest nonzero |y|, exactly
+        y = sched._stored[0][:, 0]
+        b, c = _counted_column(sched)
+        assert c == (1.0 if (np.trunc(y) == y).all() else np.abs(y[y != 0.0]).min())
+        assert np.array_equal(b * c, y) and (np.trunc(b) == b).all()
         alloc = spread_allocation(sched.N, sched.T)
         for spec in SPECS:
             mc_risk(alloc, sched, spec, draws=3, seed=1)
@@ -336,11 +340,24 @@ class TestCountedLoss:
             loss(Z, sched, LossSpec("plugin", 0.5))
         assert len(general_calls) == 1
 
-    @pytest.mark.parametrize("name,sched", list(_general_schedules()),
-                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("name,sched", [
+        *_general_schedules(),
+        # c * sum(|b|) overflows (mc_risk's mean of such losses is inf, and
+        # its standard error nan)
+        ("overflow", _broadcast_schedule([1.5e308, -1.5e308] + [0.0, 1.0] * 19, 5)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
     def test_other_schedules_take_the_general_loss(self, general_calls, name, sched):
+        from tminimax.risk import _counted_column
+
         alloc = spread_allocation(sched.N, sched.T)
-        mc_risk(alloc, sched, LossSpec("augmented", 0.5), draws=3, seed=1)
+        spec = LossSpec("augmented", 0.5)
+        with np.errstate(over="ignore"):
+            assert _counted_column(sched) is None
+            if name == "overflow":
+                for r in range(3):
+                    loss(draw_assignment(alloc, seed=r), sched, spec)
+            else:
+                mc_risk(alloc, sched, spec, draws=3, seed=1)
         assert len(general_calls) == 3
 
     @pytest.mark.parametrize("name,sched", [
@@ -355,7 +372,7 @@ class TestCountedLoss:
         N, T = sched.N, sched.T
         allocs = [spread_allocation(N, T), balanced(N, T), spread_allocation(N, T)]
         for spec in SPECS:
-            evaluate = _LossEvaluator(sched, spec, exact=False)
+            evaluate = _LossEvaluator(sched, spec)
             got = mc_risks(allocs, sched, spec, draws=4, seed=6)
             for alloc, report in zip(allocs, got):
                 losses = np.array([evaluate(draw_assignment(
@@ -388,16 +405,15 @@ class TestCountedLoss:
         hab, inst = estimands(sched)
         alloc = spread_allocation(sched.N, sched.T)
         for spec in SPECS:
-            for exact in (True, False):
-                evaluate = _LossEvaluator(sched, spec, exact)
-                for seed in range(5):
-                    codes = draw_assignment(alloc, seed=seed).codes
-                    got = evaluate(codes).hex()
-                    assert general_calls == []
-                    want = _loss_from_codes(codes, sched._observed_rows(codes), hab.values,
-                                            inst.values, spec, exact).hex()
-                    general_calls.clear()
-                    assert got == want
+            evaluate = _LossEvaluator(sched, spec)
+            for seed in range(5):
+                codes = draw_assignment(alloc, seed=seed).codes
+                got = evaluate(codes).hex()
+                assert general_calls == []
+                want = _loss_from_codes(codes, sched._observed_rows(codes), hab.values,
+                                        inst.values, spec).hex()
+                general_calls.clear()
+                assert got == want
 
 
 class TestChunkedReplicates:
@@ -408,8 +424,8 @@ class TestChunkedReplicates:
 
     @pytest.mark.parametrize("chunk,draws", [(1, 5), (3, 7), (None, 300)],
                              ids=["chunk-1", "chunk-3", "default"])
-    @pytest.mark.parametrize("box", [(0.0, 1.0), (0.0, 2.0), (-2.0, 3.0)],
-                             ids=["0-1", "0-2", "minus2-3"])
+    @pytest.mark.parametrize("box", [(0.0, 1.0), (0.0, 2.0), (-2.0, 3.0), (0.0, 0.3)],
+                             ids=["0-1", "0-2", "minus2-3", "0-0.3"])
     @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
                                              ("recycling", 1), ("recycling", 2)],
                              ids=["plugin", "augmented", "recycling-1", "recycling-2"])
@@ -428,8 +444,8 @@ class TestChunkedReplicates:
             spec = LossSpec(estimator, rho, k)
             # at rho = 0 a design without an always-treated arm is counted too
             allocs = designs + [integer_solve(N, T, ObjectiveMode.weighted(0.0))] * (rho == 0.0)
-            evaluate = risk._LossEvaluator(sched, spec, exact=False)
-            assert evaluate.y is not None
+            evaluate = risk._LossEvaluator(sched, spec)
+            assert evaluate.b is not None
             for alloc, report in zip(allocs, mc_risks(allocs, sched, spec, draws, seed=8)):
                 assert evaluate.countable(np.array(alloc.counts))
                 losses = np.array([evaluate.general(draw_assignment(
@@ -466,10 +482,10 @@ class TestChunkedReplicates:
 
         N, T = 50, 6
         sched = worst_case_schedule(N, T, -2.0, 3.0)
-        evaluate = _LossEvaluator(sched, spec, exact=False)
+        evaluate = _LossEvaluator(sched, spec)
         alloc = spread_allocation(N, T)
         counts = np.array(alloc.counts)
-        sums = np.array([np.bincount(draw_assignment(alloc, seed=s).codes, weights=evaluate.y,
+        sums = np.array([np.bincount(draw_assignment(alloc, seed=s).codes, weights=evaluate.b,
                                      minlength=T + 1) for s in range(9)])
         got = evaluate.from_sums(counts, sums)
         assert got.shape == (9,)
@@ -479,7 +495,7 @@ class TestChunkedReplicates:
 
 # The numpy version that MC_RISK_GOLDEN, MC_RISK_N2000_GOLDEN,
 # WORST_CASE_MC_GOLDEN and LOSS_PATH_GOLDEN were recorded on: they pin its
-# Generator streams and pairwise sums, which may change across versions.
+# Generator streams, which may change across versions.
 GOLDEN_NUMPY = "2.4.6"
 
 # float.hex of (mc_risk, mc_se), and of (exact_risk,
@@ -497,17 +513,18 @@ EXACT_RISK_GOLDEN = {
 }
 
 # float.hex of (mc_risk, mc_se) at N=2000, T=20, for the
-# seeded case in test_mc_risk_at_benchmark_shape; recorded before the loss
-# grouped units by arm, and the bits must not move
+# seeded case in test_mc_risk_at_benchmark_shape: the mean and standard
+# error of ``loss`` over the draws, recorded when every Monte-Carlo draw
+# took fsum's bits, and the bits must not move
 MC_RISK_N2000_GOLDEN = {
-    ('plugin', 0.0): ('0x1.3d06bab9b39a2p-2', '0x1.ec582d12d603cp-6'),
-    ('plugin', 0.3): ('0x1.67c9725bab101p-2', '0x1.ce5908fa7493cp-6'),
+    ('plugin', 0.0): ('0x1.3d06bab9b39a2p-2', '0x1.ec582d12d603bp-6'),
+    ('plugin', 0.3): ('0x1.67c9725bab100p-2', '0x1.ce5908fa7493ap-6'),
     ('plugin', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
-    ('augmented', 0.0): ('0x1.e8ab70b37c10dp-3', '0x1.88934fc296e96p-6'),
-    ('augmented', 0.3): ('0x1.34e723e54bf6ep-2', '0x1.b8eff7d83c428p-6'),
+    ('augmented', 0.0): ('0x1.e8ab70b37c10fp-3', '0x1.88934fc296e96p-6'),
+    ('augmented', 0.3): ('0x1.34e723e54bf6dp-2', '0x1.b8eff7d83c429p-6'),
     ('augmented', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
     ('recycling', 0.0): ('0x1.c5c3dfd7fe7a7p-3', '0x1.4c79aca2791ddp-6'),
-    ('recycling', 0.3): ('0x1.28afb13213357p-2', '0x1.9d849970f2644p-6'),
+    ('recycling', 0.3): ('0x1.28afb13213357p-2', '0x1.9d849970f2642p-6'),
     ('recycling', 1.0): ('0x1.cb8fc98041ce1p-2', '0x1.7ff9cadcde090p-5'),
 }
 
@@ -521,14 +538,11 @@ WORST_CASE_MC_GOLDEN = {
 }
 
 # sha256 of the float.hex of _loss_from_codes on draws 0..19 of the seeded
-# N=400 case below, per path; the fast path's numpy pool sums must not move
+# N=400 case below; the fsum pool sums must not move
 LOSS_PATH_GOLDEN = {
-    ("plugin", True): "04ab1a08482e2ae8489f409c9bf20886172c167dd078eac4396b11423df9cb07",
-    ("plugin", False): "a7b024786e96810439280f32ab346a6340b6c90e6cf014e0bb410c8c349f90f8",
-    ("augmented", True): "868308b660208a79227a7bb89678ec214a3b891a028e2b1b4e28f341126b6ad3",
-    ("augmented", False): "f0c50d62605a9224ca224f36d17c5f063db644016417b15aa48156f0e8d8cae7",
-    ("recycling", True): "3ffdec0e18edba6fb8d842c4254527650bf07282c07d3de608748de8cabe7688",
-    ("recycling", False): "b343ac5817197c987850bac0649d2b151fc3af9490888c851bb9a7c99348a023",
+    "plugin": "04ab1a08482e2ae8489f409c9bf20886172c167dd078eac4396b11423df9cb07",
+    "augmented": "868308b660208a79227a7bb89678ec214a3b891a028e2b1b4e28f341126b6ad3",
+    "recycling": "3ffdec0e18edba6fb8d842c4254527650bf07282c07d3de608748de8cabe7688",
 }
 
 
@@ -608,8 +622,7 @@ class TestGoldenBits:
         LossSpec("augmented", 0.3),
         LossSpec("recycling", 0.5, k=2, unnormalized=True),
     ], ids=lambda s: s.estimator)
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "fast"])
-    def test_loss_paths(self, spec, exact):
+    def test_loss_paths(self, spec):
         from tminimax.risk import _loss_from_codes
 
         sched = random_schedule(np.random.default_rng(2024), 400, 5, k=2)
@@ -619,9 +632,9 @@ class TestGoldenBits:
         for seed in range(20):
             Z = draw_assignment(alloc, seed=seed)
             values = observe(Z, sched).values
-            val = _loss_from_codes(Z.codes, values, hab.values, inst.values, spec, exact)
+            val = _loss_from_codes(Z.codes, values, hab.values, inst.values, spec)
             digest.update(val.hex().encode())
-        assert digest.hexdigest() == LOSS_PATH_GOLDEN[(spec.estimator, exact)], \
+        assert digest.hexdigest() == LOSS_PATH_GOLDEN[spec.estimator], \
             numpy_stack(GOLDEN_NUMPY)
 
 
@@ -664,10 +677,10 @@ class TestWorstCaseSchedule:
     @pytest.mark.parametrize("estimator", ["plugin", "augmented"])
     @pytest.mark.parametrize("T", [20, 200])
     def test_exact_loss_memory_does_not_grow_with_the_horizon(self, T, estimator, shifted):
-        # a non-integer box is scored by the exact pass, not by counting; it
-        # holds one block of periods' cells (2**14, under two periods here),
-        # where the N x T observed rows of a two-matrix schedule would take
-        # 8 N T bytes
+        # the shared box is scored by counting and the treated-shifted one
+        # by the extraction pass, which holds one block of periods' cells
+        # (2**14, under two periods here), where the N x T observed rows of
+        # a two-matrix schedule would take 8 N T bytes
         N = 10000
         sched = worst_case_schedule(N, T, 0.0, 0.7)
         if shifted:
@@ -882,16 +895,17 @@ class TestExactAndMcRisk:
     @pytest.mark.parametrize("draws", [1, 5])
     @pytest.mark.parametrize("spec", SPECS,
                              ids=lambda s: f"{s.estimator}-rho{s.rho}")
-    def test_mc_risk_is_the_replicate_loop(self, spec, draws):
+    @pytest.mark.parametrize("sched", [
+        random_schedule(np.random.default_rng(21), 9, 3, k=1),
+        worst_case_schedule(9, 3, 0.0, (0.3 / box_max_variance(9, 0.0, 1.0)) ** 0.5),
+    ], ids=["random", "scaled-worst-case"])
+    def test_mc_risk_is_the_replicate_loop(self, sched, spec, draws):
         # replicate r draws from SeedSequence((seed, r)) whatever the draw
-        # count, and the losses are reduced in replicate order
-        from tminimax.risk import _LossEvaluator
-
-        sched = random_schedule(np.random.default_rng(21), 9, 3, k=1)
+        # count, its loss is the public loss bit for bit, and the losses are
+        # reduced in replicate order
         alloc = spread_allocation(9, 3)
-        evaluate = _LossEvaluator(sched, spec, exact=False)
-        losses = np.array([evaluate(draw_assignment(alloc, seed=np.random.SeedSequence((4, r))).codes)
-                           for r in range(draws)])
+        losses = np.array([loss(draw_assignment(alloc, seed=np.random.SeedSequence((4, r))),
+                                sched, spec) for r in range(draws)])
         se = float(np.std(losses, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
         report = mc_risk(alloc, sched, spec, draws=draws, seed=4)
         assert (report.mc_risk.hex(), report.mc_se.hex()) == (float(np.mean(losses)).hex(), se.hex())
