@@ -433,8 +433,8 @@ class PotentialOutcomeSchedule:
     share it (sources are matched by identity, never by content).  So
     K N T floats are kept: one N x T matrix for ``worst_case_schedule``,
     T+1 for a schedule whose arms all differ, and at most 4 for a
-    simulation model, whose cell depends on the arm only through
-    (z_t, z_{t-1}).
+    simulation model: its arms share one noise draw, so its cell depends
+    on the arm only through (z_t, z_{t-1}).
 
     Matrices are copied on construction and frozen; instances are safe to
     share across threads.  Being frozen, a schedule has fixed estimands:
@@ -478,21 +478,20 @@ class PotentialOutcomeSchedule:
         self._adopt(stored, slots)
 
     @classmethod
-    def _owned(cls, stored: np.ndarray,
-               slots: np.ndarray | None = None) -> "PotentialOutcomeSchedule":
+    def _owned(cls, stored: np.ndarray, slots: np.ndarray) -> "PotentialOutcomeSchedule":
         """Trusted constructor: ``stored`` is a fresh (K, N, T) float array
         and ``slots`` a fresh (T+1, T) slot table into it, both of which the
-        new instance takes over and freezes without a copy.  Without
-        ``slots``, ``stored`` is (T+1, N, T) and indexed by arm code."""
+        new instance takes over and freezes without a copy."""
         if stored.dtype != np.float64 or stored.ndim != 3:
             raise ValueError(f"stacked schedule must be a 3-D float array, got "
                              f"{stored.dtype} {stored.shape}")
-        n_stored, N, T = stored.shape
-        if N < 1 or T < 2 or (slots is None and n_stored != T + 1):
-            raise ValueError(f"stacked schedule must be (T+1) x N x T with T >= 2, "
+        _, N, T = stored.shape
+        if N < 1 or T < 2:
+            raise ValueError(f"stacked schedule must be K x N x T with N >= 1 and T >= 2, "
                              f"got {stored.shape}")
-        if slots is None:
-            slots = np.repeat(np.arange(T + 1), T).reshape(T + 1, T)
+        if slots.shape != (T + 1, T):
+            raise ValueError(f"stacked schedule needs a {(T + 1, T)} slot table, "
+                             f"got {slots.shape}")
         sched = cls.__new__(cls)
         sched._adopt(stored, slots)
         return sched

@@ -116,8 +116,8 @@ class LossSpec:
 
 
 class RiskOverflowError(ValueError):
-    """A finite variance bound whose maximum risk overflows the float
-    range."""
+    """A risk that overflows the float range: the maximum risk of a finite
+    variance bound, or a design's Monte-Carlo mean or standard error."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,9 @@ class RiskReport:
     def __post_init__(self) -> None:
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
+        if not (math.isfinite(self.mc_risk) and math.isfinite(self.mc_se)):
+            raise ValueError(f"mc_risk and mc_se must be finite, got {self.mc_risk} "
+                             f"and {self.mc_se}")
         if self.mc_se < 0.0:
             raise ValueError("mc_se must be >= 0")
 
@@ -284,6 +287,7 @@ def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
 _CHUNK = 256
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec: LossSpec,
              draws: int, seed: int) -> list[RiskReport]:
     """Monte-Carlo risk of each completely randomized design in ``allocs``
@@ -310,6 +314,11 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
     that leaves an arm the loss reads empty, is scored inside the
     replicate loop (``_loss_from_codes``, which raises on the empty arm at
     r = 0, in design order).
+
+    Losses that overflow the float range are carried as inf or nan, with
+    numpy's floating-point warnings off, and a design whose mean or
+    standard error is not finite raises ``RiskOverflowError`` naming its
+    index in ``allocs``.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -353,9 +362,12 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
         for d, codes in general:
             losses[d, r] = evaluate.general(codes[perm])
     reports = []
-    for row in losses:
+    for d, row in enumerate(losses):
         mean = float(np.mean(row))
         se = float(np.std(row, ddof=1) / sqrt(draws)) if draws > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise RiskOverflowError(f"design {d}'s Monte-Carlo risk overflows: "
+                                    f"mean {mean}, standard error {se}")
         reports.append(RiskReport(mean, se, draws))
     return reports
 

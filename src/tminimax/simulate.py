@@ -6,12 +6,11 @@ share unit and time fixed effects and one noise draw per (unit, period):
 * standard:     baseline + unit + time + effect * z_t + carryover * z_{t-1}
 * habituation:  baseline + unit + time + effect * z_t * (1 - decay * z_{t-1})
 
-The noise matrix is drawn once and shared by every arm of a schedule, so
-contrasts between arms reflect the model, not resampled noise; pass
-``shared_noise=False`` to draw per-arm noise instead.  With shared noise
-a cell depends on the arm only through (z_t, z_{t-1}), so a schedule
-holds at most 4 N x T matrices (8 * 4 * N * T bytes), one per pattern,
-not one per arm; per-arm noise holds T+1.
+The unit and time fixed effects are log(i) and log(t).  The noise matrix
+is drawn once and shared by every arm of a schedule, so contrasts between
+arms reflect the model, not resampled noise.  A cell then depends on the
+arm only through (z_t, z_{t-1}), so a schedule holds at most 4 N x T
+matrices (8 * 4 * N * T bytes), one per pattern, not one per arm.
 
 The table builders reproduce the three standard views: allocations across
 designs, worst-case-risk ratios against the balanced design, and the
@@ -56,8 +55,6 @@ __all__ = [
 class ModelParams:
     """Parameters of the synthetic outcome models.
 
-    ``unit_effects`` / ``time_effects`` override the default log(i) and
-    log(t) fixed-effect rules with explicit tables (length N and T).
     ``noise_sd = 0`` disables noise entirely.  Every number must be finite;
     a nan or infinity raises ``ValueError`` naming its field.
     """
@@ -67,41 +64,16 @@ class ModelParams:
     carryover: float = -1.0
     decay: float = 0.5
     noise_sd: float = 4.0
-    unit_effects: tuple[float, ...] | None = None
-    time_effects: tuple[float, ...] | None = None
-    shared_noise: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("unit_effects", "time_effects"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in v))
-        for name, values in (("baseline", [self.baseline]), ("effect", [self.effect]),
-                             ("carryover", [self.carryover]), ("noise_sd", [self.noise_sd]),
-                             ("unit_effects", self.unit_effects or ()),
-                             ("time_effects", self.time_effects or ())):
-            bad = [x for x in values if not math.isfinite(x)]
-            if bad:
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
+        for name in ("baseline", "effect", "carryover", "noise_sd"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {self.decay}")
         if self.noise_sd < 0.0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-
-    def fixed_effects(self, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.unit_effects is None:
-            alpha = np.log(np.arange(1, N + 1, dtype=float))
-        else:
-            if len(self.unit_effects) != N:
-                raise ValueError(f"unit_effects has length {len(self.unit_effects)}, expected {N}")
-            alpha = np.array(self.unit_effects)
-        if self.time_effects is None:
-            beta = np.log(np.arange(1, T + 1, dtype=float))
-        else:
-            if len(self.time_effects) != T:
-                raise ValueError(f"time_effects has length {len(self.time_effects)}, expected {T}")
-            beta = np.array(self.time_effects)
-        return alpha, beta
 
 
 def _generate(params: ModelParams, N: int, T: int, seed,
@@ -109,32 +81,27 @@ def _generate(params: ModelParams, N: int, T: int, seed,
     """Build a schedule from a rule mapping (z_t, z_{t-1}) to the
     treatment contribution; z_0 is zero (no pre-experiment treatment).
 
-    With noise shared by every arm (or none), a cell depends on the arm
-    only through its pattern 2 z_t + z_{t-1}, so one matrix is stored per
-    pattern that occurs (at most 4) and the slot table maps each (arm,
-    period) to its pattern.  Per-arm noise stores one matrix per arm.
-    Either way a cell is fixed effects plus the treatment term, then the
-    noise added in place: the same two additions as building each arm on
-    its own."""
-    alpha, beta = params.fixed_effects(N, T)
-    base = params.baseline + alpha[:, None] + beta[None, :]
-    rng = np.random.default_rng(seed)
+    A cell depends on the arm only through its pattern 2 z_t + z_{t-1}, so
+    one matrix is stored per pattern that occurs (at most 4) and the slot
+    table maps each (arm, period) to its pattern.  A cell is fixed effects
+    plus the treatment term, then the shared noise added in place: the
+    same two additions as building each arm on its own."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if isinstance(seed, (int, np.integer)):
+        _check_seed(seed)
     z = _arm_vectors(T, Family.PULSE)  # row c: arm code c
     prev = np.zeros_like(z)
     prev[:, 1:] = z[:, :-1]
-    slots = None
-    if params.shared_noise or params.noise_sd == 0.0:
-        patterns, slots = np.unique(2 * z + prev, return_inverse=True)
-        slots = slots.reshape(z.shape)
-        z, prev = patterns[:, None] >> 1, patterns[:, None] & 1
+    patterns, slots = np.unique(2 * z + prev, return_inverse=True)
+    z, prev = patterns[:, None] >> 1, patterns[:, None] & 1
+    alpha = np.log(np.arange(1, N + 1, dtype=float))
+    beta = np.log(np.arange(1, T + 1, dtype=float))
+    base = params.baseline + alpha[:, None] + beta[None, :]
     stored = base + cell(z.astype(float), prev.astype(float))[:, None, :]
     if params.noise_sd > 0.0:
-        if params.shared_noise:
-            stored += rng.normal(scale=params.noise_sd, size=(N, T))
-        else:
-            for arm in stored:  # arm-code order, which is arms_for_horizon order
-                arm += rng.normal(scale=params.noise_sd, size=(N, T))
-    return PotentialOutcomeSchedule._owned(stored, slots)
+        stored += np.random.default_rng(seed).normal(scale=params.noise_sd, size=(N, T))
+    return PotentialOutcomeSchedule._owned(stored, slots.reshape(T + 1, T))
 
 
 def standard_model(params: ModelParams, N: int, T: int,
@@ -212,16 +179,15 @@ def maxrisk_table(N: int, T_list: Sequence[int]) -> list[dict]:
 
 def expected_risk_comparison(N_list: Sequence[int], T_list: Sequence[int],
                              model: str = "standard", reps: int = 100, seed: int = 0,
-                             loss_estimator: str = "plugin",
-                             params: ModelParams | None = None) -> list[dict]:
+                             loss_estimator: str = "plugin") -> list[dict]:
     """Empirical loss distribution of the basic minimax design against the
     balanced design.
 
-    Each replicate draws a fresh schedule from the outcome model and one
-    assignment per design, then records the realized loss.  By default the
-    plug-in loss scores both designs; ``loss_estimator="augmented"``
-    switches both to the augmented control pool.  Deterministic given the
-    seed.
+    Each replicate draws a fresh schedule from the outcome model with the
+    default ``ModelParams`` and one assignment per design, then records
+    the realized loss.  By default the plug-in loss scores both designs;
+    ``loss_estimator="augmented"`` switches both to the augmented control
+    pool.  Deterministic given the seed.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -232,7 +198,7 @@ def expected_risk_comparison(N_list: Sequence[int], T_list: Sequence[int],
     _check_seed(seed)
     generate = _MODELS[model]
     spec = LossSpec(loss_estimator, 0.5, unnormalized=True)
-    params = params or ModelParams()
+    params = ModelParams()
     rows = []
     for N in N_list:
         for T in T_list:

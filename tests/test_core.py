@@ -460,7 +460,8 @@ class TestSharedStorage:
         elif kind == "all_distinct":
             sched, stored = random_schedule(rng, N, T), T + 1
         else:
-            sched = PotentialOutcomeSchedule._owned(rng.normal(size=(T + 1, N, T)))
+            identity = np.repeat(np.arange(T + 1), T).reshape(T + 1, T)
+            sched = PotentialOutcomeSchedule._owned(rng.normal(size=(T + 1, N, T)), identity)
             stored = T + 1
         assert len(sched._stored) == stored
         for seed in range(4):

@@ -230,7 +230,10 @@ def _schedules():
     rng = np.random.default_rng(8)
     yield "habituation", habituation_model(ModelParams(), 2000, 30, seed=1)
     yield "standard", standard_model(ModelParams(noise_sd=1.0), 300, 12, seed=2)
-    yield "per_arm_noise", habituation_model(ModelParams(shared_noise=False), 200, 9, seed=3)
+    # one independent draw per arm: T+1 distinct stored matrices
+    per_arm = np.random.default_rng(3)
+    yield "per_arm_noise", PotentialOutcomeSchedule(
+        {arm: per_arm.normal(scale=4.0, size=(200, 9)) for arm in arms_for_horizon(9)})
     yield "worst_case", worst_case_schedule(1001, 7, -2.0, 3.0)
     for N, T in ((1, 2), (5, 4), (64, 11)):
         yield f"random_{N}x{T}", random_schedule(rng, N, T)

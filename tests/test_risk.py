@@ -26,6 +26,8 @@ from tminimax.core import (
 from tminimax.estimators import estimands
 from tminimax.risk import (
     LossSpec,
+    RiskOverflowError,
+    RiskReport,
     box_max_variance,
     conservative_ci,
     exact_risk,
@@ -342,8 +344,8 @@ class TestCountedLoss:
 
     @pytest.mark.parametrize("name,sched", [
         *_general_schedules(),
-        # c * sum(|b|) overflows (mc_risk's mean of such losses is inf, and
-        # its standard error nan)
+        # c * sum(|b|) overflows (mc_risk raises RiskOverflowError on such
+        # losses: see test_overflowing_mc_risk_raises)
         ("overflow", _broadcast_schedule([1.5e308, -1.5e308] + [0.0, 1.0] * 19, 5)),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_other_schedules_take_the_general_loss(self, general_calls, name, sched):
@@ -805,8 +807,6 @@ class TestMaxRisk:
 
     @pytest.mark.parametrize("unnormalized", [False, True])
     def test_overflowing_risk_names_vstar(self, unnormalized):
-        from tminimax.risk import RiskOverflowError
-
         alloc = integer_solve(100, 20, ObjectiveMode.basic())
         spec = LossSpec(unnormalized=unnormalized)
         with pytest.raises(RiskOverflowError, match=r"^vstar 1e\+308 is too large: "
@@ -818,8 +818,6 @@ class TestMaxRisk:
         assert max_risk(alloc, 20, 1e300, spec) == 1e300 * unit
 
     def test_doubling_that_overflows_names_vstar(self):
-        from tminimax.risk import RiskOverflowError
-
         alloc = Allocation(2, 2, (2,))
         vstar = float.fromhex("0x1.8p1023") / max_risk(alloc, 2, 1.0, LossSpec())
         assert max_risk(alloc, 2, vstar, LossSpec()) < float("inf")
@@ -891,6 +889,36 @@ class TestExactAndMcRisk:
         with pytest.raises(ValueError):
             mc_risk(spread_allocation(5, 2), constant_schedule(5, 2),
                     LossSpec("plugin"), draws=0, seed=0)
+
+    @pytest.mark.parametrize("y,estimator,stats", [
+        # the losses overflow: an inf mean, and an SE of inf - inf
+        ([1.5e308, -1.5e308] + [0.0, 1.0] * 19, "augmented", "mean inf, standard error nan"),
+        # finite losses near 1e308 whose sum overflows
+        ([1e154] * 20 + [-1e154] * 20, "plugin", "mean inf, standard error inf"),
+    ], ids=["infinite-losses", "overflowing-sum"])
+    def test_overflowing_mc_risk_raises(self, recwarn, y, estimator, stats):
+        sched = _broadcast_schedule(y, 5)
+        with pytest.raises(RiskOverflowError) as info:
+            mc_risk(spread_allocation(40, 5), sched, LossSpec(estimator, 0.5), draws=3, seed=1)
+        assert str(info.value) == f"design 0's Monte-Carlo risk overflows: {stats}"
+        assert not recwarn.list
+
+    def test_overflowing_mc_risks_names_the_design(self):
+        # a finite mean whose standard error overflows, for the second design only
+        sched = _broadcast_schedule([1e77] * 20 + [-1e77] * 20, 5)
+        spec = LossSpec("plugin", 0.5)
+        allocs = [spread_allocation(40, 5), Allocation(35, 1, (1, 1, 1, 1))]
+        report, = mc_risks(allocs[:1], sched, spec, draws=3, seed=1)
+        assert np.isfinite([report.mc_risk, report.mc_se]).all()
+        with pytest.raises(RiskOverflowError, match=r"^design 1's Monte-Carlo risk overflows: "
+                                                    r"mean 7\.4\d*e\+154, standard error inf$"):
+            mc_risks(allocs, sched, spec, draws=3, seed=1)
+
+    @pytest.mark.parametrize("mean,se", [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan),
+                                         (1.0, np.inf)])
+    def test_report_rejects_non_finite_values(self, mean, se):
+        with pytest.raises(ValueError, match="mc_risk and mc_se must be finite"):
+            RiskReport(mean, se, 3)
 
     @pytest.mark.parametrize("draws", [1, 5])
     @pytest.mark.parametrize("spec", SPECS,

@@ -33,7 +33,7 @@ class TestModelParams:
     def test_defaults(self):
         p = ModelParams()
         assert p.effect == 1.0 and p.carryover == -1.0 and p.decay == 0.5
-        assert p.noise_sd == 4.0 and p.shared_noise
+        assert p.baseline == 0.0 and p.noise_sd == 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,25 +47,6 @@ class TestModelParams:
         with pytest.raises(ValueError) as info:
             ModelParams(**{field: value})
         assert str(info.value) == f"{field} must be finite, got {value}"
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["unit_effects", "time_effects"])
-    def test_non_finite_table_entry_rejected(self, field, value):
-        with pytest.raises(ValueError) as info:
-            ModelParams(**{field: (0.0, value, 1.0)})
-        assert str(info.value) == f"{field} must be finite, got {value}"
-
-    def test_tabular_fixed_effects(self):
-        p = ModelParams(unit_effects=(1.0, 2.0), time_effects=(0.0, 0.5, 1.0),
-                        noise_sd=0.0)
-        sched = standard_model(p, 2, 3, 0)
-        control = sched.matrix(ALWAYS_CONTROL)
-        assert control.tolist() == [[1.0, 1.5, 2.0], [2.0, 2.5, 3.0]]
-
-    def test_wrong_length_rejected(self):
-        p = ModelParams(unit_effects=(1.0,))
-        with pytest.raises(ValueError):
-            standard_model(p, 2, 3, 0)
 
 
 class TestStandardModel:
@@ -128,37 +109,42 @@ class TestHabituationModel:
         b = habituation_model(ModelParams(), 5, 4, 11)
         assert np.array_equal(a.matrix(ALWAYS_CONTROL), b.matrix(ALWAYS_CONTROL))
 
-    def test_per_arm_noise_option(self):
-        p = ModelParams(shared_noise=False)
-        sched = standard_model(p, 5, 4, 11)
-        noise_control = sched.matrix(ALWAYS_CONTROL)
-        noise_pulse = sched.matrix(pulse_arm(4))
-        # early columns share the mean structure, so equality would mean
-        # the noise was shared after all
-        assert not np.allclose(noise_control[:, 0], noise_pulse[:, 0])
-        assert schedule_violations(sched)
+
+@pytest.mark.parametrize("model", [standard_model, habituation_model],
+                         ids=["standard", "habituation"])
+@pytest.mark.parametrize("N,seed,message", [
+    (0, 0, "N must be >= 1, got 0"),
+    (-3, 0, "N must be >= 1, got -3"),
+    (5, -1, "seed must be a nonnegative integer, got -1"),
+    (5, np.int64(-2), "seed must be a nonnegative integer, got -2"),
+], ids=["no-units", "negative-units", "negative-seed", "negative-numpy-seed"])
+def test_model_rejects_bad_sizes_and_seeds(model, N, seed, message):
+    with pytest.raises(ValueError) as info:
+        model(ModelParams(), N, 5, seed)
+    assert str(info.value) == message
 
 
 def _per_arm_model(params, N, T, seed, cell):
-    """Reference: each arm's matrix built on its own, fixed effects plus
-    the treatment row, then the noise (shared, or drawn per arm in
-    ``arms_for_horizon`` order)."""
-    alpha, beta = params.fixed_effects(N, T)
+    """Reference: each arm's matrix built on its own, the log(i) + log(t)
+    fixed effects plus the treatment row, then the one shared noise draw."""
+    alpha = np.log(np.arange(1, N + 1, dtype=float))
+    beta = np.log(np.arange(1, T + 1, dtype=float))
     base = params.baseline + alpha[:, None] + beta[None, :]
-    rng = np.random.default_rng(seed)
-    shared = None
-    if params.noise_sd > 0.0 and params.shared_noise:
-        shared = rng.normal(scale=params.noise_sd, size=(N, T))
+    noise = np.random.default_rng(seed).normal(scale=params.noise_sd, size=(N, T))
     arms = {}
     for arm in arms_for_horizon(T):
         bits = make_arm_vector(arm, T).astype(float)
         prev = np.concatenate([[0.0], bits[:-1]])
         m = base + cell(params, bits, prev)[None, :]
         if params.noise_sd > 0.0:
-            m = m + (shared if shared is not None
-                     else rng.normal(scale=params.noise_sd, size=(N, T)))
+            m = m + noise
         arms[arm] = m
     return PotentialOutcomeSchedule(arms)
+
+
+def _identity_slots(arms, T):
+    """Slot table of ``arms`` x ``T`` whose row c is slot c throughout."""
+    return np.repeat(np.arange(arms), T).reshape(arms, T)
 
 
 _CELLS = {
@@ -172,14 +158,11 @@ class TestInPlaceModel:
                              ids=["standard", "habituation"])
     @pytest.mark.parametrize("params", [
         ModelParams(),
-        ModelParams(shared_noise=False),
         ModelParams(noise_sd=0.0),
-        ModelParams(baseline=0.3, effect=2.5, carryover=0.7, decay=0.25, noise_sd=1.5,
-                    unit_effects=tuple(np.linspace(-1.0, 2.0, 37)),
-                    time_effects=(0.1, -0.2, 0.3, 1.0 / 3.0, 0.5, 7.0)),
-        ModelParams(shared_noise=False, unit_effects=tuple(np.sqrt(np.arange(37.0))),
-                    time_effects=(1.0, 0.0, -1.0, 0.1, 0.2, 0.3)),
-    ], ids=["shared", "per-arm", "noise-free", "explicit-shared", "explicit-per-arm"])
+        ModelParams(baseline=0.3, effect=2.5, carryover=0.7, decay=0.25, noise_sd=1.5),
+        # every arm has the same cells: the treatment term is +-0.0
+        ModelParams(effect=0.0, carryover=0.0, decay=0.0),
+    ], ids=["shared", "noise-free", "explicit", "null-effect"])
     @pytest.mark.parametrize("seed", [0, 17])
     def test_bit_equal_to_per_arm_build(self, model, params, seed):
         sched = model(params, 37, 6, seed)
@@ -198,18 +181,18 @@ class TestInPlaceModel:
 
     @pytest.mark.parametrize("model", [standard_model, habituation_model],
                              ids=["standard", "habituation"])
-    @pytest.mark.parametrize("params,per_arm", [
-        (ModelParams(), False), (ModelParams(noise_sd=0.0), False),
-        (ModelParams(shared_noise=False), True),
-    ], ids=["shared", "noise-free", "per-arm"])
+    @pytest.mark.parametrize("params", [
+        ModelParams(), ModelParams(noise_sd=0.0),
+        ModelParams(baseline=0.3, effect=2.5, carryover=0.7, decay=0.25, noise_sd=1.5),
+    ], ids=["shared", "noise-free", "explicit"])
     # T = 2 never has the pattern (z_t, z_{t-1}) = (0, 1); at T = 3 four
     # pattern matrices are T+1 matrices that are not one per arm
     @pytest.mark.parametrize("T", [2, 3, 30])
-    def test_pattern_storage_is_bit_equal_to_per_arm_build(self, model, params, per_arm, T):
+    def test_pattern_storage_is_bit_equal_to_per_arm_build(self, model, params, T):
         N = 23
         sched = model(params, N, T, 9)
         twin = _per_arm_model(params, N, T, 9, _CELLS[model])
-        assert len(sched._stored) == (T + 1 if per_arm else min(4, T + 1))
+        assert len(sched._stored) == min(4, T + 1)
         assert sched.stacked().tobytes() == twin.stacked().tobytes()
         assert sched == twin
         stacked = sched.stacked()
@@ -229,19 +212,21 @@ class TestInPlaceModel:
         assert np.array_equal(permuted._slots, sched._slots)
         assert permuted.stacked().tobytes() == sched.stacked()[:, perm].tobytes()
 
-    @pytest.mark.parametrize("shape", [(4, 4, 2), (3, 4), (2, 4, 1), (3, 0, 2)],
-                             ids=["arms-mismatch", "2-d", "short-horizon", "no-units"])
-    def test_owned_constructor_checks_the_shape(self, shape):
+    @pytest.mark.parametrize("shape,slots", [
+        ((3, 4, 2), (4, 2)), ((3, 4), (3, 2)), ((2, 4, 1), (2, 1)), ((3, 0, 2), (3, 2)),
+    ], ids=["arms-mismatch", "2-d", "short-horizon", "no-units"])
+    def test_owned_constructor_checks_the_shape(self, shape, slots):
         with pytest.raises(ValueError, match="stacked schedule"):
-            PotentialOutcomeSchedule._owned(np.zeros(shape))
+            PotentialOutcomeSchedule._owned(np.zeros(shape), _identity_slots(*slots))
 
     def test_owned_constructor_rejects_integers(self):
         with pytest.raises(ValueError, match="float"):
-            PotentialOutcomeSchedule._owned(np.zeros((3, 4, 2), dtype=np.int64))
+            PotentialOutcomeSchedule._owned(np.zeros((3, 4, 2), dtype=np.int64),
+                                            _identity_slots(3, 2))
 
     def test_owned_constructor_keeps_the_array(self):
         stacked = np.arange(24.0).reshape(3, 4, 2)
-        sched = PotentialOutcomeSchedule._owned(stacked)
+        sched = PotentialOutcomeSchedule._owned(stacked, _identity_slots(3, 2))
         assert sched.stacked() is stacked and not stacked.flags.writeable
         assert (sched.N, sched.T) == (4, 2)
         assert sched == PotentialOutcomeSchedule(
@@ -289,7 +274,7 @@ GOLDEN_NUMPY = "2.4.6"
 
 # sha256 of ``rows_to_csv(expected_risk_comparison(**kwargs))``, recorded
 # before estimands were kept on the schedule: both models x both loss
-# estimators, per-arm noise, and the fig3-sim benchmark case.
+# estimators and the fig3-sim benchmark case.
 FIG3_GOLDEN = [
     ("standard-plugin",
      dict(N_list=[60, 90], T_list=[3, 5], model="standard", reps=4, seed=7,
@@ -307,10 +292,6 @@ FIG3_GOLDEN = [
      dict(N_list=[60, 90], T_list=[3, 5], model="habituation", reps=4, seed=7,
           loss_estimator="augmented"),
      "b1d750ebd4af68a2ffc058ea8f74da62a510cf75aec7b808de2ea79bf5b07174"),
-    ("per-arm-noise",
-     dict(N_list=[50], T_list=[4], model="habituation", reps=3, seed=3,
-          params=ModelParams(shared_noise=False)),
-     "960cb2c097cbd2180a03172c93a2caa919fe64ad45b766071d2fa1b6c4191695"),
     ("benchmark",
      dict(N_list=[2000], T_list=[10, 20, 30], model="habituation", reps=10, seed=41),
      "3ff05d06d1b8eccff14f20a00d40556e5d44a6bfcc4c69959dac3af2acdb4b6a"),
