@@ -32,9 +32,6 @@ the cells' exact sum rounded once.  ``mc_risks`` scores every design of
 a replicate on its one seeded permutation of the units; on such a
 schedule one ``bincount`` of the nonzero units, by the cut interval each
 is permuted into, gives every design's arm totals.
-
-scipy is loaded only when a confidence interval is computed
-(``conservative_ci``); importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, sqrt
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +115,8 @@ class LossSpec:
 
 class RiskOverflowError(ValueError):
     """A risk that overflows the float range: the maximum risk of a finite
-    variance bound, or a design's Monte-Carlo mean or standard error."""
+    variance bound, a loss, an exact risk, or a design's Monte-Carlo mean
+    or standard error."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def _counted_column(sched: PotentialOutcomeSchedule) -> tuple[np.ndarray, float]
     c = 1; any other has c its smallest nonzero |y_i|, which must divide
     every y_i exactly.  Either needs sum(|b|) < 2**53, so no c * K
     overflows: c is 1 or below 2**52 (every float above is an integer).
-    The checks cost O(N) memory beyond the schedule."""
+    The checks cost O(N) memory beyond the schedule, and none overflows."""
     if len(sched._stored) != 1:
         return None
     matrix = sched._stored[0]
@@ -246,27 +245,36 @@ def _counted_column(sched: PotentialOutcomeSchedule) -> tuple[np.ndarray, float]
     if not np.isfinite(y).all() or np.signbit(y[y == 0.0]).any():
         return None
     b, c = y, 1.0
+    size = np.abs(y)
     if not (np.trunc(y) == y).all():
-        size = np.abs(y)
         c = float(size[y != 0.0].min())
-        # fmod is exact: a zero remainder makes y_i an integer multiple of
-        # c, and y_i / c that integer, below 2**53 so a float
-        if np.fmod(y, c).any() or not size.max() < 2.0 ** 53 * c:
+        # fmod is exact: a zero remainder makes y_i an integer multiple of c
+        if np.fmod(y, c).any():
             return None
+    # each |y_i| / c must be an integer below 2**53, so a float, and no sum
+    # of N of them overflows
+    if not size.max() < 2.0 ** 53 * c:
+        return None
+    if c != 1.0:
         b = y / c
     # |b| holds integers, so its float sum is exact below 2**53 and at
     # least 2**53 when the exact sum is
     return (b, c) if np.abs(b).sum() < 2.0 ** 53 else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
     """Squared-error loss of one realized experiment against the
     schedule's estimands.  Terms whose weight is zero are skipped, so e.g.
-    rho = 1 never touches the control pool."""
+    rho = 1 never touches the control pool.  A loss that is not finite
+    raises ``RiskOverflowError``, with numpy's floating-point warnings off."""
     if spec.estimator == "recycling" and Z.family is Family.WEDGE:
         raise ValueError("recycling loss requires a pulse-family assignment")
     _check_fits(Z, sched)
-    return _LossEvaluator(sched, spec)(Z.codes)
+    val = _LossEvaluator(sched, spec)(Z.codes)
+    if not math.isfinite(val):
+        raise RiskOverflowError(f"the loss overflows: {val}")
+    return val
 
 
 def mc_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec,
@@ -372,14 +380,23 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
     return reports
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
     """Exact risk by enumerating every assignment with the given counts
     (each equally likely under complete randomization).  Only viable at
-    enumeration scale; replaces Monte-Carlo sampling in oracle checks."""
+    enumeration scale; replaces Monte-Carlo sampling in oracle checks.  A
+    loss that is not finite, or finite losses whose sum overflows, raise
+    ``RiskOverflowError``, with numpy's floating-point warnings off."""
     _check_sizes(alloc, sched)
     evaluate = _LossEvaluator(sched, spec)
     losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
-    return fsum(losses) / len(losses)
+    try:
+        risk = fsum(losses) / len(losses)
+    except OverflowError:  # fsum's exact sum of finite losses overflowed
+        risk = math.inf
+    if not math.isfinite(risk):
+        raise RiskOverflowError(f"the exact risk overflows: {risk}")
+    return risk
 
 
 def _check_sizes(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSchedule) -> None:
@@ -544,13 +561,14 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     The variance estimate sums each pool's sample variance over its size;
     dropping the negative contrast-variance term (unknowable from one
     realization) makes the interval conservative.  Both pools need at
-    least two units.  scipy is imported here, on the first call, not when
-    the module is.
+    least two units.  A level so close to 1 that 0.5 + level / 2 rounds
+    to 1.0, whose quantile is infinite, is rejected.
     """
     estimator = spec.estimator if target == "instantaneous" else "plugin"
     _check_inputs(Z, obs, t, estimator, spec.k)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    p = 0.5 + level / 2.0
+    if not (0.0 < level < 1.0 and p < 1.0):
+        raise ValueError(f"level must be in (0, 1) with 0.5 + level / 2 below 1.0, got {level}")
     if target not in ("habituation", "instantaneous"):
         raise ValueError(f"unknown target {target!r}")
     hab = target == "habituation"
@@ -566,10 +584,7 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
                 f"conservative variance needs >= 2 units per pool, got {len(units)}"
             )
         variance += _population_variance(col[units]) / len(units)
-    # A CI is the only scipy use; a module-level import would cost every command 0.6 s.
-    from scipy.special import ndtri
-    z = float(ndtri(0.5 + level / 2.0))
-    return estimate, z * sqrt(variance)
+    return estimate, NormalDist().inv_cdf(p) * sqrt(variance)
 
 
 def _check_seed(seed: int) -> None:

@@ -583,6 +583,38 @@ class TestColdStart:
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy blocked: the interval and one run of each subcommand still work
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = """if True:
+            import os, sys
+            sys.modules["scipy"] = None
+            from tminimax import (LossSpec, ObjectiveMode, conservative_ci, draw_assignment,
+                                  integer_solve, observe)
+            from tminimax.cli import main
+            from tminimax.serialize import write_assignment_csv, write_matrix_csv
+            from tminimax.simulate import ModelParams, standard_model
+            out = sys.argv[1]
+            Z = draw_assignment(integer_solve(200, 5, ObjectiveMode.augmented()), seed=1)
+            obs = observe(Z, standard_model(ModelParams(noise_sd=1.0), 200, 5, 2))
+            _, half_width = conservative_ci(Z, obs, 3, LossSpec("augmented"), 0.95)
+            assert 0.0 < half_width < float("inf")
+            write_assignment_csv(os.path.join(out, "z.csv"), Z)
+            write_matrix_csv(os.path.join(out, "y.csv"), obs.values)
+            for argv in (["design", "--n", "200", "--t", "5"],
+                         ["estimate", "--assignment", os.path.join(out, "z.csv"),
+                          "--outcomes", os.path.join(out, "y.csv")],
+                         ["risk", "--n", "200", "--t", "5", "--draws", "3"],
+                         ["simulate", "--figure", "3", "--n", "100", "--t-list", "4",
+                          "--reps", "2", "--out", os.path.join(out, "sim")]):
+                assert main(argv) == 0, argv
+            print("ok")
+        """
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.endswith("ok\n")
+
 
 def _parse(capsys, parser, argv):
     """What ``parser`` makes of ``argv``: the namespace, or the exit code

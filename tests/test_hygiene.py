@@ -15,7 +15,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # The paper's two-pool variance formula: only unit tests read it today, and
-# ROADMAP item 6 (exact risk for any schedule) decides whether it becomes a
+# ROADMAP item 8 (exact risk for any schedule) decides whether it becomes a
 # wrapper of that risk or goes.
 UNREACHED_ON_PURPOSE = {"true_variances", "variance_components", "VarianceComponents"}
 

@@ -5,6 +5,7 @@ import itertools
 import re
 import tracemalloc
 from math import fsum, sqrt
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -344,8 +345,8 @@ class TestCountedLoss:
 
     @pytest.mark.parametrize("name,sched", [
         *_general_schedules(),
-        # c * sum(|b|) overflows (mc_risk raises RiskOverflowError on such
-        # losses: see test_overflowing_mc_risk_raises)
+        # c * sum(|b|) overflows, and so do the losses (see
+        # test_overflowing_loss_raises)
         ("overflow", _broadcast_schedule([1.5e308, -1.5e308] + [0.0, 1.0] * 19, 5)),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_other_schedules_take_the_general_loss(self, general_calls, name, sched):
@@ -353,13 +354,13 @@ class TestCountedLoss:
 
         alloc = spread_allocation(sched.N, sched.T)
         spec = LossSpec("augmented", 0.5)
-        with np.errstate(over="ignore"):
-            assert _counted_column(sched) is None
-            if name == "overflow":
-                for r in range(3):
+        assert _counted_column(sched) is None
+        if name == "overflow":
+            for r in range(3):
+                with pytest.raises(RiskOverflowError, match="^the loss overflows: inf$"):
                     loss(draw_assignment(alloc, seed=r), sched, spec)
-            else:
-                mc_risk(alloc, sched, spec, draws=3, seed=1)
+        else:
+            mc_risk(alloc, sched, spec, draws=3, seed=1)
         assert len(general_calls) == 3
 
     @pytest.mark.parametrize("name,sched", [
@@ -903,6 +904,33 @@ class TestExactAndMcRisk:
         assert str(info.value) == f"design 0's Monte-Carlo risk overflows: {stats}"
         assert not recwarn.list
 
+    @pytest.mark.parametrize("y,estimator,overflows", [
+        ([1.5e308, -1.5e308] + [0.0, 1.0] * 19, "augmented", True),
+        # each loss is finite; only their Monte-Carlo sum overflows
+        ([1e154] * 20 + [-1e154] * 20, "plugin", False),
+    ], ids=["infinite-losses", "overflowing-sum"])
+    def test_overflowing_loss_raises(self, recwarn, y, estimator, overflows):
+        sched = _broadcast_schedule(y, 5)
+        spec = LossSpec(estimator, 0.5)
+        for r in range(3):
+            Z = draw_assignment(spread_allocation(40, 5), seed=np.random.SeedSequence((1, r)))
+            if overflows:
+                with pytest.raises(RiskOverflowError, match=r"^the loss overflows: inf$"):
+                    loss(Z, sched, spec)
+            else:
+                assert 1e307 < loss(Z, sched, spec) < np.inf
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("y", [
+        [1.5e308, -1.5e308, 0.0, 1.0, 0.0, 1.0],
+        # each loss is finite, and their exact sum overflows
+        [1e154] * 3 + [-1e154] * 3,
+    ], ids=["infinite-losses", "overflowing-sum"])
+    def test_overflowing_exact_risk_raises(self, recwarn, y):
+        with pytest.raises(RiskOverflowError, match=r"^the exact risk overflows: inf$"):
+            exact_risk(Allocation(2, 2, (2,)), _broadcast_schedule(y, 2), LossSpec("plugin", 0.5))
+        assert not recwarn.list
+
     def test_overflowing_mc_risks_names_the_design(self):
         # a finite mean whose standard error overflows, for the second design only
         sched = _broadcast_schedule([1e77] * 20 + [-1e77] * 20, 5)
@@ -1093,8 +1121,6 @@ class TestTrueVariances:
 def _mask_ci(codes, values, t, spec, level, target):
     """``conservative_ci`` with each pool picked by a boolean mask over the
     codes: the reference ``conservative_ci`` must match bit for bit."""
-    from scipy.special import ndtri
-
     from tminimax.estimators import EstimatorUndefinedError, _pool_name
 
     if target == "habituation":
@@ -1120,7 +1146,7 @@ def _mask_ci(codes, values, t, spec, level, target):
             raise ValueError(f"conservative variance needs >= 2 units per pool, got {len(y)}")
         mean = fsum(y.tolist()) / len(y)
         variance += fsum(((y - mean) ** 2).tolist()) / (len(y) - 1) / len(y)
-    return means[0] - means[1], float(ndtri(0.5 + level / 2.0)) * sqrt(variance)
+    return means[0] - means[1], NormalDist().inv_cdf(0.5 + level / 2.0) * sqrt(variance)
 
 
 class TestConservativeCI:
@@ -1173,13 +1199,10 @@ class TestConservativeCI:
         s_ctrl = obs.values[codes == 0, 1].var(ddof=1) / (codes == 0).sum()
         assert hw == pytest.approx(1.959964 * sqrt(s_pulse + s_ctrl), rel=1e-6)
 
-    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12])
-    def test_quantile_bits_match_norm_ppf(self, level):
-        from scipy.special import ndtri
-        from scipy.stats import norm
-
-        z = float(norm.ppf(0.5 + level / 2.0))
-        assert float(ndtri(0.5 + level / 2.0)) == z
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12,
+                                       1 - 2 ** -52])
+    def test_quantile_bits_match_normal_dist(self, level):
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         rng = np.random.default_rng(5)
         N, T = 12, 3
         sched = random_schedule(rng, N, T)
@@ -1216,6 +1239,19 @@ class TestConservativeCI:
         obs = observe(Z, constant_schedule(8, 3))
         with pytest.raises(ValueError):
             conservative_ci(Z, obs, 2, LossSpec("plugin"), 1.0)
+
+    def test_level_next_to_one(self):
+        # 0.5 + level / 2 rounds to 1.0 at 1 - 2**-53, whose quantile is
+        # infinite, and to the float just below 1.0 at 1 - 2**-52
+        rng = np.random.default_rng(3)
+        sched = random_schedule(rng, 12, 3)
+        Z = draw_assignment(spread_allocation(12, 3), seed=1)
+        obs = observe(Z, sched)
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 1\) with 0\.5 \+ level / 2 "
+                                             r"below 1\.0, got 0\.9999999999999999$"):
+            conservative_ci(Z, obs, 2, LossSpec("plugin"), 1 - 2 ** -53)
+        _, hw = conservative_ci(Z, obs, 2, LossSpec("plugin"), 1 - 2 ** -52)
+        assert hw == pytest.approx(5.752002665587116, rel=1e-15)
 
     @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
     @pytest.mark.parametrize("t", [0, 1, 5])
