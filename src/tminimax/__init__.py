@@ -45,7 +45,6 @@ from .risk import (
     LossSpec,
     RiskOverflowError,
     RiskReport,
-    VarianceComponents,
     box_max_variance,
     conservative_ci,
     exact_risk,
@@ -53,8 +52,6 @@ from .risk import (
     max_risk,
     mc_risk,
     mc_risks,
-    true_variances,
-    variance_components,
     worst_case_schedule,
 )
 from .simulate import (

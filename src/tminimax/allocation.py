@@ -281,8 +281,13 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def relaxed_recycling(N: float, T: int, k: int,
-                      max_iter: int = 200, tol: float = 1e-12) -> RealAllocation:
+# The recycling relaxation's Newton loop: at most this many steps, and it
+# stops once the KKT residual is at most the tolerance.
+_RECYCLING_MAX_ITER = 200
+_RECYCLING_TOL = 1e-12
+
+
+def relaxed_recycling(N: float, T: int, k: int) -> RealAllocation:
     """Continuous minimax allocation when old pulses are recycled as
     controls after k periods.
 
@@ -303,13 +308,13 @@ def relaxed_recycling(N: float, T: int, k: int,
     pinned = np.zeros(n, dtype=bool)
     best_x, best_res = x.copy(), math.inf
 
-    for _ in range(max_iter):
+    for _ in range(_RECYCLING_MAX_ITER):
         free = np.nonzero(~pinned)[0]
         g = _gradient_counts(x, T, mode)
         res = _kkt_residual(g, x, pinned)
         if res < best_res:
             best_x, best_res = x.copy(), res
-        if res <= tol:
+        if res <= _RECYCLING_TOL:
             return _scaled_allocation(x, N)
         y = m @ x
         H = m.T @ (m * (2.0 * w / y**3)[:, None])

@@ -535,23 +535,6 @@ class PotentialOutcomeSchedule:
             return self._stored[row[0]]
         return self._observed_rows(np.full(self._N, code))
 
-    def _column(self, arm: ArmId, t: int) -> np.ndarray:
-        """Read-only view of the arm's outcomes at period t (1-based)."""
-        return self._stored[self._slots[self._code(arm), t - 1], :, t - 1]
-
-    def stacked(self) -> np.ndarray:
-        """(T+1, N, T) read-only array indexed by arm code.  A schedule
-        whose slot table is the identity (row c is slot c throughout)
-        returns its stored array; any other assembles a fresh (T+1) N T
-        copy through the table."""
-        n_arms, T = self._slots.shape
-        if (self._slots == np.arange(n_arms)[:, None]).all():
-            return self._stored
-        stacked = self._stored[self._slots[:, None, :], np.arange(self._N)[:, None],
-                               np.arange(T)]
-        stacked.flags.writeable = False
-        return stacked
-
     def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
         """Read-only N x T array whose row i is row i of the matrix of arm
         ``codes[i]``.  With one stored matrix that is the matrix itself;

@@ -251,16 +251,21 @@ def _pool_name(estimator: str, t: int) -> str:
     }[estimator]
 
 
+def _arm_name(estimator: str, t: int, role: int) -> str:
+    """The arm a pass reads at t in ``role``: 0 the always-treated arm, 1
+    the pulse arm at t, 2 the estimator's control pool."""
+    if role == 0:
+        return "the always-treated arm"
+    if role == 1:
+        return f"the pulse arm at t={t}"
+    return _pool_name(estimator, t)
+
+
 def _undefined(estimator: str, t: int, treated_empty: bool,
                pulse_empty: bool) -> EstimatorUndefinedError:
     """The error for the first empty arm at t, in the order always-treated,
     pulse, pool; its text is built only here, when an arm is empty."""
-    if treated_empty:
-        what = "the always-treated arm"
-    elif pulse_empty:
-        what = f"the pulse arm at t={t}"
-    else:
-        what = _pool_name(estimator, t)
+    what = _arm_name(estimator, t, 0 if treated_empty else 1 if pulse_empty else 2)
     return EstimatorUndefinedError(f"estimator undefined: no units in {what}")
 
 
@@ -402,7 +407,8 @@ def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: 
     with ``_picked_mean``, the units in ascending order, reading column t
     of the observed outcomes from ``_cell_table``'s ``cells`` and ``slots``.
     ``picked`` also names the pool in the error for an empty one, which is
-    read only when ``inst`` is true and ``picked`` is the estimator."""
+    read only when ``inst`` is true and ``picked`` is the estimator.  An
+    arm whose sum overflows raises ``OverflowError`` naming it and t."""
     N, T = len(codes), slots.shape[1]
     for t, treated, pulse, pool in _picks(codes, T, picked, k, start):
         if t == stop:
@@ -415,9 +421,17 @@ def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: 
             col = cells[first:first + N * T:T]
         else:
             col = cells.take((slot[codes] * N + np.arange(N)) * T + t - 1)
-        treated_mean = _picked_mean(col[treated]) if hab else None
-        pulse_mean = _picked_mean(col[pulse])
-        pool_mean = _picked_mean(col[pool]) if inst else None
+        role = 0
+        try:
+            treated_mean = _picked_mean(col[treated]) if hab else None
+            role = 1
+            pulse_mean = _picked_mean(col[pulse])
+            role = 2
+            pool_mean = _picked_mean(col[pool]) if inst else None
+        except OverflowError:  # fsum's exact sum of finite cells overflowed
+            raise OverflowError(f"estimator overflows at t={t}: the sum of "
+                                f"{_arm_name(picked, t, role)} exceeds the float range"
+                                ) from None
         yield (t, treated_mean - pulse_mean if hab else None,
                pulse_mean - pool_mean if inst else None)
 

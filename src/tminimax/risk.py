@@ -1,4 +1,4 @@
-"""Loss, Monte-Carlo and worst-case risk, randomization variances, CIs.
+"""Loss, Monte-Carlo and worst-case risk, and conservative intervals.
 
 The loss of one realized experiment is the weighted sum of squared errors
 of the habituation and instantaneous estimates across t = 2..T; the risk
@@ -46,8 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ALWAYS_CONTROL,
-    ALWAYS_TREATED,
     Allocation,
     AssignmentMatrix,
     Family,
@@ -61,7 +59,6 @@ from .core import (
     _risk_terms,
     _shuffle,
     arms_for_horizon,
-    pulse_arm,
 )
 from .estimators import _check_inputs, _estimate_pass, estimands
 
@@ -69,7 +66,6 @@ __all__ = [
     "LossSpec",
     "RiskOverflowError",
     "RiskReport",
-    "VarianceComponents",
     "loss",
     "mc_risk",
     "mc_risks",
@@ -77,8 +73,6 @@ __all__ = [
     "worst_case_schedule",
     "box_max_variance",
     "max_risk",
-    "variance_components",
-    "true_variances",
     "conservative_ci",
 ]
 
@@ -175,7 +169,10 @@ class _LossEvaluator:
     ``general``, which raises."""
 
     def __init__(self, sched: PotentialOutcomeSchedule, spec: LossSpec) -> None:
-        hab, inst = estimands(sched)
+        try:
+            hab, inst = estimands(sched)
+        except OverflowError as exc:  # an effect's exact sum overflowed
+            raise RiskOverflowError(f"the estimands overflow: {exc}") from exc
         self._hab, self._inst = hab.values, inst.values
         self._sched, self._spec = sched, spec
         self.b, self.c = _counted_column(sched) or (None, 1.0)
@@ -266,12 +263,17 @@ def _counted_column(sched: PotentialOutcomeSchedule) -> tuple[np.ndarray, float]
 def loss(Z: AssignmentMatrix, sched: PotentialOutcomeSchedule, spec: LossSpec) -> float:
     """Squared-error loss of one realized experiment against the
     schedule's estimands.  Terms whose weight is zero are skipped, so e.g.
-    rho = 1 never touches the control pool.  A loss that is not finite
-    raises ``RiskOverflowError``, with numpy's floating-point warnings off."""
+    rho = 1 never touches the control pool.  A loss that is not finite, or
+    an arm or loss whose exact sum overflows, raises ``RiskOverflowError``,
+    with numpy's floating-point warnings off."""
     if spec.estimator == "recycling" and Z.family is Family.WEDGE:
         raise ValueError("recycling loss requires a pulse-family assignment")
     _check_fits(Z, sched)
-    val = _LossEvaluator(sched, spec)(Z.codes)
+    evaluate = _LossEvaluator(sched, spec)
+    try:
+        val = evaluate(Z.codes)
+    except OverflowError as exc:  # an arm's or the loss's exact sum overflowed
+        raise RiskOverflowError(f"the loss overflows: {exc}") from exc
     if not math.isfinite(val):
         raise RiskOverflowError(f"the loss overflows: {val}")
     return val
@@ -326,7 +328,8 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
     Losses that overflow the float range are carried as inf or nan, with
     numpy's floating-point warnings off, and a design whose mean or
     standard error is not finite raises ``RiskOverflowError`` naming its
-    index in ``allocs``.
+    index in ``allocs``, as does a design whose arm or loss has an exact
+    sum that overflows.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -355,20 +358,23 @@ def mc_risks(allocs: Sequence[Allocation], sched: PotentialOutcomeSchedule, spec
         cum = np.zeros(len(cuts))
         totals = np.empty((len(counted), min(_CHUNK, draws), T + 1))
     losses = np.empty((len(allocs), draws))
-    for r in range(draws):
-        perm = np.arange(N)
-        _shuffle(perm, np.random.SeedSequence((seed, r)))
-        if counted:
-            np.cumsum(np.bincount(interval[perm[units]], weights=weights,
-                                  minlength=len(cuts) - 1), out=cum[1:])
-            np.subtract(cum[hi], cum[lo], out=totals[:, r % _CHUNK])
-            if r % _CHUNK == _CHUNK - 1 or r == draws - 1:
-                first = r - r % _CHUNK
-                for j, d in enumerate(counted):
-                    losses[d, first:r + 1] = evaluate.from_sums(all_counts[d],
-                                                                totals[j, :r + 1 - first])
-        for d, codes in general:
-            losses[d, r] = evaluate.general(codes[perm])
+    try:
+        for r in range(draws):
+            perm = np.arange(N)
+            _shuffle(perm, np.random.SeedSequence((seed, r)))
+            if counted:
+                np.cumsum(np.bincount(interval[perm[units]], weights=weights,
+                                      minlength=len(cuts) - 1), out=cum[1:])
+                np.subtract(cum[hi], cum[lo], out=totals[:, r % _CHUNK])
+                if r % _CHUNK == _CHUNK - 1 or r == draws - 1:
+                    first = r - r % _CHUNK
+                    for j, d in enumerate(counted):
+                        losses[d, first:r + 1] = evaluate.from_sums(
+                            all_counts[d], totals[j, :r + 1 - first])
+            for d, codes in general:
+                losses[d, r] = evaluate.general(codes[perm])
+    except OverflowError as exc:  # design d's arm or loss sum overflowed
+        raise RiskOverflowError(f"design {d}'s loss overflows: {exc}") from exc
     reports = []
     for d, row in enumerate(losses):
         mean = float(np.mean(row))
@@ -385,11 +391,15 @@ def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpe
     """Exact risk by enumerating every assignment with the given counts
     (each equally likely under complete randomization).  Only viable at
     enumeration scale; replaces Monte-Carlo sampling in oracle checks.  A
-    loss that is not finite, or finite losses whose sum overflows, raise
-    ``RiskOverflowError``, with numpy's floating-point warnings off."""
+    loss that is not finite or overflows in its exact sums, or finite
+    losses whose sum overflows, raise ``RiskOverflowError``, with numpy's
+    floating-point warnings off."""
     _check_sizes(alloc, sched)
     evaluate = _LossEvaluator(sched, spec)
-    losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
+    try:
+        losses = [evaluate(np.array(a)) for a in _iter_code_arrangements(alloc.counts)]
+    except OverflowError as exc:  # an arm's or a loss's exact sum overflowed
+        raise RiskOverflowError(f"the loss overflows: {exc}") from exc
     try:
         risk = fsum(losses) / len(losses)
     except OverflowError:  # fsum's exact sum of finite losses overflowed
@@ -399,7 +409,7 @@ def exact_risk(alloc: Allocation, sched: PotentialOutcomeSchedule, spec: LossSpe
     return risk
 
 
-def _check_sizes(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSchedule) -> None:
+def _check_sizes(alloc: Allocation, sched: PotentialOutcomeSchedule) -> None:
     if (alloc.T != sched.T) or (alloc.N != sched.N):
         raise ValueError(
             f"allocation is N={alloc.N}, T={alloc.T} but schedule is "
@@ -493,97 +503,50 @@ def max_risk(alloc: Allocation | RealAllocation, T: int, vstar: float,
     return val
 
 
-@dataclass(frozen=True)
-class VarianceComponents:
-    """Finite-population variances at one period: per-arm outcome
-    variances (v1 treated, v0 control, ve pulse) and the variances of the
-    unit-level habituation and instantaneous contrasts (v1e, v0e)."""
-
-    v1: float
-    v0: float
-    ve: float
-    v1e: float
-    v0e: float
-
-
 def _population_variance(x: np.ndarray) -> float:
     n = len(x)
     mean = fsum(x.tolist()) / n
     return fsum(((x - mean) ** 2).tolist()) / (n - 1)
 
 
-def variance_components(sched: PotentialOutcomeSchedule, t: int) -> VarianceComponents:
-    if sched.N < 2:
-        raise ValueError(f"need N >= 2 for variances, got N={sched.N}")
-    if not 2 <= t <= sched.T:
-        raise ValueError(f"time index {t} outside 2..{sched.T}")
-    y1 = sched._column(ALWAYS_TREATED, t)
-    y0 = sched._column(ALWAYS_CONTROL, t)
-    ye = sched._column(pulse_arm(t), t)
-    return VarianceComponents(
-        v1=_population_variance(y1),
-        v0=_population_variance(y0),
-        ve=_population_variance(ye),
-        v1e=_population_variance(y1 - ye),
-        v0e=_population_variance(ye - y0),
-    )
-
-
-def true_variances(alloc: Allocation | RealAllocation, sched: PotentialOutcomeSchedule,
-                   t: int, spec: LossSpec) -> tuple[float, float]:
-    """Exact randomization variances of the habituation estimate and of
-    the selected instantaneous estimate under complete randomization with
-    these counts.  Each is the two pools' variances over their sizes minus
-    the (unidentifiable in practice) contrast variance over N."""
-    _check_sizes(alloc, sched)
-    vc = variance_components(sched, t)
-    N = sched.N
-    ne = alloc.ne[t - 2]
-    if alloc.n1 <= 0 or ne <= 0:
-        raise ValueError("variance needs positive treated and pulse counts")
-    var_hab = vc.v1 / alloc.n1 + vc.ve / ne - vc.v1e / N
-    pool = (_pool_arms(sched.T, spec.estimator, spec.k)[t - 2] @ np.asarray(alloc.counts)).item()
-    if pool <= 0:
-        raise ValueError(f"empty control pool at t={t}")
-    var_inst = vc.v0 / pool + vc.ve / ne - vc.v0e / N
-    return var_hab, var_inst
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: LossSpec,
-                    level: float, target: str = "instantaneous") -> tuple[float, float]:
-    """Normal-approximation confidence interval for one effect at time t,
-    returned as ``(estimate, half_width)``: the interval is estimate plus
-    or minus half_width, the ``target`` effect's estimate (the
-    habituation estimate, or the ``spec`` estimator's instantaneous one)
-    and the normal quantile of ``level`` times the estimated standard
-    error.
+                    level: float) -> tuple[float, float]:
+    """Normal-approximation confidence interval for the instantaneous
+    effect at time t, returned as ``(estimate, half_width)``: the interval
+    is estimate plus or minus half_width, the ``spec`` estimator's
+    instantaneous estimate and the normal quantile of ``level`` times the
+    estimated standard error.
 
-    The variance estimate sums each pool's sample variance over its size;
-    dropping the negative contrast-variance term (unknowable from one
-    realization) makes the interval conservative.  Both pools need at
-    least two units.  A level so close to 1 that 0.5 + level / 2 rounds
-    to 1.0, whose quantile is infinite, is rejected.
+    The variance estimate is the pulse arm's and the control pool's sample
+    variances, each over its size; dropping the negative contrast-variance
+    term (unknowable from one realization) makes the interval
+    conservative.  Both pools need at least two units.  A level so close
+    to 1 that 0.5 + level / 2 rounds to 1.0, whose quantile is infinite,
+    is rejected.  A pool whose exact sum overflows, or a variance that is
+    not finite, raises ``RiskOverflowError``, with numpy's floating-point
+    warnings off.
     """
-    estimator = spec.estimator if target == "instantaneous" else "plugin"
-    _check_inputs(Z, obs, t, estimator, spec.k)
+    _check_inputs(Z, obs, t, spec.estimator, spec.k)
     p = 0.5 + level / 2.0
     if not (0.0 < level < 1.0 and p < 1.0):
         raise ValueError(f"level must be in (0, 1) with 0.5 + level / 2 below 1.0, got {level}")
-    if target not in ("habituation", "instantaneous"):
-        raise ValueError(f"unknown target {target!r}")
-    hab = target == "habituation"
-    _, h, i = next(_estimate_pass(Z.codes, obs.values, estimator, spec.k,
-                                  hab=hab, inst=not hab, start=t, stop=t + 1))
-    _, treated, pulse, pool = next(_picks(Z.codes, Z.T, estimator, spec.k, t))
-    estimate, a, b = (h, treated, pulse) if hab else (i, pulse, pool)
-    col = obs.values[:, t - 1]
-    variance = 0.0
-    for units in (a, b):
-        if len(units) < 2:
-            raise ValueError(
-                f"conservative variance needs >= 2 units per pool, got {len(units)}"
-            )
-        variance += _population_variance(col[units]) / len(units)
+    try:
+        _, _, estimate = next(_estimate_pass(Z.codes, obs.values, spec.estimator, spec.k,
+                                             hab=False, start=t, stop=t + 1))
+        _, _, pulse, pool = next(_picks(Z.codes, Z.T, spec.estimator, spec.k, t))
+        col = obs.values[:, t - 1]
+        variance = 0.0
+        for units in (pulse, pool):
+            if len(units) < 2:
+                raise ValueError(
+                    f"conservative variance needs >= 2 units per pool, got {len(units)}"
+                )
+            variance += _population_variance(col[units]) / len(units)
+    except OverflowError as exc:  # a pool's mean or squared deviations overflowed
+        raise RiskOverflowError(f"the interval overflows: {exc}") from exc
+    if not math.isfinite(variance):
+        raise RiskOverflowError(f"the interval overflows: variance {variance}")
     return estimate, NormalDist().inv_cdf(p) * sqrt(variance)
 
 

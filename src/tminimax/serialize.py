@@ -467,10 +467,10 @@ def _decode_row(table: dict[str, tuple[int, Family | None]], key: str,
     raise ParseError(f"{where}: row pattern {bits} is not a valid arm")
 
 
-def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentMatrix:
+def read_assignment_csv(path: str) -> AssignmentMatrix:
     """Decode an assignment matrix from its 0/1 CSV form.  The family is
-    inferred from the row patterns when they pin it down; ``family``
-    breaks the tie when every row is ambiguous.
+    inferred from the row patterns when they pin it down; a file whose
+    every row is ambiguous reads as the pulse family.
 
     The second pass decodes a run of rows at a time: the unit column is
     split off the run's rows and checked against the expected numbers at
@@ -507,7 +507,7 @@ def read_assignment_csv(path: str, family: Family = Family.PULSE) -> AssignmentM
             r += b
     if len(votes) > 1:
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
-    chosen = votes.pop() if votes else family
+    chosen = votes.pop() if votes else Family.PULSE
     return AssignmentMatrix._from_codes(codes, T, chosen)
 
 

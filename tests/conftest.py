@@ -47,6 +47,12 @@ def schedule_violations(sched, k=None):
     return tuple(violations)
 
 
+def arm_bytes(sched, units=slice(None)):
+    """The bytes of each arm's matrix (its rows ``units``), in arm-code
+    order: two schedules with equal lists are bitwise equal."""
+    return [sched.matrix(arm)[units].tobytes() for arm in sched.arms]
+
+
 def numpy_stack(recorded):
     """Message for a golden that pins numpy's ``Generator`` streams and
     pairwise sums, which NumPy does not promise to keep across versions

@@ -7,6 +7,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from tminimax import allocation
 from tminimax.allocation import (
     ObjectiveMode,
     SolverConvergenceError,
@@ -481,9 +482,11 @@ class TestRelaxedRecycling:
         assert min(alloc.counts) >= 0.0
         assert stationarity_residual(alloc, T, ObjectiveMode.recycling(k)) < 1e-8
 
-    def test_failure_carries_best_iterate(self):
+    def test_failure_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_RECYCLING_MAX_ITER", 1)
+        monkeypatch.setattr(allocation, "_RECYCLING_TOL", 0.0)
         with pytest.raises(SolverConvergenceError) as err:
-            relaxed_recycling(60, 8, 2, max_iter=1, tol=0.0)
+            relaxed_recycling(60, 8, 2)
         assert err.value.best.T == 8
 
 

@@ -6,7 +6,13 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from conftest import constant_schedule, random_schedule, schedule_violations, spread_allocation
+from conftest import (
+    arm_bytes,
+    constant_schedule,
+    random_schedule,
+    schedule_violations,
+    spread_allocation,
+)
 from tminimax.core import (
     ALWAYS_CONTROL,
     ALWAYS_TREATED,
@@ -341,7 +347,7 @@ class TestPermuteUnits:
         assert len(permuted._stored) == 1
         per_arm = PotentialOutcomeSchedule({arm: sched.matrix(arm)[perm] for arm in sched.arms})
         assert permuted == per_arm
-        assert np.array_equal(permuted.stacked(), per_arm.stacked())
+        assert arm_bytes(permuted) == arm_bytes(per_arm)
 
 
 class TestEnumeration:
@@ -419,14 +425,9 @@ class TestSharedStorage:
         assert slots.shape == (T + 1, T) and not slots.flags.writeable
         want = np.array([[[stored[slots[c, t], i, t] for t in range(T)] for i in range(N)]
                          for c in range(T + 1)])
-        stacked = sched.stacked()
-        assert stacked is not stored and not stacked.flags.writeable
-        assert stacked.tobytes() == want.tobytes()
         for c, arm in enumerate(sched.arms):
             m = sched.matrix(arm)
             assert m.tobytes() == want[c].tobytes() and not m.flags.writeable
-            for t in range(1, T + 1):
-                assert sched._column(arm, t).tobytes() == want[c, :, t - 1].tobytes()
         assert np.shares_memory(sched.matrix(ALWAYS_CONTROL), stored)
         Z = draw_assignment(spread_allocation(N, T), seed=1)
         rows = want[Z.codes, np.arange(N)]
@@ -490,14 +491,12 @@ class TestSharedStorage:
         twin = PotentialOutcomeSchedule({arm: m.copy() for arm, m in arms.items()})
         assert len(shared._stored) == self.T and len(twin._stored) == self.T + 1
         assert shared == twin
-        stacked = shared.stacked()
-        assert stacked.shape == (self.T + 1, self.N, self.T) and not stacked.flags.writeable
-        assert np.array_equal(stacked, twin.stacked())
+        assert arm_bytes(shared) == arm_bytes(twin)
 
     def test_mutating_a_source_leaves_the_schedule(self):
         arms = _two_arms_sharing(np.random.default_rng(6), self.N, self.T)
         sched = PotentialOutcomeSchedule(arms)
-        before = sched.stacked().copy()
+        before = arm_bytes(sched)
         arms[ALWAYS_TREATED][:] = 7.0
         arms[ALWAYS_CONTROL][0, 0] = -7.0
-        assert np.array_equal(sched.stacked(), before)
+        assert arm_bytes(sched) == before

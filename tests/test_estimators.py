@@ -435,6 +435,25 @@ class TestErrors:
         with pytest.raises(ValueError):
             instantaneous_estimate(Z, obs, 2)
 
+    # the huge arm's code at t = 2: 1 always-treated, 2 the pulse, 0 the
+    # control arm in the augmented pool; at N = 300 the pass reads more
+    # than _PICK_CELLS cells, and the huge cells send it unit by unit
+    @pytest.mark.parametrize("estimate,code,what", [
+        (habituation_estimate, 1, "the always-treated arm"),
+        (habituation_estimate, 2, "the pulse arm at t=2"),
+        (augmented_instantaneous_estimate, 0, "the augmented control pool at t=2"),
+    ], ids=["treated", "pulse", "pool"])
+    @pytest.mark.parametrize("N", [8, 300])
+    def test_an_overflowing_arm_sum_names_the_arm_and_t(self, estimate, code, what, N):
+        codes = np.resize([0, 1, 2, 3], N)
+        Z = AssignmentMatrix._from_codes(codes, 3, Family.PULSE)
+        values = np.zeros((N, 3))
+        values[codes == code, 1] = 1.5e308
+        with pytest.raises(OverflowError) as info:
+            estimate(Z, ObservedOutcomes(values), 2)
+        assert str(info.value) == (f"estimator overflows at t=2: the sum of {what} "
+                                   f"exceeds the float range")
+
 
 class TestRecyclingReductions:
     def test_large_k_equals_augmented(self):

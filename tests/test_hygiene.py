@@ -1,6 +1,7 @@
 """Static checks on the package's names: every exported name resolves, no
 module keeps an import that its code never uses, and every top-level
-definition serves a command, the acceptance suite or the benchmark."""
+definition and every method serves a command, the acceptance suite or the
+benchmark."""
 
 import ast
 import importlib
@@ -13,11 +14,6 @@ import tminimax
 PACKAGE = pathlib.Path(tminimax.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 REPO = pathlib.Path(__file__).resolve().parent.parent
-
-# The paper's two-pool variance formula: only unit tests read it today, and
-# ROADMAP item 8 (exact risk for any schedule) decides whether it becomes a
-# wrapper of that risk or goes.
-UNREACHED_ON_PURPOSE = {"true_variances", "variance_components", "VarianceComponents"}
 
 
 def _tree(name):
@@ -88,30 +84,55 @@ def _reads(node):
     return names
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
-    """(module, name) -> the names its code reads, for every top-level
-    function, class and assignment of the package except dunders."""
+    """(module, qualified name) -> the names its code reads, for every
+    top-level function, class and assignment of the package except dunders,
+    and for every method and property of a top-level class except dunders,
+    as ``Class.method``.  A class reads what its body and its dunder
+    methods read; each other method is a definition of its own."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)
+                           and not _dunder(n.name)]
+                for method in methods:
+                    defs[path.stem, f"{node.name}.{method.name}"] = _reads(method)
+                body = [n for n in node.body if n not in methods]
+                names = {node.name: set().union(*map(_reads, [*node.decorator_list,
+                                                              *node.bases, *body]))}
+            elif isinstance(node, ast.FunctionDef):
+                names = {node.name: _reads(node)}
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                names = {t.id: _reads(node) for t in node.targets if isinstance(t, ast.Name)}
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
+                names = {node.target.id: _reads(node)}
             else:
                 continue
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    defs[path.stem, name] = _reads(node)
+            for name, reads in names.items():
+                if not _dunder(name):
+                    defs[path.stem, name] = reads
     return defs
+
+
+def test_the_walk_yields_methods():
+    defs = _definitions()
+    assert ("core", "PotentialOutcomeSchedule.matrix") in defs
+    assert "_adopt" in defs["core", "PotentialOutcomeSchedule"]  # read by __init__
 
 
 def test_every_definition_is_reachable_from_a_root():
     # roots: the command line, the acceptance suite and the benchmark (its
-    # span table names functions in strings); names match across modules
+    # span table names functions in strings); names match across modules,
+    # and a method is reached when reachable code reads its bare name
     defs = _definitions()
+    by_name = {}
+    for (_, d), refs in defs.items():
+        by_name.setdefault(d.rpartition(".")[2], []).append(refs)
     todo = ["main"]
     for path in [REPO / "tests" / "test_acceptance.py", *sorted((REPO / "perfbench").glob("*.py"))]:
         todo.extend(_reads(ast.parse(path.read_text())))
@@ -120,8 +141,7 @@ def test_every_definition_is_reachable_from_a_root():
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo.extend(n for (_, d), refs in defs.items() if d == name for n in refs)
-    unreached = sorted(f"{m}.{d}" for m, d in defs
-                       if d not in reached and d not in UNREACHED_ON_PURPOSE)
+            for refs in by_name.get(name, ()):
+                todo.extend(refs)
+    unreached = sorted(f"{m}.{d}" for m, d in defs if d.rpartition(".")[2] not in reached)
     assert not unreached, f"only unit tests use {unreached}"
-    assert UNREACHED_ON_PURPOSE <= {d for _, d in defs}

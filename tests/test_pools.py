@@ -7,7 +7,8 @@ sizes and the non-anticipation check's column ranges.  Every consumer of
 the table must agree with them exactly.
 """
 
-from math import fsum
+from math import fsum, sqrt
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tminimax.core import (
     PotentialOutcomeSchedule,
     _picks,
     _pool_arms,
+    draw_assignment,
     observe,
     pulse_arm,
 )
@@ -30,7 +32,7 @@ from tminimax.estimators import (
     instantaneous_estimate,
     recycling_instantaneous_estimate,
 )
-from tminimax.risk import LossSpec, max_risk, true_variances
+from tminimax.risk import LossSpec, conservative_ci, max_risk
 
 # ---------------------------------------------------------------------------
 # Reference: the old encodings, one per layer.
@@ -219,20 +221,26 @@ class TestPoolSizes:
 
     @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
                                              ("recycling", 1), ("recycling", 2)])
-    def test_true_variances_use_the_reference_pool(self, estimator, k):
-        from tminimax.risk import variance_components
-
+    def test_conservative_ci_uses_the_reference_pool(self, estimator, k):
         rng = np.random.default_rng(500)
         T = 5
         alloc = Allocation(3, 4, (2, 3, 4, 5))
-        sched = random_schedule(rng, alloc.N, T)
+        sched = random_schedule(rng, alloc.N, T, k=k)
         spec = LossSpec(estimator, 0.5, k)
-        for t in range(2, T + 1):
-            vc = variance_components(sched, t)
-            pool = _ref_control_count(alloc, t, estimator, k)
-            ne = alloc.ne[t - 2]
-            want = vc.v0 / pool + vc.ve / ne - vc.v0e / alloc.N
-            assert true_variances(alloc, sched, t, spec)[1] == want
+        z = NormalDist().inv_cdf(0.95)
+        for seed in range(3):
+            Z = draw_assignment(alloc, seed=seed)
+            obs = observe(Z, sched)
+            for t in range(2, T + 1):
+                means, variance = [], 0.0
+                for mask in (Z.codes == t, _ref_control_mask(Z.codes, t, estimator, k)):
+                    y = obs.values[mask, t - 1]
+                    mean = fsum(y.tolist()) / len(y)
+                    means.append(mean)
+                    variance += fsum(((y - mean) ** 2).tolist()) / (len(y) - 1) / len(y)
+                assert len(y) == _ref_control_count(alloc, t, estimator, k)
+                want = (means[0] - means[1], z * sqrt(variance))
+                assert conservative_ci(Z, obs, t, spec, 0.9) == want
 
 
 def _pool_violations(sched, k):
@@ -240,10 +248,12 @@ def _pool_violations(sched, k):
     match the control arm at t = 1 and at every t whose pool holds it."""
     pools = _pool_arms(sched.T, "augmented" if k is None else "recycling", k)
     violations = []
+    control = sched.matrix(ALWAYS_CONTROL)
     for tp in range(2, sched.T + 1):
         arm = pulse_arm(tp)
+        pulse = sched.matrix(arm)
         for t in [1, *(np.flatnonzero(pools[:, tp]) + 2).tolist()]:
-            bad = np.nonzero(sched._column(arm, t) != sched._column(ALWAYS_CONTROL, t))[0]
+            bad = np.nonzero(pulse[:, t - 1] != control[:, t - 1])[0]
             violations.extend((arm, int(i), t) for i in bad)
     return tuple(violations)
 

@@ -1,4 +1,4 @@
-"""Tests for loss, risk (Monte-Carlo, exact, worst-case), variances, CIs."""
+"""Tests for loss, risk (Monte-Carlo, exact, worst-case) and CIs."""
 
 import hashlib
 import itertools
@@ -36,8 +36,6 @@ from tminimax.risk import (
     max_risk,
     mc_risk,
     mc_risks,
-    true_variances,
-    variance_components,
     worst_case_schedule,
 )
 from tminimax.simulate import ModelParams, habituation_model
@@ -942,6 +940,55 @@ class TestExactAndMcRisk:
                                                     r"mean 7\.4\d*e\+154, standard error inf$"):
             mc_risks(allocs, sched, spec, draws=3, seed=1)
 
+    # arms whose exact sums overflow fsum (1.5e308), or finite squared
+    # errors whose exact sum does for some draws (1.3e154): each entry
+    # point raises RiskOverflowError with the overflow's message; losses
+    # maps a draw_assignment seed to its message
+    @pytest.mark.parametrize("y,T,alloc,losses,exact,mc", [
+        ([1.5e308] * 3 + [-1.5e308] * 3, 2, Allocation(2, 2, (2,)),
+         {0: "estimator overflows at t=2: the sum of the always-treated arm exceeds the "
+             "float range",
+          3: "estimator overflows at t=2: the sum of the pulse arm at t=2 exceeds the "
+             "float range"},
+         "estimator overflows at t=2: the sum of the pulse arm at t=2 exceeds the float range",
+         "estimator overflows at t=2: the sum of the always-treated arm exceeds the float "
+         "range"),
+        ([1.3e154] * 4 + [-1.3e154] * 4, 3, Allocation(2, 2, (2, 2)),
+         {0: "intermediate overflow in fsum", 1: "inf", 3: "intermediate overflow in fsum"},
+         "intermediate overflow in fsum", "intermediate overflow in fsum"),
+    ], ids=["arm-sum", "squared-errors"])
+    def test_overflowing_exact_sums_raise_risk_overflow(self, recwarn, y, T, alloc, losses,
+                                                        exact, mc):
+        sched = _broadcast_schedule(y, T)
+        spec = LossSpec("plugin", 0.5)
+        for seed, want in losses.items():
+            with pytest.raises(RiskOverflowError) as info:
+                loss(draw_assignment(alloc, seed=seed), sched, spec)
+            assert str(info.value) == f"the loss overflows: {want}"
+        with pytest.raises(RiskOverflowError) as info:
+            exact_risk(alloc, sched, spec)
+        assert str(info.value) == f"the loss overflows: {exact}"
+        with pytest.raises(RiskOverflowError) as info:
+            mc_risk(alloc, sched, spec, draws=5, seed=1)
+        assert str(info.value) == f"design 0's loss overflows: {mc}"
+        assert not recwarn.list
+
+    # the always-treated arm is all 1e308 and every other arm zeros, so the
+    # habituation effect's exact sum overflows before any loss is scored
+    @pytest.mark.parametrize("call", [
+        lambda a, s, spec: loss(draw_assignment(a, seed=0), s, spec),
+        lambda a, s, spec: exact_risk(a, s, spec),
+        lambda a, s, spec: mc_risk(a, s, spec, draws=3, seed=1),
+    ], ids=["loss", "exact_risk", "mc_risk"])
+    def test_overflowing_estimands_raise_risk_overflow(self, recwarn, call):
+        zeros = np.zeros((6, 2))
+        sched = PotentialOutcomeSchedule({ALWAYS_TREATED: np.full((6, 2), 1e308),
+                                          ALWAYS_CONTROL: zeros, pulse_arm(2): zeros})
+        with pytest.raises(RiskOverflowError) as info:
+            call(Allocation(2, 2, (2,)), sched, LossSpec("plugin", 0.5))
+        assert str(info.value) == "the estimands overflow: intermediate overflow in fsum"
+        assert not recwarn.list
+
     @pytest.mark.parametrize("mean,se", [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan),
                                          (1.0, np.inf)])
     def test_report_rejects_non_finite_values(self, mean, se):
@@ -1009,8 +1056,7 @@ class TestSizeMismatch:
     @pytest.mark.parametrize("call", [
         lambda a, s: mc_risk(a, s, LossSpec("plugin", 0.5), draws=2, seed=0),
         lambda a, s: exact_risk(a, s, LossSpec("plugin", 0.5)),
-        lambda a, s: true_variances(a, s, 2, LossSpec("plugin", 0.5)),
-    ], ids=["mc_risk", "exact_risk", "true_variances"])
+    ], ids=["mc_risk", "exact_risk"])
     def test_risks_name_the_allocation_and_schedule_sizes(self, sched, call):
         alloc = Allocation(1, 1, (1, 2))
         message = f"allocation is N=5, T=3 but schedule is N={sched.N}, T={sched.T}"
@@ -1018,122 +1064,18 @@ class TestSizeMismatch:
             call(alloc, sched)
 
 
-class TestVarianceComponents:
-    def test_constant_schedule_all_zero(self):
-        vc = variance_components(constant_schedule(4, 3), 2)
-        assert (vc.v1, vc.v0, vc.ve, vc.v1e, vc.v0e) == (0, 0, 0, 0, 0)
-
-    def test_worst_case_values(self):
-        N = 6
-        sched = worst_case_schedule(N, 3, 0.0, 1.0)
-        vstar = box_max_variance(N, 0.0, 1.0)
-        vc = variance_components(sched, 2)
-        assert vc.v1 == vc.v0 == vc.ve == pytest.approx(vstar, rel=1e-15)
-        assert vc.v1e == vc.v0e == 0.0
-
-    def test_two_unit_hand_value(self):
-        m = np.zeros((2, 2))
-        treated = np.zeros((2, 2))
-        treated[:, 1] = [0.0, 2.0]
-        sched = PotentialOutcomeSchedule({
-            ALWAYS_TREATED: treated, ALWAYS_CONTROL: m, pulse_arm(2): m,
-        })
-        assert variance_components(sched, 2).v1 == 2.0
-
-    def test_single_unit_rejected(self):
-        m = np.zeros((1, 2))
-        sched = PotentialOutcomeSchedule({
-            ALWAYS_TREATED: m, ALWAYS_CONTROL: m, pulse_arm(2): m,
-        })
-        with pytest.raises(ValueError):
-            variance_components(sched, 2)
-
-
-class TestTrueVariances:
-    def test_constant_schedule(self):
-        alloc = spread_allocation(6, 3)
-        assert true_variances(alloc, constant_schedule(6, 3), 2, LossSpec("plugin")) == (0, 0)
-
-    @pytest.mark.parametrize("spec", [
-        LossSpec("plugin", 0.5), LossSpec("augmented", 0.5), LossSpec("recycling", 0.5, k=1),
-    ], ids=lambda s: s.estimator)
-    def test_matches_enumeration(self, spec):
-        from tminimax.core import enumerate_assignments
-        from tminimax.estimators import (
-            augmented_instantaneous_estimate,
-            habituation_estimate,
-            instantaneous_estimate,
-            recycling_instantaneous_estimate,
-        )
-
-        rng = np.random.default_rng(31)
-        N, T = 6, 3
-        sched = random_schedule(rng, N, T, k=spec.k)
-        alloc = spread_allocation(N, T)
-        pick = {
-            "plugin": instantaneous_estimate,
-            "augmented": augmented_instantaneous_estimate,
-            "recycling": lambda Z, obs, t: recycling_instantaneous_estimate(Z, obs, t, spec.k),
-        }[spec.estimator]
-        for t in (2, 3):
-            hab_vals, inst_vals = [], []
-            for Z in enumerate_assignments(alloc):
-                obs = observe(Z, sched)
-                hab_vals.append(habituation_estimate(Z, obs, t))
-                inst_vals.append(pick(Z, obs, t))
-            var_h, var_i = true_variances(alloc, sched, t, spec)
-            for vals, want in ((hab_vals, var_h), (inst_vals, var_i)):
-                mean = fsum(vals) / len(vals)
-                enum_var = fsum([(v - mean) ** 2 for v in vals]) / len(vals)
-                assert enum_var == pytest.approx(want, rel=1e-12)
-
-    def test_worst_case_sums_to_max_risk(self):
-        N, T = 8, 3
-        sched = worst_case_schedule(N, T, 0.0, 1.0)
-        vstar = box_max_variance(N, 0.0, 1.0)
-        alloc = spread_allocation(N, T)
-        spec = LossSpec("augmented", 0.5, unnormalized=True)
-        total = fsum(
-            v for t in range(2, T + 1) for v in true_variances(alloc, sched, t, spec)
-        )
-        assert total == pytest.approx(max_risk(alloc, T, vstar, spec), rel=1e-12)
-
-    def test_shift_invariance_and_square_scaling(self):
-        rng = np.random.default_rng(41)
-        N, T = 6, 3
-        sched = random_schedule(rng, N, T)
-        alloc = spread_allocation(N, T)
-        spec = LossSpec("augmented", 0.5)
-        base = true_variances(alloc, sched, 2, spec)
-        shifted = PotentialOutcomeSchedule(
-            {arm: sched.matrix(arm) + 9.0 for arm in sched.arms}
-        )
-        scaled = PotentialOutcomeSchedule(
-            {arm: sched.matrix(arm) * 3.0 for arm in sched.arms}
-        )
-        got_shift = true_variances(alloc, shifted, 2, spec)
-        got_scale = true_variances(alloc, scaled, 2, spec)
-        for b, s, sc in zip(base, got_shift, got_scale):
-            assert s == pytest.approx(b, rel=1e-9, abs=1e-12)
-            assert sc == pytest.approx(9.0 * b, rel=1e-12)
-
-
-def _mask_ci(codes, values, t, spec, level, target):
+def _mask_ci(codes, values, t, spec, level):
     """``conservative_ci`` with each pool picked by a boolean mask over the
     codes: the reference ``conservative_ci`` must match bit for bit."""
     from tminimax.estimators import EstimatorUndefinedError, _pool_name
 
-    if target == "habituation":
-        masks = (codes == 1, codes == t)
-        names = ("the always-treated arm", f"the pulse arm at t={t}")
-    else:
-        pool = codes == 0
-        if spec.estimator != "plugin":
-            pool |= codes > t
-        if spec.estimator == "recycling":
-            pool |= (codes >= 2) & (codes <= t - spec.k)
-        masks = (codes == t, pool)
-        names = (f"the pulse arm at t={t}", _pool_name(spec.estimator, t))
+    pool = codes == 0
+    if spec.estimator != "plugin":
+        pool |= codes > t
+    if spec.estimator == "recycling":
+        pool |= (codes >= 2) & (codes <= t - spec.k)
+    masks = (codes == t, pool)
+    names = (f"the pulse arm at t={t}", _pool_name(spec.estimator, t))
     means = []
     for mask, name in zip(masks, names):
         if not mask.any():
@@ -1153,8 +1095,7 @@ class TestConservativeCI:
     @pytest.mark.parametrize("spec", [LossSpec("plugin"), LossSpec("augmented"),
                                       LossSpec("recycling", k=1), LossSpec("recycling", k=3)],
                              ids=lambda s: f"{s.estimator}-{s.k}")
-    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
-    def test_matches_the_boolean_mask_reference_bitwise(self, spec, target):
+    def test_matches_the_boolean_mask_reference_bitwise(self, spec):
         from tminimax.core import AssignmentMatrix, Family
 
         rng = np.random.default_rng(17)
@@ -1167,13 +1108,11 @@ class TestConservativeCI:
                 Z = AssignmentMatrix._from_codes(codes.copy(), T, Family.PULSE)
                 for t in sorted({2, 3, T // 2, T}):
                     try:
-                        want = tuple(v.hex() for v in _mask_ci(codes, values, t, spec, 0.9,
-                                                               target))
+                        want = tuple(v.hex() for v in _mask_ci(codes, values, t, spec, 0.9))
                     except ValueError as exc:
                         want = str(exc)
                     try:
-                        got = tuple(v.hex() for v in conservative_ci(Z, obs, t, spec, 0.9,
-                                                                     target=target))
+                        got = tuple(v.hex() for v in conservative_ci(Z, obs, t, spec, 0.9))
                     except ValueError as exc:
                         got = str(exc)
                     assert got == want
@@ -1216,17 +1155,81 @@ class TestConservativeCI:
             variance += fsum(((y - mean) ** 2).tolist()) / (len(y) - 1) / len(y)
         assert hw == z * sqrt(variance)
 
-    def test_habituation_target(self):
-        rng = np.random.default_rng(4)
+    def test_two_unit_pools_hand_value(self):
+        # pulse outcomes 0 and 2 have sample variance 2, over 2 units 1; the
+        # control outcomes are equal, so the half-width is the quantile
+        from tminimax.core import AssignmentMatrix, Family
+
+        Z = AssignmentMatrix._from_codes(np.array([0, 0, 1, 1, 2, 2]), 2, Family.PULSE)
+        values = np.zeros((6, 2))
+        values[:, 1] = [1.0, 1.0, 5.0, 5.0, 0.0, 2.0]
+        est, hw = conservative_ci(Z, ObservedOutcomes(values), 2, LossSpec("plugin"), 0.9)
+        assert est == 0.0
+        assert hw == NormalDist().inv_cdf(0.95)
+
+    def test_shift_invariance_and_square_scaling(self):
+        rng = np.random.default_rng(41)
         N, T = 12, 3
         sched = random_schedule(rng, N, T)
         Z = draw_assignment(spread_allocation(N, T), seed=2)
-        obs = observe(Z, sched)
-        from tminimax.estimators import habituation_estimate
+        spec = LossSpec("augmented")
+        values = observe(Z, sched).values
+        est, hw = conservative_ci(Z, ObservedOutcomes(values), 2, spec, 0.9)
+        est_shift, hw_shift = conservative_ci(Z, ObservedOutcomes(values + 9.0), 2, spec, 0.9)
+        est_scale, hw_scale = conservative_ci(Z, ObservedOutcomes(values * 3.0), 2, spec, 0.9)
+        assert est_shift == pytest.approx(est, rel=1e-9, abs=1e-12)
+        assert hw_shift == pytest.approx(hw, rel=1e-9)
+        assert est_scale == pytest.approx(3.0 * est, rel=1e-12)
+        assert hw_scale == pytest.approx(3.0 * hw, rel=1e-12)
 
-        est, hw = conservative_ci(Z, obs, 2, LossSpec("plugin"), 0.9, target="habituation")
-        assert est == habituation_estimate(Z, obs, 2)
-        assert hw > 0
+    @pytest.mark.parametrize("spec", [
+        LossSpec("plugin"), LossSpec("augmented"), LossSpec("recycling", k=1),
+    ], ids=lambda s: s.estimator)
+    def test_expected_variance_exceeds_the_true_variance(self, spec):
+        # over every assignment, the estimate is unbiased and the mean
+        # variance estimate exceeds the estimate's variance by exactly the
+        # dropped term, the unit effects' population variance over N
+        from tminimax.core import enumerate_assignments
+
+        rng = np.random.default_rng(31)
+        N, T = 8, 3
+        sched = random_schedule(rng, N, T, k=spec.k)
+        alloc = spread_allocation(N, T)
+        z = NormalDist().inv_cdf(0.95)
+        _, inst = estimands(sched)
+        for t in (2, 3):
+            ests, variances = [], []
+            for Z in enumerate_assignments(alloc):
+                est, hw = conservative_ci(Z, observe(Z, sched), t, spec, 0.9)
+                ests.append(est)
+                variances.append((hw / z) ** 2)
+            mean = fsum(ests) / len(ests)
+            enum_var = fsum([(v - mean) ** 2 for v in ests]) / len(ests)
+            effects = sched.matrix(pulse_arm(t))[:, t - 1] - sched.matrix(ALWAYS_CONTROL)[:, t - 1]
+            dropped = effects.var(ddof=1) / N
+            assert mean == pytest.approx(inst.at(t), rel=1e-9, abs=1e-12)
+            assert dropped > 0.0
+            assert fsum(variances) / len(variances) - enum_var == pytest.approx(dropped,
+                                                                                rel=1e-9)
+
+    # the pulse arm's outcomes at t = 2: their exact sum overflows, their
+    # squared deviations do, or the exact sum of finite squares does
+    @pytest.mark.parametrize("pulse,message", [
+        ([1.5e308, 1.5e308, -1.5e308],
+         "estimator overflows at t=2: the sum of the pulse arm at t=2 exceeds the float range"),
+        ([1e200, -1e200, 0.0], "variance inf"),
+        ([1.2e154, -1.2e154, 0.0], "intermediate overflow in fsum"),
+    ], ids=["arm-sum", "squares", "sum-of-squares"])
+    def test_overflow_raises_risk_overflow(self, recwarn, pulse, message):
+        from tminimax.core import AssignmentMatrix, Family
+
+        Z = AssignmentMatrix._from_codes(np.array([0, 0, 0, 1, 1, 1, 2, 2, 2]), 2, Family.PULSE)
+        values = np.zeros((9, 2))
+        values[6:, 1] = pulse
+        with pytest.raises(RiskOverflowError) as info:
+            conservative_ci(Z, ObservedOutcomes(values), 2, LossSpec("plugin"), 0.9)
+        assert str(info.value) == f"the interval overflows: {message}"
+        assert not recwarn.list
 
     def test_small_pool_rejected(self):
         Z = draw_assignment(Allocation(2, 2, (1, 1)), seed=0)
@@ -1253,19 +1256,17 @@ class TestConservativeCI:
         _, hw = conservative_ci(Z, obs, 2, LossSpec("plugin"), 1 - 2 ** -52)
         assert hw == pytest.approx(5.752002665587116, rel=1e-15)
 
-    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
     @pytest.mark.parametrize("t", [0, 1, 5])
-    def test_time_outside_horizon_rejected(self, target, t):
+    def test_time_outside_horizon_rejected(self, t):
         rng = np.random.default_rng(8)
         Z = draw_assignment(spread_allocation(40, 4), seed=0)
         obs = observe(Z, random_schedule(rng, 40, 4))
         with pytest.raises(ValueError, match=f"time index {t} outside 2..4"):
-            conservative_ci(Z, obs, t, LossSpec("plugin"), 0.95, target=target)
+            conservative_ci(Z, obs, t, LossSpec("plugin"), 0.95)
 
-    @pytest.mark.parametrize("target", ["habituation", "instantaneous"])
-    def test_outcome_rows_must_match_units(self, target):
+    def test_outcome_rows_must_match_units(self):
         rng = np.random.default_rng(9)
         Z = draw_assignment(spread_allocation(40, 4), seed=0)
         obs = ObservedOutcomes(observe(Z, random_schedule(rng, 40, 4)).values[:30])
         with pytest.raises(ValueError, match="assignment is 40 x 4 but outcomes are 30 x 4"):
-            conservative_ci(Z, obs, 2, LossSpec("augmented"), 0.95, target=target)
+            conservative_ci(Z, obs, 2, LossSpec("augmented"), 0.95)

@@ -464,7 +464,7 @@ class TestAssignmentCsv:
         Z = draw_assignment(alloc, family, seed)
         path = tmp_path / "z.csv"
         write_assignment_csv(str(path), Z)
-        back = read_assignment_csv(str(path), family=family)
+        back = read_assignment_csv(str(path))
         assert back == Z and back.family is Z.family
         assert back.arm_labels == Z.arm_labels
         assert np.array_equal(back.matrix, Z.matrix)
@@ -475,7 +475,7 @@ class TestAssignmentCsv:
                 pulse_arm(3, family), pulse_arm(4, family)]
         path = tmp_path / "z.csv"
         write_assignment_csv(str(path), AssignmentMatrix(arms, 4))
-        got = read_assignment_csv(str(path), family=family)
+        got = read_assignment_csv(str(path))
         assert got == AssignmentMatrix(arms, 4) and got.family is family
         assert got.codes.tolist() == [3, 0, 2, 1, 3, 4]
 
@@ -485,7 +485,6 @@ class TestAssignmentCsv:
         path = tmp_path / "a.csv"
         write_assignment_csv(str(path), Z)
         assert read_assignment_csv(str(path)).family == Family.PULSE
-        assert read_assignment_csv(str(path), family=Family.WEDGE).family == Family.WEDGE
 
     def test_invalid_pattern_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -523,7 +522,7 @@ class TestAssignmentCsv:
     def test_rows_without_pulses_are_pulse_family(self, tmp_path):
         path = tmp_path / "z.csv"
         path.write_text("unit,t1,t2,t3\n1,0,0,0\n2,1,1,1\n3,0,0,0\n")
-        Z = read_assignment_csv(str(path), family=Family.WEDGE)
+        Z = read_assignment_csv(str(path))
         assert Z.family is Family.PULSE and Z.codes.tolist() == [0, 1, 0]
 
     def test_unit_column_is_checked(self, tmp_path):
@@ -646,7 +645,7 @@ def _set_cell(lines, ln, c, text):
     lines[ln] = ",".join(cells)
 
 
-def _naive_read_assignment_csv(path, family=Family.PULSE):
+def _naive_read_assignment_csv(path):
     """Test-only copy of the line-by-line decode that the run decode
     replaced, for files whose header and cell counts are valid: check each
     data line's unit, then decode its row text at its first occurrence."""
@@ -667,7 +666,8 @@ def _naive_read_assignment_csv(path, family=Family.PULSE):
         codes.append(decoded[key])
     if len(votes) > 1:
         raise ParseError(f"{path}: rows mix pulse and wedge patterns")
-    return AssignmentMatrix._from_codes(np.array(codes), T, votes.pop() if votes else family)
+    return AssignmentMatrix._from_codes(np.array(codes), T,
+                                        votes.pop() if votes else Family.PULSE)
 
 
 def _assignment_outcome(reader, path):
@@ -703,8 +703,12 @@ class TestCsvBlocks:
             want = _one_string_assignment_csv(Z)
             write_assignment_csv(str(path), Z)
             assert path.read_bytes() == want.encode(), N
-            back = read_assignment_csv(str(path), family)
-            assert back == Z and back.family is Z.family
+            back = read_assignment_csv(str(path))
+            # rows that read the same in both families (every row at T = 2)
+            # give the pulse family
+            ambiguous = np.isin(Z.codes, (0, 1, T)).all()
+            assert back.family is (Family.PULSE if ambiguous else Z.family)
+            assert back.codes.tolist() == Z.codes.tolist()
 
     def test_matrix_reader_round_trips_at_block_edges(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import numpy_stack, schedule_violations
+from conftest import arm_bytes, numpy_stack, schedule_violations
 from tminimax import estimators
 from tminimax.core import (
     ALWAYS_CONTROL,
@@ -166,18 +166,16 @@ class TestInPlaceModel:
     @pytest.mark.parametrize("seed", [0, 17])
     def test_bit_equal_to_per_arm_build(self, model, params, seed):
         sched = model(params, 37, 6, seed)
-        want = _per_arm_model(params, 37, 6, seed, _CELLS[model]).stacked()
-        got = sched.stacked()
-        assert got.dtype == want.dtype and got.shape == want.shape == (7, 37, 6)
-        assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
+        assert (sched.N, sched.T) == (37, 6)
+        assert arm_bytes(sched) == arm_bytes(_per_arm_model(params, 37, 6, seed,
+                                                              _CELLS[model]))
 
     @pytest.mark.parametrize("N,T", [(2000, 10), (500, 30), (1, 2)])
     def test_bit_equal_at_benchmark_sizes(self, N, T):
         for model in (standard_model, habituation_model):
-            got = model(ModelParams(), N, T, 5).stacked()
-            want = _per_arm_model(ModelParams(), N, T, 5, _CELLS[model]).stacked()
-            assert got.tobytes() == want.tobytes()
+            got = model(ModelParams(), N, T, 5)
+            want = _per_arm_model(ModelParams(), N, T, 5, _CELLS[model])
+            assert arm_bytes(got) == arm_bytes(want)
 
     @pytest.mark.parametrize("model", [standard_model, habituation_model],
                              ids=["standard", "habituation"])
@@ -193,14 +191,14 @@ class TestInPlaceModel:
         sched = model(params, N, T, 9)
         twin = _per_arm_model(params, N, T, 9, _CELLS[model])
         assert len(sched._stored) == min(4, T + 1)
-        assert sched.stacked().tobytes() == twin.stacked().tobytes()
+        assert arm_bytes(sched) == arm_bytes(twin)
         assert sched == twin
-        stacked = sched.stacked()
         for got, want in zip(estimands(sched), estimands(twin)):
             assert got.values.tobytes() == want.values.tobytes()
         hab, inst = (e.values for e in estimands(sched))
         for t in range(2, T + 1):
-            control, treated, pulse = stacked[[0, 1, t], :, t - 1]
+            control, treated, pulse = (sched.matrix(arm)[:, t - 1]
+                                       for arm in (ALWAYS_CONTROL, ALWAYS_TREATED, pulse_arm(t)))
             assert hab[t - 2] == math.fsum((treated - pulse).tolist()) / N
             assert inst[t - 2] == math.fsum((pulse - control).tolist()) / N
 
@@ -210,7 +208,7 @@ class TestInPlaceModel:
         permuted = permute_units(sched, perm)
         assert len(permuted._stored) == len(sched._stored) == 4
         assert np.array_equal(permuted._slots, sched._slots)
-        assert permuted.stacked().tobytes() == sched.stacked()[:, perm].tobytes()
+        assert arm_bytes(permuted) == arm_bytes(sched, perm)
 
     @pytest.mark.parametrize("shape,slots", [
         ((3, 4, 2), (4, 2)), ((3, 4), (3, 2)), ((2, 4, 1), (2, 1)), ((3, 0, 2), (3, 2)),
@@ -227,7 +225,7 @@ class TestInPlaceModel:
     def test_owned_constructor_keeps_the_array(self):
         stacked = np.arange(24.0).reshape(3, 4, 2)
         sched = PotentialOutcomeSchedule._owned(stacked, _identity_slots(3, 2))
-        assert sched.stacked() is stacked and not stacked.flags.writeable
+        assert sched._stored is stacked and not stacked.flags.writeable
         assert (sched.N, sched.T) == (4, 2)
         assert sched == PotentialOutcomeSchedule(
             {arm: stacked[i] for i, arm in enumerate(arms_for_horizon(2))})

@@ -1,6 +1,5 @@
 """End-to-end library workflow: design, randomize, observe, infer."""
 
-import numpy as np
 import pytest
 
 from conftest import schedule_violations
@@ -22,20 +21,18 @@ from tminimax.simulate import maxrisk_table
 
 def test_design_run_estimate_cycle_recovers_effects():
     # a realistic-size experiment: optimal design, one randomization, then
-    # wide conservative intervals should cover both true effect series
+    # wide conservative intervals should cover the true instantaneous effects
     N, T = 2000, 6
     alloc = integer_solve(N, T, ObjectiveMode.augmented())
     sched = habituation_model(ModelParams(noise_sd=2.0), N, T, seed=5)
     assert not schedule_violations(sched)
-    hab_true, inst_true = estimands(sched)
+    _, inst_true = estimands(sched)
     Z = draw_assignment(alloc, seed=99)
     obs = observe(Z, sched)
     spec = LossSpec("augmented", 0.5)
     for t in range(2, T + 1):
         est, hw = conservative_ci(Z, obs, t, spec, 0.999)
         assert abs(est - inst_true.at(t)) <= hw
-        est, hw = conservative_ci(Z, obs, t, spec, 0.999, target="habituation")
-        assert abs(est - hab_true.at(t)) <= hw
 
 
 def test_maxrisk_ratios_match_objective_ratios():
@@ -59,19 +56,26 @@ def test_maxrisk_ratios_match_objective_ratios():
         assert max_risk(mini, T, vstar, spec) / max_risk(bal, T, vstar, spec) == base
 
 
-def test_habituation_interval_coverage():
-    # habituation-target intervals should cover at close to nominal rate
+@pytest.mark.parametrize("spec,mode", [
+    (LossSpec("plugin", 0.5), ObjectiveMode.basic()),
+    (LossSpec("augmented", 0.5), ObjectiveMode.augmented()),
+    (LossSpec("recycling", 0.5, k=1), ObjectiveMode.recycling(1)),
+], ids=["plugin", "augmented", "recycling"])
+def test_instantaneous_interval_coverage(spec, mode):
+    # conservative intervals on each estimator's minimax design should
+    # cover the instantaneous effects at close to the nominal rate; a
+    # habituation effect wears off after one period, so recycling with
+    # k = 1 is unbiased
     N, T, reps = 120, 4, 400
-    rng = np.random.default_rng(77)
     sched = habituation_model(ModelParams(noise_sd=3.0), N, T, seed=13)
-    hab_true, _ = estimands(sched)
-    alloc = integer_solve(N, T, ObjectiveMode.basic())
-    spec = LossSpec("plugin", 0.5)
+    assert not schedule_violations(sched, k=1)
+    _, inst_true = estimands(sched)
+    alloc = integer_solve(N, T, mode)
     hits = 0
     for rep in range(reps):
         Z = draw_assignment(alloc, seed=rep)
         obs = observe(Z, sched)
         for t in range(2, T + 1):
-            est, hw = conservative_ci(Z, obs, t, spec, 0.95, target="habituation")
-            hits += abs(est - hab_true.at(t)) <= hw
+            est, hw = conservative_ci(Z, obs, t, spec, 0.95)
+            hits += abs(est - inst_true.at(t)) <= hw
     assert hits / (reps * (T - 1)) >= 0.93
