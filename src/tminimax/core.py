@@ -20,9 +20,9 @@ says which arms the pool holds:
                    wears off after k periods).
 
 The pool rows of ``_risk_terms`` (the term table of the worst-case risk
-and the allocation objectives) come from it.  ``_picks`` says which units
-each estimate reads; the estimators, the loss and the confidence interval
-take them from it.
+and the allocation objectives) come from it, and so do the pool rows of
+``estimators._read_arms``, the one table of the arms each estimate reads,
+which the estimators, the loss and the confidence interval share.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ def _pool_arms(T: int, estimator: str, k: int | None = None) -> np.ndarray:
     """(T-1) x (T+1) read-only bool table of the control pools (see the
     module docstring): row t-2 marks the arm codes pooled as controls at t
     under ``estimator``, and ``k`` is the carryover order of ``recycling``.
-    ``row @ counts`` is the pool size; ``_picks`` lists the pooled units."""
+    ``row @ counts`` is the pool size and ``row[codes]`` its units' mask."""
     code = np.arange(T + 1)
     t = np.arange(2, T + 1)[:, None]
     pool = np.zeros((T - 1, T + 1), dtype=bool)
@@ -373,33 +373,10 @@ def _arm_order(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     ``by_arm[bounds[c]:bounds[c + 1]]`` are the units of arm code c,
     ascending, from one bincount and one stable argsort."""
     # narrowed to the fewest bytes that hold T, a stable sort is a radix sort
-    by_arm = np.argsort(codes.astype(np.min_scalar_type(T)), kind="stable")
+    by_arm = codes.astype(np.min_scalar_type(T)).argsort(kind="stable")
     bounds = np.zeros(T + 2, dtype=np.intp)
-    np.cumsum(np.bincount(codes, minlength=T + 1), out=bounds[1:])
+    np.bincount(codes, minlength=T + 1).cumsum(out=bounds[1:])
     return by_arm, bounds
-
-
-def _picks(codes: np.ndarray, T: int, estimator: str, k: int | None = None,
-           start: int = 2) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yields ``(t, treated, pulse, pool)`` for t = start..T: the units of
-    the always-treated arm, of the pulse-t arm and of the ``_pool_arms``
-    pool at t, each ascending, as a boolean mask over ``codes`` gives them.
-    The units are grouped by arm once (``_arm_order``); the pool is updated
-    only for the arms that join or leave it, so one step costs O(N)."""
-    pools = _pool_arms(T, estimator, k)
-    by_arm, bounds = _arm_order(codes, T)
-    bounds = bounds.tolist()
-    treated = by_arm[bounds[1]:bounds[2]]
-    pooled = np.zeros(T + 1, dtype=bool)  # the arms ``in_pool`` marks
-    in_pool = np.zeros(len(codes), dtype=bool)
-    for t in range(start, T + 1):
-        changed = (pools[t - 2] != pooled).nonzero()[0].tolist()
-        for arm in changed:
-            in_pool[by_arm[bounds[arm]:bounds[arm + 1]]] = pools[t - 2][arm]
-        if changed:  # always at the first step, since every pool holds arm 0
-            pooled = pools[t - 2]
-            pool = in_pool.nonzero()[0]
-        yield t, treated, by_arm[bounds[t]:bounds[t + 1]], pool
 
 
 @lru_cache(maxsize=None)
@@ -538,18 +515,14 @@ class PotentialOutcomeSchedule:
     def _observed_rows(self, codes: np.ndarray) -> np.ndarray:
         """Read-only N x T array whose row i is row i of the matrix of arm
         ``codes[i]``.  With one stored matrix that is the matrix itself;
-        otherwise, when each arm keeps one slot in every period, whole rows
-        are gathered, and else one take over the stored cells, from the
-        flat offset of each (arm code, period) in unit 0."""
+        otherwise one take over the stored cells, from the flat offset of
+        each (arm code, period) in unit 0."""
         if len(self._stored) == 1:
             return self._stored[0]
         N, T = self._N, self._T
-        if (self._slots == self._slots[:, :1]).all():
-            values = self._stored[self._slots[codes, 0], np.arange(N)]
-        else:
-            cells = (self._slots * (N * T) + np.arange(T)).take(codes, axis=0)
-            cells += np.arange(0, N * T, T)[:, None]
-            values = self._stored.reshape(-1).take(cells)
+        cells = (self._slots * (N * T) + np.arange(T)).take(codes, axis=0)
+        cells += np.arange(0, N * T, T)[:, None]
+        values = self._stored.reshape(-1).take(cells)
         values.flags.writeable = False
         return values
 

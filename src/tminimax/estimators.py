@@ -12,10 +12,10 @@ outcomes).  The habituation effect always uses the plug-in difference in
 arm means.  The instantaneous effect has three variants that differ in the
 control pool: the always-control arm alone, the pool augmented with
 future-pulse units, or the pool additionally recycling pulses older than k
-periods (the rule is stated once, at ``core._pool_arms``).  How an
-estimate is formed from its units is stated once too: ``_estimate_pass``
-reads them from one pass of ``core._picks`` and yields both effects at
-each t.  A per-t estimator takes one step of it; ``tminimax estimate``,
+periods (the rule is stated once, at ``core._pool_arms``).  The arms an
+estimate reads at t are stated once too, in the table ``_read_arms``, and
+``_estimate_pass`` gathers their cells in one place and yields both
+effects at each t.  A per-t estimator takes one step of it; ``tminimax estimate``,
 the loss in ``risk`` and ``conservative_ci`` read it as well.
 
 All sums are exact, which makes every estimator invariant under unit
@@ -26,8 +26,9 @@ blocks of periods by ``_exact_sums``, one scale group per (t, effect)
 row; an estimate pass gathers a block of periods' arm cells and extracts
 each period on one grid.  A row or block that holds a nan, an inf, a
 cell near overflow or a -0.0 (whose ``fsum`` sign extraction cannot
-tell) is summed by ``fsum`` itself, in unit order, so it gives the value
-or raises the exception ``fsum`` would.
+tell), or that belongs to a pass too small to repay the extraction, is
+summed by ``fsum`` itself, in unit order, so it gives the value or raises
+the exception ``fsum`` would.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .core import (
     PotentialOutcomeSchedule,
     _arm_order,
     _check_carryover,
-    _picks,
     _pool_arms,
 )
 
@@ -237,12 +237,6 @@ def _rounded(partials: list[np.ndarray], m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _picked_mean(picked: np.ndarray) -> float:
-    """Mean of one nonempty pool's outcomes, ``picked`` in unit order,
-    summed with fsum.  The unit-by-unit pass (``_pick_pass``) uses it."""
-    return fsum(picked.tolist()) / len(picked)
-
-
 def _pool_name(estimator: str, t: int) -> str:
     return {
         "plugin": "the always-control arm",
@@ -261,14 +255,6 @@ def _arm_name(estimator: str, t: int, role: int) -> str:
     return _pool_name(estimator, t)
 
 
-def _undefined(estimator: str, t: int, treated_empty: bool,
-               pulse_empty: bool) -> EstimatorUndefinedError:
-    """The error for the first empty arm at t, in the order always-treated,
-    pulse, pool; its text is built only here, when an arm is empty."""
-    what = _arm_name(estimator, t, 0 if treated_empty else 1 if pulse_empty else 2)
-    return EstimatorUndefinedError(f"estimator undefined: no units in {what}")
-
-
 def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
                   estimator: str = "plugin", k: int | None = None) -> None:
     if (Z.N, Z.T) != (obs.N, obs.T):
@@ -283,12 +269,13 @@ def _check_inputs(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,
             raise ValueError("recycling estimator requires a pulse-family assignment")
 
 
-# Below this many unit-periods (N times the periods) a pass is summed unit
-# by unit, whose fsum calls cost less than the extraction's set-up.  On a
-# 2-vCPU x86-64 VM (numpy 2.4) one period at N = 8 took about 15 us unit by
-# unit against 85 us by extraction, and the crossover lay between 2000 and
-# 4000 unit-periods; 256 keeps a wide margin, and a period at the N of
-# every benchmarked command (2000 and up) is above it.
+# Below this many unit-periods (N times the periods) a pass sums the cells
+# it gathered by fsum, whose calls cost less than the extraction's set-up:
+# it chooses a summer, not a path.  On a 2-vCPU x86-64 VM (numpy 2.4) one
+# period at N = 8 took about 15 us by fsum against 85 us by extraction, and
+# the crossover lay between 2000 and 4000 unit-periods; 256 keeps a wide
+# margin, and a period at the N of every benchmarked command (2000 and up)
+# is above it.
 _PICK_CELLS = 256
 
 
@@ -298,75 +285,99 @@ def _estimate_pass(codes: np.ndarray, values: np.ndarray | PotentialOutcomeSched
                    ) -> Iterator[tuple[int, float | None, float | None]]:
     """Yields ``(t, habituation, instantaneous)`` for t = start..stop - 1
     (by default through T): treated mean minus pulse mean, and pulse mean
-    minus pool mean, the pulse mean computed once, over the units that
-    ``core._picks`` lists.  Unit i observes row i of ``values``, an N x T
+    minus pool mean, the pulse mean computed once, over the arms that
+    ``_read_arms`` marks.  Unit i observes row i of ``values``, an N x T
     array, or of the schedule matrix of its arm ``codes[i]`` when
     ``values`` is a schedule.  An effect not asked for (``hab`` or
     ``inst`` false) is None and its arm is never read; without ``inst``
-    the plugin pool is picked, the cheapest.  An empty arm raises in the
-    order always-treated, pulse, pool.
+    the plugin pool is read, the cheapest.  An empty arm ends the pass at
+    the first period that reads one: the earlier periods are yielded, then
+    it raises, naming the arm in the order always-treated, pulse, pool.
 
-    Every arm is summed with fsum's bits, its exact sum rounded once.  A
-    pass of fewer than ``_PICK_CELLS`` unit-periods (N times its periods, a
-    bound on the cells it reads) is summed unit by unit, by ``_pick_pass``.
-    A larger one works a block of periods at a time, at most
-    ``_BLOCK_CELLS`` cells and at least one period: it gathers the cells
-    each period reads, grouped by (period, role), and sums them by
-    ``_extract`` with one scale group per period, then rounds each
-    treated, pulse and pool sum once.  A block that needs an empty arm, or
+    Every arm is summed with fsum's bits, its exact sum rounded once.  The
+    pass works a block of periods at a time, at most ``_BLOCK_CELLS``
+    cells and at least one period: one gather takes the cells each period
+    reads, grouped by (period, role).  A pass of at least ``_PICK_CELLS``
+    unit-periods (N times its periods, a bound on the cells it reads) sums
+    a block by ``_extract`` with one scale group per period, then rounds
+    each treated, pulse and pool sum once.  A smaller pass, or a block that
     reads a cell that is non-finite, -0.0 or at least 2**(1023 - c) (see
-    ``_extract``), is summed by ``_pick_pass`` instead, so it yields and
+    ``_extract``), is summed by ``_fsum_means`` instead, so it yields and
     raises in unit order exactly as summing each arm with fsum does."""
     cells, slots = _cell_table(values)
     N, T = len(codes), slots.shape[1]
     stop = T + 1 if stop is None else stop
+    extract = N * (stop - start) >= _PICK_CELLS
     picked = estimator if inst else "plugin"
-    if N * (stop - start) < _PICK_CELLS:
-        yield from _pick_pass(codes, cells, slots, picked, k, hab, inst, start, stop)
-        return
     by_arm, bounds = _arm_order(codes, T)
-    counts = np.diff(bounds)
+    counts = bounds[1:] - bounds[:-1]
     read = _read_arms(T, picked, k, hab, inst)[start - 2:stop - 2]
     filled = counts > 0
     roles = [r for r, on in enumerate((hab, True, inst)) if on]
+    pulse = roles.index(1)
     # einsum casts the bools in buffers, where matmul would copy them all
     sizes = np.einsum("prc,c->pr", read, counts)[:, roles]
-    ends = np.cumsum(sizes.sum(axis=1))
+    empty = (sizes == 0).any(axis=1)
+    periods = int(empty.argmax()) if empty.any() else len(sizes)
+    ends = sizes[:periods].sum(axis=1).cumsum()
     offset = by_arm * T  # offset[j]: the first cell of unit by_arm[j]'s row
     c = (2 * N - 1).bit_length()
     first = 0
-    while first < len(ends):
+    while first < periods:
         # the block: periods first..last - 1 of the pass
         limit = (ends[first - 1] if first else 0) + _BLOCK_CELLS
-        last = max(first + 1, int(np.searchsorted(ends, limit, "right")))
+        last = max(first + 1, int(ends.searchsorted(limit, "right")))
         t0, block = start + first, sizes[first:last]
+        # one piece per read arm, each arm's units ascending
+        p, role, arm = (read[first:last] & filled).nonzero()
+        lengths = counts[arm]
+        piece_ends = lengths.cumsum()
+        at = (bounds[arm] - piece_ends + lengths).repeat(lengths)
+        at += np.arange(piece_ends[-1])
+        column = t0 - 1 + p
+        x = cells.take(offset[at] + (slots[arm, column] * (N * T) + column).repeat(lengths))
         means = None
-        if block.all():
-            # one piece per read arm that has units
-            p, role, arm = np.nonzero(read[first:last] & filled)
-            lengths = counts[arm]
-            piece_ends = np.cumsum(lengths)
-            at = np.repeat(bounds[arm] - piece_ends + lengths, lengths)
-            at += np.arange(piece_ends[-1])
-            column = t0 - 1 + p
-            x = cells.take(offset[at] + np.repeat(slots[arm, column] * (N * T) + column,
-                                                  lengths))
-            segments = np.cumsum(block.ravel()) - block.ravel()
+        if extract:
+            segments = block.ravel().cumsum() - block.ravel()
             groups = segments[::len(roles)]
             top = np.maximum.reduceat(np.abs(x), groups)
             # -0.0 is the only float whose bits are those of int64's minimum
             if (top < 2.0 ** (1023 - c)).all() and not (
                     x.view(np.int64) == np.iinfo(np.int64).min).any():
                 sums = _rounded(_extract(x, top, groups, segments, c), len(segments))
-                means = sums.reshape(block.shape) / block
+                means = (sums.reshape(block.shape) / block).tolist()
         if means is None:
-            yield from _pick_pass(codes, cells, slots, picked, k, hab, inst, t0, start + last)
-        else:
-            pulse = means[:, roles.index(1)]
-            h = (means[:, 0] - pulse).tolist() if hab else [None] * len(means)
-            i = (pulse - means[:, -1]).tolist() if inst else [None] * len(means)
-            yield from zip(range(t0, start + last), h, i)
+            means = _fsum_means(x, by_arm[at], block, roles, picked, t0)
+        for t, m in zip(range(t0, start + last), means):
+            yield (t, m[0] - m[pulse] if hab else None,
+                   m[pulse] - m[-1] if inst else None)
         first = last
+    if periods < len(sizes):  # its first empty arm, in the order of the roles
+        what = _arm_name(picked, start + periods, roles[int(sizes[periods].argmin())])
+        raise EstimatorUndefinedError(f"estimator undefined: no units in {what}")
+
+
+def _fsum_means(x: np.ndarray, units: np.ndarray, sizes: np.ndarray, roles: list[int],
+                picked: str, t0: int) -> Iterator[list[float]]:
+    """The arm means of a block's gathered cells ``x`` (unit ``units[i]``'s
+    cell is ``x[i]``), one period's row at a time: fsum of each (period,
+    role) segment of ``sizes`` cells, put in unit order by one stable
+    lexsort, since fsum's intermediate overflow depends on the order.  A
+    sum that overflows raises ``OverflowError`` naming its arm and t."""
+    n = sizes.ravel()
+    x = x[np.lexsort((units, np.arange(len(n)).repeat(n)))].tolist()
+    row = []
+    for s, (end, size) in enumerate(zip(n.cumsum().tolist(), n.tolist())):
+        try:
+            row.append(fsum(x[end - size:end]) / size)
+        except OverflowError:  # fsum's exact sum of finite cells overflowed
+            t, role = t0 + s // len(roles), roles[s % len(roles)]
+            raise OverflowError(f"estimator overflows at t={t}: the sum of "
+                                f"{_arm_name(picked, t, role)} exceeds the float range"
+                                ) from None
+        if len(row) == len(roles):
+            yield row
+            row = []
 
 
 def _cell_table(values: np.ndarray | PotentialOutcomeSchedule
@@ -380,7 +391,7 @@ def _cell_table(values: np.ndarray | PotentialOutcomeSchedule
     if isinstance(values, PotentialOutcomeSchedule):
         return values._stored.reshape(-1), values._slots
     return (np.ascontiguousarray(values).reshape(-1),
-            np.broadcast_to(np.intp(0), (values.shape[1] + 1, values.shape[1])))
+            np.zeros((values.shape[1] + 1, values.shape[1]), dtype=np.intp))
 
 
 @lru_cache(maxsize=None)
@@ -397,43 +408,6 @@ def _read_arms(T: int, picked: str, k: int | None, hab: bool, inst: bool) -> np.
         table[:, 2] = _pool_arms(T, picked, k)
     table.flags.writeable = False
     return table
-
-
-def _pick_pass(codes: np.ndarray, cells: np.ndarray, slots: np.ndarray, picked: str,
-               k: int | None, hab: bool, inst: bool, start: int, stop: int
-               ) -> Iterator[tuple[int, float | None, float | None]]:
-    """``_estimate_pass`` for t = start..stop - 1 unit by unit: each step
-    of ``core._picks`` over the ``picked`` pools sums the arms it reads
-    with ``_picked_mean``, the units in ascending order, reading column t
-    of the observed outcomes from ``_cell_table``'s ``cells`` and ``slots``.
-    ``picked`` also names the pool in the error for an empty one, which is
-    read only when ``inst`` is true and ``picked`` is the estimator.  An
-    arm whose sum overflows raises ``OverflowError`` naming it and t."""
-    N, T = len(codes), slots.shape[1]
-    for t, treated, pulse, pool in _picks(codes, T, picked, k, start):
-        if t == stop:
-            return
-        if not (len(pulse) and (len(treated) or not hab) and (len(pool) or not inst)):
-            raise _undefined(picked, t, hab and not len(treated), not len(pulse))
-        slot = slots[:, t - 1]
-        if (slot == slot[0]).all():  # every arm observes one stored column
-            first = slot[0] * N * T + t - 1
-            col = cells[first:first + N * T:T]
-        else:
-            col = cells.take((slot[codes] * N + np.arange(N)) * T + t - 1)
-        role = 0
-        try:
-            treated_mean = _picked_mean(col[treated]) if hab else None
-            role = 1
-            pulse_mean = _picked_mean(col[pulse])
-            role = 2
-            pool_mean = _picked_mean(col[pool]) if inst else None
-        except OverflowError:  # fsum's exact sum of finite cells overflowed
-            raise OverflowError(f"estimator overflows at t={t}: the sum of "
-                                f"{_arm_name(picked, t, role)} exceeds the float range"
-                                ) from None
-        yield (t, treated_mean - pulse_mean if hab else None,
-               pulse_mean - pool_mean if inst else None)
 
 
 def _instantaneous_at(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int,

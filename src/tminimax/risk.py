@@ -21,7 +21,8 @@ per-t estimators run, so the loss scores exactly the estimates a user
 gets; the pass reads each unit's cells from the schedule's stored
 matrices through its slot table, with no N x T copy of the observed
 rows.  ``conservative_ci`` takes its estimate from one step of that
-pass and its two pools' units from one step of ``core._picks``.  Every
+pass and its two pools' units by masks over the arm codes, the pool's
+from ``core._pool_arms``, the table that pass reads.  Every
 loss sums each arm and pool by one rule: fsum's bits, the exact sum
 rounded once.  A schedule whose arms and periods all share one outcome
 column y = c * b, for one float c and integers b with sum(|b|) < 2**53
@@ -54,7 +55,6 @@ from .core import (
     RealAllocation,
     _check_fits,
     _iter_code_arrangements,
-    _picks,
     _pool_arms,
     _risk_terms,
     _shuffle,
@@ -534,15 +534,13 @@ def conservative_ci(Z: AssignmentMatrix, obs: ObservedOutcomes, t: int, spec: Lo
     try:
         _, _, estimate = next(_estimate_pass(Z.codes, obs.values, spec.estimator, spec.k,
                                              hab=False, start=t, stop=t + 1))
-        _, _, pulse, pool = next(_picks(Z.codes, Z.T, spec.estimator, spec.k, t))
         col = obs.values[:, t - 1]
+        pool = _pool_arms(Z.T, spec.estimator, spec.k)[t - 2][Z.codes]
         variance = 0.0
-        for units in (pulse, pool):
-            if len(units) < 2:
-                raise ValueError(
-                    f"conservative variance needs >= 2 units per pool, got {len(units)}"
-                )
-            variance += _population_variance(col[units]) / len(units)
+        for y in (col[Z.codes == t], col[pool]):
+            if len(y) < 2:
+                raise ValueError(f"conservative variance needs >= 2 units per pool, got {len(y)}")
+            variance += _population_variance(y) / len(y)
     except OverflowError as exc:  # a pool's mean or squared deviations overflowed
         raise RiskOverflowError(f"the interval overflows: {exc}") from exc
     if not math.isfinite(variance):

@@ -124,14 +124,19 @@ def _block_rows(T: int) -> int:
     return max(1, _BLOCK_CELLS // (T + 1))
 
 
-def _header(T: int) -> list[str]:
-    return ["unit"] + [f"t{t}" for t in range(1, T + 1)]
+def _header(T: int) -> Iterator[str]:
+    """The header line ``unit,t1..tT`` without its line break, in pieces of
+    at most ``_WRITE_CELLS`` column names, so no piece grows with T."""
+    yield "unit"
+    for t0 in range(1, T + 1, _WRITE_CELLS):
+        yield "".join([f",t{t}" for t in range(t0, min(t0 + _WRITE_CELLS, T + 1))])
 
 
 def _matrix_blocks(values: np.ndarray) -> Iterator[str]:
     """The CSV text of a matrix: its header line, then its rows in blocks
     of at most ``_WRITE_CELLS`` cells, or one row split into such blocks,
-    each written by ``_cells_text``.  The unit numbers go through it as the
+    each copied and written by ``_cells_text``, so no string or array the
+    writer makes grows with T.  The unit numbers go through it as the
     first column: a unit number up to 2**53 is an exact float whose
     ``format_float`` text is its ``%d`` text.  The shape is checked before
     any text is made."""
@@ -146,16 +151,19 @@ def _matrix_blocks(values: np.ndarray) -> Iterator[str]:
 
     def blocks(r0: int) -> Iterator[str]:
         rows = values[r0:r0 + size]
-        cells = np.empty((len(rows), T + 1))
-        cells[:, 0] = np.arange(r0 + 1, r0 + len(rows) + 1)
-        cells[:, 1:] = rows if numeric else np.fromiter(
-            map(float, rows.flat), float, count=rows.size).reshape(rows.shape)
-        flat = cells.reshape(-1)
-        for i in range(0, flat.size, _WRITE_CELLS):
-            yield _cells_text(flat[i:i + _WRITE_CELLS], i, T + 1)
+        # columns c0.. of the rows, the unit number being column 0
+        for c0 in range(0, T + 1, _WRITE_CELLS):
+            lead = int(c0 == 0)
+            part = rows[:, c0 - 1 + lead:c0 - 1 + _WRITE_CELLS]
+            cells = np.empty((len(rows), lead + part.shape[1]))
+            if lead:
+                cells[:, 0] = np.arange(r0 + 1, r0 + len(rows) + 1)
+            cells[:, lead:] = part if numeric else np.fromiter(
+                map(float, part.flat), float, count=part.size).reshape(part.shape)
+            yield _cells_text(cells.reshape(-1), c0, T + 1)
 
     rows = itertools.chain.from_iterable(map(blocks, range(0, N, size)))
-    return itertools.chain([",".join(_header(T)) + "\n"], rows)
+    return itertools.chain(_header(T), ["\n"], rows)
 
 
 # Bytes per cell of the kernel's text: the longest format_float text (24,
@@ -296,18 +304,25 @@ def _after_first(handle: TextIO) -> tuple[tuple[int, str], Iterator[_Run]]:
 
 
 def _scan(path: str, handle: TextIO) -> tuple[int, int]:
-    """First pass over a unit,t1..tT file: checks the header and every
-    row's cell count; returns T and the number of data rows."""
+    """First pass over a unit,t1..tT file: checks the header, a piece of
+    ``_header`` at a time, and every row's cell count; returns T (the
+    header's comma count) and the number of data rows."""
     (ln, head), runs = _after_first(handle)
     if not ln:
         raise ParseError(f"{path}: empty input, expected a unit,t1..tT matrix")
-    header = head.split(",")
-    if header[0] != "unit" or len(header) < 3:
+    T = head.count(",")
+    if T < 2 or not head.startswith("unit,"):
         raise ParseError(f"{path}, line {ln}: expected header unit,t1..tT, got {head!r}")
-    for j, name in enumerate(header[1:], start=1):
-        if name != f"t{j}":
-            raise ParseError(f"{path}, line {ln}, column {j + 1}: expected t{j}, got {name!r}")
-    T = len(header) - 1
+    at = 0
+    for piece in _header(T):
+        if not head.startswith(piece, at):
+            break
+        at += len(piece)
+    if at < len(head):  # only now split the header, to name its first bad column
+        for j, name in enumerate(head.split(",")[1:], start=1):
+            if name != f"t{j}":
+                raise ParseError(
+                    f"{path}, line {ln}, column {j + 1}: expected t{j}, got {name!r}")
     n = 0
     for numbers, texts in runs:
         commas = list(map(str.count, texts, itertools.repeat(",")))
@@ -427,7 +442,7 @@ def _assignment_blocks(Z: AssignmentMatrix) -> Iterator[str]:
         codes = Z.codes[r0:r0 + size].tolist()
         return "".join([f"{i},{rows[code]}" for i, code in enumerate(codes, start=r0 + 1)])
 
-    return itertools.chain([",".join(_header(Z.T)) + "\n"], map(block, range(0, Z.N, size)))
+    return itertools.chain(_header(Z.T), ["\n"], map(block, range(0, Z.N, size)))
 
 
 def write_assignment_csv(path: str, Z: AssignmentMatrix) -> None:

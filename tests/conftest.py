@@ -1,6 +1,8 @@
-"""Shared builders for test schedules and allocations, and a umask fixture."""
+"""Shared builders for test schedules and allocations, the estimate pass's
+boolean-mask oracle, and a umask fixture."""
 
 import os
+from math import fsum
 
 import numpy as np
 import pytest
@@ -58,6 +60,38 @@ def numpy_stack(recorded):
     pairwise sums, which NumPy does not promise to keep across versions
     (NEP 19): the numpy version it was recorded on and the one running."""
     return f"golden recorded on numpy {recorded}, running numpy {np.__version__}"
+
+
+def mask_pass(codes, values, estimator, k=None, hab=True, inst=True, start=2, stop=None):
+    """The rows ``estimators._estimate_pass`` yields over the N x T array
+    ``values``, by boolean masks: at each t, fsum in unit order of column
+    t of the units ``codes == 1``, ``codes == t`` and the ``_pool_arms``
+    pool at t, each over its size.  Before summing, an empty arm raises
+    ``EstimatorUndefinedError``; an arm whose sum overflows raises
+    ``OverflowError``; both name the arm with the library's text."""
+    from tminimax.core import _pool_arms
+    from tminimax.estimators import EstimatorUndefinedError, _arm_name
+
+    T = values.shape[1]
+    picked = estimator if inst else "plugin"
+    pools = _pool_arms(T, picked, k)
+    for t in range(start, T + 1 if stop is None else stop):
+        masks = {role: mask for role, mask, on in [(0, codes == 1, hab), (1, codes == t, True),
+                                                   (2, pools[t - 2][codes], inst)] if on}
+        for role, mask in masks.items():
+            if not mask.any():
+                raise EstimatorUndefinedError(
+                    f"estimator undefined: no units in {_arm_name(picked, t, role)}")
+        means = {}
+        for role, mask in masks.items():
+            try:
+                means[role] = fsum(values[mask, t - 1].tolist()) / np.count_nonzero(mask)
+            except OverflowError:
+                raise OverflowError(f"estimator overflows at t={t}: the sum of "
+                                    f"{_arm_name(picked, t, role)} exceeds the float range"
+                                    ) from None
+        yield (t, means[0] - means[1] if hab else None,
+               means[1] - means[2] if inst else None)
 
 
 def constant_schedule(N, T, value=3.25):

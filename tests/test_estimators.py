@@ -8,7 +8,7 @@ from math import fsum
 import numpy as np
 import pytest
 
-from conftest import constant_schedule, random_schedule, spread_allocation
+from conftest import constant_schedule, mask_pass, random_schedule, spread_allocation
 from tminimax.core import (
     ALWAYS_CONTROL,
     ALWAYS_TREATED,
@@ -437,7 +437,7 @@ class TestErrors:
 
     # the huge arm's code at t = 2: 1 always-treated, 2 the pulse, 0 the
     # control arm in the augmented pool; at N = 300 the pass reads more
-    # than _PICK_CELLS cells, and the huge cells send it unit by unit
+    # than _PICK_CELLS cells, and the huge cells send it to the fsum summer
     @pytest.mark.parametrize("estimate,code,what", [
         (habituation_estimate, 1, "the always-treated arm"),
         (habituation_estimate, 2, "the pulse arm at t=2"),
@@ -675,27 +675,33 @@ _PASS_ESTIMATORS = [("plugin", None), ("augmented", None), ("recycling", 1), ("r
                     ("recycling", 3)]
 
 
-class TestExactPassMatchesThePerPickLoop:
-    """The exact pass sums a block of periods by extraction; the oracle is
-    the per-pick ``fsum`` loop (``_pick_pass``), which the exact pass keeps
-    as its fallback.  Every row's bits, and every exception's type, text
-    and (t, effect), must agree, for full passes and single steps."""
+# ``_PICK_CELLS`` for each summer of the estimate pass: every pass is summed
+# by fsum, or every pass is summed by extraction wherever its cells allow
+_SUMMERS = {"fsum": 1 << 62, "extract": 0}
+
+
+class TestPassMatchesTheMaskOracle:
+    """The estimate pass sums the cells of one gather by extraction or by
+    fsum; the oracle is ``conftest.mask_pass``, fsum over boolean masks.
+    Every row's bits, and every exception's type, text and (t, effect),
+    must agree, for full passes and single steps, under each summer."""
 
     KINDS = ["none", "minus_zero", "all_minus_zero", "underflow", "huge", "nan", "inf",
              "inf_minus_inf"]
 
+    @pytest.mark.parametrize("summer", list(_SUMMERS))
     @pytest.mark.parametrize("estimator,k", _PASS_ESTIMATORS,
                              ids=[f"{e}-{k}" if k else e for e, k in _PASS_ESTIMATORS])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("block", [None, 1, 50], ids=["all", "one-period", "two-periods"])
-    def test_rows_and_errors_match(self, monkeypatch, estimator, k, rho, block):
-        from tminimax.estimators import _cell_table, _estimate_pass, _pick_pass
+    def test_rows_and_errors_match(self, monkeypatch, summer, estimator, k, rho, block):
+        from tminimax.estimators import _estimate_pass
 
+        monkeypatch.setattr(estimators, "_PICK_CELLS", _SUMMERS[summer])
         if block is not None:  # N = 30 cells at most per period
             monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
         rng = np.random.default_rng([7, int(rho * 2), block or 0, k or 0, len(estimator)])
         hab, inst = rho > 0.0, rho < 1.0
-        picked = estimator if inst else "plugin"
         N, T = 30, 6
         # every arm has a unit and the always-treated arm two
         base = np.concatenate([np.arange(T + 1), [1], rng.integers(0, T + 1, size=N - T - 2)])
@@ -709,12 +715,10 @@ class TestExactPassMatchesThePerPickLoop:
                 _special(kind, stored, slots, codes, int(rng.integers(2, T + 1)))
                 sched = PotentialOutcomeSchedule._owned(stored, slots)
                 observed = sched._observed_rows(codes)
-                cells, table = _cell_table(observed)
                 with np.errstate(invalid="ignore", over="ignore"):
                     for start, stop in [(2, None)] + [(t, t + 1) for t in range(2, T + 1)]:
-                        want = _pass_rows(lambda: _pick_pass(
-                            codes, cells, table, picked, k, hab, inst, start,
-                            T + 1 if stop is None else stop))
+                        want = _pass_rows(lambda: mask_pass(
+                            codes, observed, estimator, k, hab, inst, start, stop))
                         for values in (sched, observed):
                             got = _pass_rows(lambda: _estimate_pass(
                                 codes, values, estimator, k, hab=hab, inst=inst, start=start,
@@ -729,12 +733,56 @@ class TestExactPassMatchesThePerPickLoop:
         # the treated mean -5e-324 / n rounds to -0.0, whatever fsum gives for -0.0
         assert minus_zero_estimate == hab
 
+    @pytest.mark.parametrize("summer", list(_SUMMERS))
+    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
+                                             ("recycling", 1), ("recycling", 3)])
+    @pytest.mark.parametrize("N,T", [(12, 8), (60, 5), (700, 300)])
+    def test_every_start_matches(self, monkeypatch, summer, estimator, k, N, T):
+        # N = 12 at T = 8 leaves arms empty; T = 300 sorts the codes as uint16.
+        # A pass from t yields the oracle's step at t, t + 1, ... through the
+        # first step that raises
+        from tminimax.estimators import _estimate_pass
+
+        monkeypatch.setattr(estimators, "_PICK_CELLS", _SUMMERS[summer])
+        rng = np.random.default_rng(700 + T)
+        for _ in range(2):
+            codes = rng.integers(0, T + 1, size=N)
+            values = rng.normal(size=(N, T))
+            steps = [_pass_rows(lambda: mask_pass(codes, values, estimator, k, start=t,
+                                                  stop=t + 1)) for t in range(2, T + 1)]
+            for start in range(2, T + 1):
+                want = []
+                for step in steps[start - 2:]:
+                    want += step
+                    if not isinstance(step[0][0], int):
+                        break
+                assert _pass_rows(lambda: _estimate_pass(codes, values, estimator, k,
+                                                         start=start)) == want, start
+
+    @pytest.mark.parametrize("N", [7, 303], ids=["fsum", "extract"])
+    def test_a_pool_is_summed_in_unit_order(self, N):
+        # the augmented pool at t = 2 holds arm 0 and the pulse at 3; in unit
+        # order its cells are 1e308, -1e308, 1e308, whose fsum is 1e308, but
+        # in arm-code order (1e308, 1e308, then -1e308) fsum overflows.  At
+        # N = 303 the pass reads 606 unit-periods, above _PICK_CELLS, and its
+        # huge cells send the block to the fsum summer
+        from tminimax.estimators import _estimate_pass
+
+        codes = np.resize([1, 2], N)
+        codes[:3] = [0, 3, 0]
+        values = np.zeros((N, 3))
+        values[:3, 1] = [1e308, -1e308, 1e308]
+        want = _pass_rows(lambda: mask_pass(codes, values, "augmented"))
+        assert want[0] == (2, (0.0).hex(), (-(1e308 / 3)).hex())
+        assert _pass_rows(lambda: _estimate_pass(codes, values, "augmented")) == want
+
+    @pytest.mark.parametrize("summer", list(_SUMMERS))
     @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None)])
     @pytest.mark.parametrize("block", [None, 1], ids=["all", "one-period"])
-    def test_a_wedge_loss_is_the_per_pick_loss(self, monkeypatch, estimator, k, block):
-        from tminimax.estimators import _cell_table, _pick_pass
+    def test_a_wedge_loss_is_the_mask_loss(self, monkeypatch, summer, estimator, k, block):
         from tminimax.risk import LossSpec, loss
 
+        monkeypatch.setattr(estimators, "_PICK_CELLS", _SUMMERS[summer])
         if block is not None:
             monkeypatch.setattr(estimators, "_BLOCK_CELLS", block)
         rng = np.random.default_rng(12)
@@ -748,11 +796,9 @@ class TestExactPassMatchesThePerPickLoop:
             assert wedge.family is Family.WEDGE and np.array_equal(wedge.codes, pulse.codes)
             for rho in (0.0, 0.5, 1.0):
                 spec = LossSpec(estimator, rho, k)
-                cells, table = _cell_table(sched._observed_rows(wedge.codes))
                 h_sq, i_sq = [], []
-                for t, h, i in _pick_pass(wedge.codes, cells, table,
-                                          estimator if rho < 1.0 else "plugin", k,
-                                          rho > 0.0, rho < 1.0, 2, T + 1):
+                for t, h, i in mask_pass(wedge.codes, sched._observed_rows(wedge.codes),
+                                         estimator, k, rho > 0.0, rho < 1.0):
                     if h is not None:
                         h_sq.append((h - hab[t - 2]) ** 2)
                     if i is not None:

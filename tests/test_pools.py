@@ -21,7 +21,6 @@ from tminimax.core import (
     AssignmentMatrix,
     Family,
     PotentialOutcomeSchedule,
-    _picks,
     _pool_arms,
     draw_assignment,
     observe,
@@ -133,15 +132,16 @@ class TestUnitMasks:
 
     @pytest.mark.parametrize("T", range(2, 11))
     def test_augmented_controls_match_the_reference(self, T):
-        # the pool of a pass started at t is the augmented control set at t
+        # the pool units at t, as ``conservative_ci`` reads them, are the
+        # augmented control set at t
         rng = np.random.default_rng(100 + T)
         for _ in range(3):
             codes = _codes(rng, T)
             for t in range(2, T + 1):
-                _, _, _, pool = next(_picks(codes, T, "augmented", None, t))
+                pool = np.flatnonzero(_pool_arms(T, "augmented")[t - 2][codes])
                 assert frozenset(pool.tolist()) == _ref_augmented_controls(codes, t)
                 for k in range(1, T + 1):
-                    _, _, _, pool = next(_picks(codes, T, "recycling", k, t))
+                    pool = np.flatnonzero(_pool_arms(T, "recycling", k)[t - 2][codes])
                     assert frozenset(pool.tolist()) == _ref_augmented_controls(codes, t, k)
 
     @pytest.mark.parametrize("T", range(2, 9))
@@ -167,32 +167,6 @@ class TestUnitMasks:
                 for k in range(1, T + 1):
                     got = recycling_instantaneous_estimate(Z, obs, t, k)
                     assert got == ref("recycling", k)
-
-
-class TestPicks:
-    """``core._picks`` against the reference masks: at each t the treated,
-    pulse and pool arrays are the units the boolean masks give, ascending,
-    whatever step the pass starts at."""
-
-    @pytest.mark.parametrize("estimator,k", [("plugin", None), ("augmented", None),
-                                             ("recycling", 1), ("recycling", 3)])
-    @pytest.mark.parametrize("N,T", [(12, 8), (60, 5), (700, 300)])
-    def test_units_match_the_reference_masks(self, estimator, k, N, T):
-        # N = 12 at T = 8 leaves arms empty; T = 300 sorts the codes as uint16
-        rng = np.random.default_rng(700 + T)
-        for _ in range(2):
-            codes = rng.integers(0, T + 1, size=N)
-            treated = np.flatnonzero(codes == 1)
-            want = {t: (np.flatnonzero(codes == t),
-                        np.flatnonzero(_ref_control_mask(codes, t, estimator, k)))
-                    for t in range(2, T + 1)}
-            for start in range(2, T + 1):
-                steps = list(_picks(codes, T, estimator, k, start))
-                assert [step[0] for step in steps] == list(range(start, T + 1))
-                for t, got_treated, got_pulse, got_pool in steps:
-                    assert np.array_equal(got_treated, treated)
-                    assert np.array_equal(got_pulse, want[t][0])
-                    assert np.array_equal(got_pool, want[t][1])
 
 
 class TestPoolSizes:

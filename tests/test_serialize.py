@@ -849,6 +849,26 @@ class TestCsvBlocks:
         assert peaks["read"] < values.nbytes + 4e6
         assert peaks["read_z"] < Z.codes.nbytes + 4e6
 
+    @pytest.mark.parametrize("cells", [1 << 10, 1 << 12])
+    def test_a_wide_matrix_is_written_a_block_at_a_time(self, tmp_path, monkeypatch, cells):
+        # the header and each 200000-cell row go out ``_WRITE_CELLS`` cells
+        # at a time: the writer's peak follows the block, about 500 bytes a
+        # cell, and not T (one string per column name took 14 MB here)
+        from tminimax import serialize
+
+        monkeypatch.setattr(serialize, "_WRITE_CELLS", cells)
+        values = np.random.default_rng(8).normal(size=(2, 200000))
+        path = str(tmp_path / "m.csv")
+        write_matrix_csv(path, values[:, :2])  # the kernel's tables are built once
+        tracemalloc.start()
+        try:
+            write_matrix_csv(path, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * cells
+        assert read_matrix_csv(path).tobytes() == values.tobytes()
+
     def test_reads_from_a_pipe(self, tmp_path):
         values = np.random.default_rng(7).normal(size=(3 * _block_rows(2), 2))
         fifo = tmp_path / "m.csv"
